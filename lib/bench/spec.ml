@@ -62,11 +62,13 @@ let mk ?(topology = Pmc_sim.Topology.Star) ~cores backends apps =
 
 (* The CI gate: three kernels with distinct traffic shapes (lock-handover
    bound, halo-exchange bound, reduction bound) on every software
-   coherency back-end, at the paper's 32-core geometry. *)
+   coherency back-end and on far memory, whose long lock queues keep the
+   engine's gang-scheduled polls under the host-rate gate, at the
+   paper's 32-core geometry. *)
 let smoke_cases =
   mk ~cores:32
     [ Pmc.Backends.Nocc; Pmc.Backends.Swcc; Pmc.Backends.Dsm;
-      Pmc.Backends.Spm ]
+      Pmc.Backends.Spm; Pmc.Backends.Farmem ]
     [ ("streaming", 32); ("stencil", 8); ("histogram", 64) ]
 
 (* Everything in the registry, still at one geometry. *)

@@ -153,7 +153,9 @@ let acquire_aux t ~deadline : outcome =
     match deadline with
     | None ->
         (* the grant check reads only lock bookkeeping and the clock, so
-           the scheduler can run the polling loop without waking us *)
+           the scheduler runs the polling loop without waking us; queued
+           cores whose polls fall on the same cycle are re-checked
+           together, as one gang *)
         Engine.poll_wait e ~cat:Stats.Lock_stall ~quantum:poll
           ~pred:granted;
         take_grant t ~core;

@@ -19,7 +19,12 @@
    the only per-suspension allocations left are the effect machinery's
    own (handler closure and continuation).  Freed slots are reset to
    dummies so a popped entry's task or closure is never kept live by the
-   arena (the seed's heap leaked exactly that way). *)
+   arena (the seed's heap leaked exactly that way).
+
+   Tasks parked in a pure poll ([poll_wait]) are grouped: waiters due at
+   the same time with the same quantum share one [k_wait] entry, a gang,
+   so a run of failed re-checks costs one pop and one splice instead of
+   a pop and a push per waiter. *)
 
 type _ Effect.t += Tick : unit Effect.t
 (* Constant constructor on purpose: performing it allocates nothing; the
@@ -29,8 +34,8 @@ type _ Effect.t += Wait : unit Effect.t
 (* Suspension of a pure polling loop ([poll_wait]): the predicate,
    quantum and stall category travel through the [wait_*] fields below.
    The scheduler re-evaluates the predicate itself on each wake and only
-   resumes the fiber once it holds, so a failed poll costs a queue
-   pop/push instead of a fiber round trip. *)
+   resumes the fiber once it holds, so a failed poll costs a step through
+   a gang (below) instead of a fiber round trip. *)
 
 exception Watchdog of int
 (* raised when a task exceeds [Config.max_cycles] — livelock guard *)
@@ -53,6 +58,19 @@ let dummy_task = { core = -1; time = 0; seq = -1; state = Finished }
 let dummy_fn : unit -> unit = fun () -> ()
 let dummy_ifn : int -> unit = fun _ -> ()
 let dummy_pred : unit -> bool = fun () -> false
+
+(* A task parked in [poll_wait].  A gang is an intrusive FIFO of these
+   through [next]; every member is due at the gang entry's time and
+   polls with its quantum. *)
+type waiter = {
+  task : task;
+  pred : unit -> bool;
+  cat : Stats.category;
+  mutable next : waiter;  (* [no_waiter] ends the gang *)
+}
+
+let rec no_waiter =
+  { task = dummy_task; pred = dummy_pred; cat = Stats.Busy; next = no_waiter }
 
 (* Arena entry kinds. *)
 let k_free = 0
@@ -84,9 +102,9 @@ type t = {
   mutable a_task : task array;
   mutable a_fn : (unit -> unit) array;
   mutable a_ifn : (int -> unit) array;
-  mutable a_arg : int array;
-  mutable a_pred : (unit -> bool) array;
-  mutable a_wcat : Stats.category array;
+  mutable a_arg : int array;           (* indexed arg / gang quantum *)
+  mutable a_whead : waiter array;      (* gang members, first and last *)
+  mutable a_wtail : waiter array;
   mutable a_free : int;                (* free-list head, -1 = grow *)
   (* wake-wheel: per-cycle slots as intrusive chains, occupancy bitmap *)
   wheel_head : int array;
@@ -125,8 +143,8 @@ let create (config : Config.t) =
     a_fn = Array.make initial_arena dummy_fn;
     a_ifn = Array.make initial_arena dummy_ifn;
     a_arg = Array.make initial_arena 0;
-    a_pred = Array.make initial_arena dummy_pred;
-    a_wcat = Array.make initial_arena Stats.Busy;
+    a_whead = Array.make initial_arena no_waiter;
+    a_wtail = Array.make initial_arena no_waiter;
     a_free = 0;
     wheel_head = Array.make wheel_window (-1);
     wheel_tail = Array.make wheel_window (-1);
@@ -163,8 +181,8 @@ let grow_arena t =
   t.a_fn <- copy dummy_fn t.a_fn;
   t.a_ifn <- copy dummy_ifn t.a_ifn;
   t.a_arg <- copy 0 t.a_arg;
-  t.a_pred <- copy dummy_pred t.a_pred;
-  t.a_wcat <- copy Stats.Busy t.a_wcat;
+  t.a_whead <- copy no_waiter t.a_whead;
+  t.a_wtail <- copy no_waiter t.a_wtail;
   let nx = Array.make n' (-1) in
   Array.blit t.a_next 0 nx 0 n;
   for i = n to n' - 2 do
@@ -189,7 +207,8 @@ let free_slot t i =
   t.a_task.(i) <- dummy_task;
   t.a_fn.(i) <- dummy_fn;
   t.a_ifn.(i) <- dummy_ifn;
-  t.a_pred.(i) <- dummy_pred;
+  t.a_whead.(i) <- no_waiter;
+  t.a_wtail.(i) <- no_waiter;
   t.a_next.(i) <- t.a_free;
   t.a_free <- i
 
@@ -277,18 +296,20 @@ let[@inline] lowest_bit_from word bit =
     !b
   end
 
+(* Toplevel rather than local to [next_occupied]: a local recursive
+   function capturing [t] is a closure allocated on every call. *)
+let rec scan_occ occ word bit laps =
+  if word >= occ_words then
+    if laps = 0 then scan_occ occ 0 0 1 else assert false
+  else
+    match lowest_bit_from occ.(word) bit with
+    | -1 -> scan_occ occ (word + 1) 0 laps
+    | b -> (word lsl occ_shift) + b
+
 (* Next occupied slot at or after [from], scanning the bitmap and
    wrapping once; the caller guarantees [wheel_count > 0]. *)
 let next_occupied t ~from =
-  let rec scan word bit laps =
-    if word >= occ_words then
-      if laps = 0 then scan 0 0 1 else assert false
-    else
-      match lowest_bit_from t.occ.(word) bit with
-      | -1 -> scan (word + 1) 0 laps
-      | b -> (word lsl occ_shift) + b
-  in
-  scan (from lsr occ_shift) (from land occ_bmask) 0
+  scan_occ t.occ (from lsr occ_shift) (from land occ_bmask) 0
 
 let wheel_take t slot =
   let i = t.wheel_head.(slot) in
@@ -301,6 +322,18 @@ let wheel_take t slot =
   end;
   t.wheel_count <- t.wheel_count - 1;
   i
+
+(* Undo a [wheel_take]: put [i] back at the head of [slot]. *)
+let wheel_untake t slot i =
+  let head = t.wheel_head.(slot) in
+  t.a_next.(i) <- head;
+  t.wheel_head.(slot) <- i;
+  if head = -1 then begin
+    t.wheel_tail.(slot) <- i;
+    let w = slot lsr occ_shift in
+    t.occ.(w) <- t.occ.(w) lor (1 lsl (slot land occ_bmask))
+  end;
+  t.wheel_count <- t.wheel_count + 1
 
 (* ---------------- pending-entry queue ---------------- *)
 
@@ -361,6 +394,30 @@ let next_pending_time t =
     let p = min wt ht in
     t.peek <- p;
     p
+  end
+
+(* ---------------- gangs of parked polls ---------------- *)
+
+(* Park the waiters [first .. last] (linked through [next]) at [time],
+   behind everything already queued there.  When the tail entry of that
+   wheel slot is a gang with the same quantum, the run joins it: both
+   would be popped back to back anyway, so the (time, seq) order of the
+   re-checks is unchanged.  Otherwise the run becomes a new gang entry
+   keyed on [seq], its first member's sequence number. *)
+let park t ~time ~seq ~quantum first last =
+  let tail = t.wheel_tail.(time land wheel_mask) in
+  if tail >= 0 && t.a_time.(tail) = time && t.a_kind.(tail) = k_wait
+     && t.a_arg.(tail) = quantum
+  then begin
+    t.a_wtail.(tail).next <- first;
+    t.a_wtail.(tail) <- last
+  end
+  else begin
+    let i = alloc_slot t ~time ~seq ~kind:k_wait in
+    t.a_arg.(i) <- quantum;
+    t.a_whead.(i) <- first;
+    t.a_wtail.(i) <- last;
+    push_slot t i
   end
 
 let stats t = t.stats
@@ -506,15 +563,12 @@ let handler t task =
         task.time <- task.time + t.wait_quantum;
         if task.time > t.config.max_cycles then raise (Watchdog task.time);
         task.state <- Suspended k;
-        let i =
-          alloc_slot t ~time:task.time ~seq:(fresh_seq t) ~kind:k_wait
+        let w =
+          { task; pred = t.wait_pred; cat = t.wait_cat; next = no_waiter }
         in
-        t.a_task.(i) <- task;
-        t.a_pred.(i) <- t.wait_pred;
-        t.a_wcat.(i) <- t.wait_cat;
-        t.a_arg.(i) <- t.wait_quantum;
         t.wait_pred <- dummy_pred;
-        push_slot t i)
+        park t ~time:task.time ~seq:(fresh_seq t) ~quantum:t.wait_quantum w
+          w)
   in
   {
     Effect.Deep.retc =
@@ -533,6 +587,56 @@ let handler t task =
         | Wait -> on_wait
         | _ -> None);
   }
+
+(* A gang's turn: re-check its members in order, each with its task
+   installed as current.  Every failed member is charged its stall and
+   burns one seq, exactly as its own pop and push would; the failed
+   prefix is then re-parked at [time + quantum] in one splice.  The first
+   member whose predicate holds resumes its fiber, and the members behind
+   it go back to the head of this slot, so they are still re-checked
+   before anything queued after the gang — including whatever the
+   resumed fiber schedules at this same cycle. *)
+let wake_gang t i =
+  let time = t.a_time.(i) and quantum = t.a_arg.(i) in
+  let nt = time + quantum in
+  let seq = t.next_seq in
+  let first = t.a_whead.(i) in
+  let w = ref first and last = ref no_waiter in
+  while
+    !w != no_waiter
+    && begin
+         t.current <- !w.task;
+         not (!w.pred ())
+       end
+  do
+    let m = !w in
+    Stats.add (Stats.core t.stats m.task.core) m.cat quantum;
+    if nt > t.config.max_cycles then raise (Watchdog nt);
+    m.task.time <- nt;
+    ignore (fresh_seq t);
+    last := m;
+    w := m.next
+  done;
+  let winner = !w in
+  if winner != no_waiter && winner.next != no_waiter then begin
+    t.a_whead.(i) <- winner.next;
+    wheel_untake t (time land wheel_mask) i;
+    t.peek <- time
+  end
+  else free_slot t i;
+  if !last != no_waiter then begin
+    !last.next <- no_waiter;
+    park t ~time:nt ~seq ~quantum first !last
+  end;
+  if winner != no_waiter then begin
+    let task = winner.task in
+    match task.state with
+    | Suspended k ->
+        task.state <- Finished;
+        Effect.Deep.continue k ()
+    | _ -> assert false
+  end;
+  t.current <- dummy_task
 
 (* Run until every task has finished and every event has fired.  Raises
    [Watchdog] if a task spins past the configured horizon; raises
@@ -561,34 +665,7 @@ let run t =
         | Finished -> ());
         t.current <- dummy_task
       end
-      else if kind = k_wait then begin
-        (* a suspended pure poll: re-evaluate in place, resume only when
-           the predicate holds — same (time, seq) trajectory as the
-           resume-check-suspend round trip, without the fiber switch *)
-        let task = t.a_task.(i) in
-        t.current <- task;
-        if t.a_pred.(i) () then begin
-          let k =
-            match task.state with
-            | Suspended k -> k
-            | _ -> assert false
-          in
-          free_slot t i;
-          task.state <- Finished;
-          Effect.Deep.continue k ();
-          t.current <- dummy_task
-        end
-        else begin
-          Stats.add (Stats.core t.stats task.core) (t.a_wcat.(i)) t.a_arg.(i);
-          let nt = task.time + t.a_arg.(i) in
-          if nt > t.config.max_cycles then raise (Watchdog nt);
-          task.time <- nt;
-          t.a_time.(i) <- nt;
-          t.a_seq.(i) <- fresh_seq t;
-          push_slot t i;
-          t.current <- dummy_task
-        end
-      end
+      else if kind = k_wait then wake_gang t i
       else if kind = k_closure then begin
         let f = t.a_fn.(i) in
         free_slot t i;

@@ -93,8 +93,12 @@ val poll_wait :
     — same stall accounting, same clock trajectory, same sequence-number
     burns, same watchdog — but once the task suspends, the scheduler
     re-evaluates [pred] itself at every wake and resumes the fiber only
-    when it holds, so each failed poll costs a queue pop/push instead of
-    a fiber suspend/resume round trip.
+    when it holds.  Suspended waiters due at the same cycle with the same
+    [quantum] share one queue entry (a {e gang}): the scheduler re-checks
+    them in order, re-queues the failed ones in one splice, and a failed
+    re-check allocates nothing and costs no fiber switch.  The order in
+    which predicates are evaluated, and hence the state each evaluation
+    sees, is the plain loop's.
 
     [pred] must be {e pure with respect to the simulation}: it may read
     engine or host bookkeeping state (including {!now}) but must not

@@ -9,6 +9,9 @@
        pending entry) allocates nothing at all;
      - the suspension path allocates only the runtime's continuation —
        a small bounded number of minor words per event;
+     - a failed pure-poll re-check in the scheduler allocates nothing;
+     - [Engine.poll_wait] is the plain consume loop it documents, event
+       for event, on random engine-only programs;
      - runs are bit-repeatable for random (app, back-end, cores, chaos)
        points, not just the golden matrix;
      - attaching a trace sink never changes timing or values: the
@@ -58,6 +61,234 @@ let test_suspension_alloc_bounded () =
   Alcotest.(check bool)
     (Printf.sprintf "suspension path bounded (%.1f words/event)" per_event)
     true (per_event < 48.0)
+
+(* 31 tasks park in [poll_wait] on a clock predicate while one task
+   keeps consuming, so nearly every scheduled event is a failed re-check
+   run by the scheduler.  Each failed re-check charges one quantum of
+   lock stall, which counts them exactly. *)
+let test_poll_recheck_zero_alloc () =
+  let cores = 32 and quantum = 4 and release = 40_000 in
+  let e = Engine.create { Config.small with cores } in
+  let pred () = Engine.now e >= release in
+  for c = 1 to cores - 1 do
+    Engine.spawn e ~core:c (fun () ->
+        Engine.poll_wait e ~cat:Stats.Lock_stall ~quantum ~pred)
+  done;
+  Engine.spawn e ~core:0 (fun () ->
+      while Engine.now e < release do
+        Engine.consume e Stats.Busy 256
+      done);
+  let w0 = Gc.minor_words () in
+  Engine.run e;
+  let dw = Gc.minor_words () -. w0 in
+  let stall = ref 0 in
+  for c = 0 to cores - 1 do
+    stall := !stall + Stats.get (Stats.core (Engine.stats e) c) Stats.Lock_stall
+  done;
+  let rechecks = !stall / quantum in
+  let per = dw /. float_of_int rechecks in
+  Alcotest.(check bool)
+    (Printf.sprintf "failed re-checks allocate nothing (%d cost %.0f words, \
+                     %.3f each)" rechecks dw per)
+    true (per < 0.1)
+
+(* ---------------- poll_wait contract ---------------- *)
+
+(* Random engine-only programs, each run twice: once with
+   [Engine.poll_wait] and once with the loop it documents,
+
+     [while not (pred ()) do Engine.consume e cat quantum done]
+
+   The two runs must agree on every observation: the global log of pred
+   successes, resumes, flag bumps and fired closures (with core and
+   time), every core's per-category stall totals, [wall_time] and the
+   [Watchdog] cycle. *)
+
+type op =
+  | Work of Stats.category * int
+  | Bump of int                 (* flags.(f) += 1, from the task *)
+  | Post of int * int           (* a closure bumps flag f after a delay *)
+  | Wait of {
+      flag : int;
+      target : int;
+      quantum : int;
+      cat : Stats.category;
+      until : int option;       (* the pred also holds from this cycle *)
+    }
+
+type program = {
+  max_cycles : int;
+  tasks : (int * op list) list;  (* start skew, ops; task i on core i *)
+}
+
+let n_flags = 2
+
+type outcome = Done | Watchdog of int
+
+let run_program ~poll prog =
+  let cores = List.length prog.tasks in
+  let e =
+    Engine.create { Config.small with cores; max_cycles = prog.max_cycles }
+  in
+  let flags = Array.make n_flags 0 in
+  let log = ref [] in
+  let note kind core k time = log := (kind, core, k, time) :: !log in
+  List.iteri
+    (fun core (start, ops) ->
+      Engine.spawn e ~start ~core (fun () ->
+          List.iteri
+            (fun k op ->
+              match op with
+              | Work (cat, n) -> Engine.consume e cat n
+              | Bump f ->
+                  flags.(f) <- flags.(f) + 1;
+                  note "bump" core k (Engine.now e)
+              | Post (f, delay) ->
+                  Engine.at e ~time:(Engine.now e + delay) (fun () ->
+                      flags.(f) <- flags.(f) + 1;
+                      note "fire" core k (Engine.wall_time e))
+              | Wait { flag; target; quantum; cat; until } ->
+                  let pred () =
+                    let ok =
+                      flags.(flag) >= target
+                      || match until with
+                         | Some d -> Engine.now e >= d
+                         | None -> false
+                    in
+                    if ok then
+                      note "success" (Engine.core_id e) k (Engine.now e);
+                    ok
+                  in
+                  if poll then Engine.poll_wait e ~cat ~quantum ~pred
+                  else
+                    while not (pred ()) do
+                      Engine.consume e cat quantum
+                    done;
+                  note "resume" core k (Engine.now e))
+            ops))
+    prog.tasks;
+  let outcome =
+    match Engine.run e with
+    | () -> Done
+    | exception Engine.Watchdog c -> Watchdog c
+  in
+  let stalls =
+    List.init cores (fun c ->
+        List.map (Stats.get (Stats.core (Engine.stats e) c)) Stats.categories)
+  in
+  (outcome, List.rev !log, stalls, Engine.wall_time e)
+
+let agree prog = run_program ~poll:true prog = run_program ~poll:false prog
+
+let wait ?until ?(cat = Stats.Lock_stall) ?(target = 1) ~quantum flag =
+  Wait { flag; target; quantum; cat; until }
+
+(* Quanta include one beyond the 2048-cycle wake-wheel window, so parked
+   waiters also travel through the overflow heap. *)
+let gen_program =
+  let open QCheck.Gen in
+  let cat = oneofl Stats.[ Busy; Lock_stall; Write_stall ] in
+  let op =
+    frequency
+      [
+        ( 3,
+          map2 (fun c n -> Work (c, n)) cat
+            (oneofl [ 1; 3; 4; 8; 13; 2105 ]) );
+        (2, map (fun f -> Bump f) (int_bound (n_flags - 1)));
+        (2, map2 (fun f d -> Post (f, d)) (int_bound (n_flags - 1))
+              (oneofl [ 0; 1; 4; 7 ]));
+        ( 5,
+          let* flag = int_bound (n_flags - 1) in
+          let* target = int_range 1 3 in
+          let* quantum = oneofl [ 1; 4; 4; 4; 7; 2100 ] in
+          let* cat = oneofl Stats.[ Lock_stall; Lock_stall; Busy ] in
+          let+ until = opt ~ratio:0.4 (int_range 0 6000) in
+          Wait { flag; target; quantum; cat; until } );
+      ]
+  in
+  let task =
+    pair (oneofl [ 0; 0; 0; 1; 4; 9 ]) (list_size (int_range 1 6) op)
+  in
+  let+ max_cycles = oneofl [ 3_000; 20_000 ]
+  and+ tasks = list_size (int_range 2 7) task in
+  { max_cycles; tasks }
+
+let print_program prog =
+  let op = function
+    | Work (c, n) -> Printf.sprintf "work %s %d" (Stats.category_name c) n
+    | Bump f -> Printf.sprintf "bump %d" f
+    | Post (f, d) -> Printf.sprintf "post %d +%d" f d
+    | Wait w ->
+        Printf.sprintf "wait f%d>=%d q%d %s%s" w.flag w.target w.quantum
+          (Stats.category_name w.cat)
+          (match w.until with
+          | Some d -> " until " ^ string_of_int d
+          | None -> "")
+  in
+  Printf.sprintf "max %d\n%s" prog.max_cycles
+    (String.concat "\n"
+       (List.mapi
+          (fun i (s, ops) ->
+            Printf.sprintf "  task %d @%d: %s" i s
+              (String.concat "; " (List.map op ops)))
+          prog.tasks))
+
+let prop_poll_wait_is_loop =
+  QCheck.Test.make ~count:300
+    ~name:"poll_wait = while not pred do consume cat quantum done"
+    (QCheck.make ~print:print_program gen_program)
+    agree
+
+(* Fixed programs for the shapes random ones hit only sometimes. *)
+let test_poll_wait_shapes () =
+  let check name prog =
+    Alcotest.(check bool) (name ^ ": poll_wait = loop") true (agree prog)
+  in
+  (* five waiters parked side by side; the middle one wins on its
+     deadline, then posts at delay 0 (behind the waiters still queued in
+     its slot) and works one quantum (behind the ones already re-parked) *)
+  check "winner mid-run"
+    {
+      max_cycles = 20_000;
+      tasks =
+        List.init 5 (fun i ->
+            if i = 2 then
+              (0, [ wait ~until:40 ~quantum:4 0; Post (0, 0);
+                    Work (Stats.Busy, 4); Post (1, 4) ])
+            else (0, [ wait ~quantum:4 0; wait ~quantum:4 1 ]));
+    };
+  (* waiters parked beyond the wheel window, released by a late bump *)
+  check "overflow heap"
+    {
+      max_cycles = 20_000;
+      tasks =
+        [ (0, [ wait ~quantum:2100 0 ]); (0, [ wait ~quantum:2100 0 ]);
+          (3, [ wait ~quantum:2100 0; wait ~quantum:4 1 ]);
+          (0, [ Work (Stats.Busy, 5000); Bump 0;
+                Work (Stats.Busy, 3); Bump 1 ]) ];
+    };
+  (* a gang re-parked beyond the window is ordered by sequence number
+     against a waiter that parked at the same cycle just before it *)
+  check "overflow order"
+    {
+      max_cycles = 20_000;
+      tasks =
+        [ (0, [ Work (Stats.Busy, 5); wait ~quantum:2100 0 ]);
+          (0, [ Work (Stats.Busy, 2105); wait ~quantum:2100 0 ]);
+          (0, [ Work (Stats.Busy, 4000); Bump 0 ]) ];
+    };
+  let starved =
+    {
+      max_cycles = 3_000;
+      tasks =
+        [ (0, [ wait ~quantum:4 0 ]); (0, [ wait ~quantum:4 1 ]);
+          (0, [ wait ~cat:Stats.Busy ~quantum:4 0 ]) ];
+    }
+  in
+  check "starved" starved;
+  match run_program ~poll:true starved with
+  | Watchdog c, _, _, _ -> Alcotest.(check int) "watchdog cycle" 3_004 c
+  | Done, _, _, _ -> Alcotest.fail "a starved waiter must trip the watchdog"
 
 (* ---------------- randomized equivalence ---------------- *)
 
@@ -138,6 +369,10 @@ let suite =
         test_fast_path_zero_alloc;
       Alcotest.test_case "suspension alloc bounded" `Quick
         test_suspension_alloc_bounded;
+      Alcotest.test_case "poll re-check zero alloc" `Quick
+        test_poll_recheck_zero_alloc;
+      Alcotest.test_case "poll_wait shapes" `Quick test_poll_wait_shapes;
+      QCheck_alcotest.to_alcotest prop_poll_wait_is_loop;
       QCheck_alcotest.to_alcotest prop_repeatable;
       QCheck_alcotest.to_alcotest prop_trace_transparent;
     ] )
