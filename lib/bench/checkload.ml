@@ -52,10 +52,7 @@ type outcome = {
   digest : int;  (* FNV-1a over the verdict content *)
 }
 
-let locs_per_proc = 2
-
-let replay ~procs ~events =
-  let locs = max 1 (procs * locs_per_proc) in
+let replay ~procs ~locs ~events =
   let evs = synth_events ~procs ~locs ~events in
   let work = List.length evs in
   let r = History.check ~procs ~locs evs in

@@ -18,9 +18,10 @@ val synth_events :
 (** A PMC-consistent trace of locked acquire/write/read/release quads
     from a fixed-seed generator — a pure function of its arguments. *)
 
-val replay : procs:int -> events:int -> outcome
-(** Replay a synthetic trace through {!Pmc_model.History.check};
-    [ok] iff the (consistent) trace produced no violations. *)
+val replay : procs:int -> locs:int -> events:int -> outcome
+(** Replay a synthetic trace over [locs] locations through
+    {!Pmc_model.History.check}; [ok] iff the (consistent) trace produced
+    no violations. *)
 
 val enum : unit -> outcome
 (** Enumerate every standard litmus program under every semantics;

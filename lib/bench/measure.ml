@@ -195,7 +195,8 @@ let run_case ?max_cycles ~unbatched ~warmup ~repeat (c : Spec.case) :
   | Spec.Sim -> run_sim_case ?max_cycles ~unbatched ~warmup ~repeat c
   | Spec.Check_replay ->
       run_check_case ~warmup ~repeat c (fun () ->
-          Checkload.replay ~procs:c.Spec.cores ~events:c.Spec.scale)
+          Checkload.replay ~procs:c.Spec.cores ~locs:(Spec.replay_locs c)
+            ~events:c.Spec.scale)
   | Spec.Check_enum ->
       run_check_case ~warmup ~repeat c (fun () -> Checkload.enum ())
 

@@ -12,7 +12,8 @@
    throughput rate. *)
 type work =
   | Sim
-  | Check_replay  (* History.check over a synthetic [scale]-event trace *)
+  | Check_replay  (* History.check over a synthetic [scale]-event trace;
+                     [app] names the location geometry, see [replay_locs] *)
   | Check_enum    (* Litmus.enumerate over the standard corpus *)
 
 type case = {
@@ -37,7 +38,7 @@ type t = {
    topologies existed still join in [Compare]. *)
 let case_id (c : case) =
   match c.work with
-  | Check_replay -> Printf.sprintf "check/replay/c%d/s%d" c.cores c.scale
+  | Check_replay -> Printf.sprintf "check/%s/c%d/s%d" c.app c.cores c.scale
   | Check_enum -> Printf.sprintf "check/enum/%s/s%d" c.app c.scale
   | Sim -> (
       match c.topology with
@@ -105,12 +106,15 @@ let scale_cases =
       ~cores:1024 all_backends
       [ ("kv_store", 4) ]
 
-(* The model-plane throughput gate: replay a synthetic 200k-event trace
-   through the incremental [History.check] (4 processes, the checker's
-   cost is per-event × procs), and enumerate the standard litmus corpus
-   under every semantics.  Both work counts are deterministic, so only
-   the rate is host-dependent — it is gated by [Compare.host_rate_floor]
-   like every simulator case. *)
+(* The model-plane throughput gate: replay synthetic traces through the
+   incremental [History.check] in two location geometries, and enumerate
+   the standard litmus corpus under every semantics.  "replay" spreads
+   200k events over 2 locations per process; "replay-wide" spreads 20k
+   over 512 locations — the many-location regime of recorded stencil and
+   radiosity traces, where a frontier row has thousands of slots and
+   almost all of them stay empty.  Every work count is deterministic, so
+   only the rate is host-dependent — it is gated by
+   [Compare.host_rate_floor] like every simulator case. *)
 let check_case ~app ~cores ~scale work =
   { app; backend = Pmc.Backends.Nocc; topology = Pmc_sim.Topology.Star;
     cores; scale; work }
@@ -119,7 +123,11 @@ let check_cases =
   [
     check_case ~app:"replay" ~cores:4 ~scale:200_000 Check_replay;
     check_case ~app:"corpus" ~cores:1 ~scale:1 Check_enum;
+    check_case ~app:"replay-wide" ~cores:4 ~scale:20_000 Check_replay;
   ]
+
+let replay_locs (c : case) =
+  match c.app with "replay-wide" -> 512 | _ -> 2 * c.cores
 
 let suite ?(label = "bench") ?(unbatched = false) ?(warmup = 1) ?(repeat = 3)
     name =

@@ -10,7 +10,7 @@ type work =
   | Sim
   | Check_replay
       (** {!Pmc_model.History.check} over a synthetic [scale]-event
-          trace with [cores] processes *)
+          trace with [cores] processes, over {!replay_locs} locations *)
   | Check_enum
       (** {!Pmc_model.Litmus.enumerate} over the standard corpus under
           every semantics *)
@@ -40,7 +40,9 @@ val case_id : case -> string
     {!Compare}: ["app/backend/cN/sM"] on {!Pmc_sim.Topology.Star} (the
     historic form, so pre-topology baselines still join),
     ["app/backend/topology/cN/sM"] on routed fabrics, and
-    ["check/replay/cN/sM"] / ["check/enum/app/sM"] for check cases. *)
+    ["check/app/cN/sM"] (["check/replay/cN/sM"],
+    ["check/replay-wide/cN/sM"]) / ["check/enum/app/sM"] for check
+    cases. *)
 
 val smoke_cases : case list
 (** The CI gate: three kernels with distinct traffic shapes on every
@@ -55,9 +57,15 @@ val scale_cases : case list
     back-ends. *)
 
 val check_cases : case list
-(** The model-plane throughput gate: incremental history replay
-    (200k synthetic events, 4 processes) and litmus-corpus enumeration
+(** The model-plane throughput gate: incremental history replay in two
+    geometries (200k synthetic events over 8 locations, and 20k over
+    512 locations, both with 4 processes) and litmus-corpus enumeration
     (every standard program under every semantics). *)
+
+val replay_locs : case -> int
+(** The location count a {!Check_replay} case's trace spreads over,
+    named by its [app]: ["replay-wide"] is 512 locations, anything else
+    (["replay"]) 2 per process. *)
 
 val suite :
   ?label:string ->

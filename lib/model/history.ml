@@ -15,15 +15,16 @@
    checker: whatever timing a back-end produces, the observable values must
    be explainable by the model.
 
-   Two implementations coexist.  [check] is incremental: it never builds
-   the execution DAG (whose Table-I edge sets grow quadratically with the
-   history) and instead carries per-(process, location) write frontiers
-   across events, so an n-event history replays in roughly
-   O(n · procs² · locs) int operations and O(procs² · locs) live state.
-   [check_reference] is the original definition — issue every event
-   through [Execution.execute] and answer each read with
-   [Observe.readable_writes] — kept as the executable specification the
-   qcheck equivalence properties compare against. *)
+   [check] is incremental: it never builds the execution DAG (whose
+   Table-I edge sets grow quadratically with the history) and instead
+   carries per-(process, location) write frontiers across events in
+   sparse rows.  Each event costs time proportional to the nonzero
+   frontier slots it touches, not to procs² · locs; the live state is
+   the nonzero slots plus O(procs · locs) empty rows, and 2 · procs
+   more for each (process, location) pair the history touches.  The
+   test suite pins it against the original definition — every event
+   issued through [Execution.execute], every read answered with
+   [Observe.readable_writes] — on random histories. *)
 
 type event =
   | E_read of { proc : int; loc : int; value : int }
@@ -62,108 +63,12 @@ type report = { violations : violation list }
 
 let ok report = report.violations = []
 
-type full_report = { exec : Execution.t; full_violations : violation list }
-
-let full_ok r = r.full_violations = []
-
-(* ------------------------------------------------------------------ *)
-(* The reference checker: the executable specification.                *)
-(* ------------------------------------------------------------------ *)
-
-(* [writes_seen] remembers, per (proc, loc), the id of the write the last
-   read of that proc/loc observed, for the monotonicity check. *)
-let check_reference ?(require_locked_writes = false) ?(init = fun _ -> 0)
-    ~procs ~locs (events : event list) : full_report =
-  let exec = Execution.create ~init ~procs ~locs () in
-  let holder = Array.make locs None in
-  let violations = ref [] in
-  let add v = violations := v :: !violations in
-  let writes_seen = Hashtbl.create 16 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | E_fence { proc } -> ignore (Execution.fence exec ~proc)
-      | E_acquire { proc; loc } ->
-          (match holder.(loc) with
-          | Some h -> add (Double_acquire { loc; holder = h; proc })
-          | None -> ());
-          holder.(loc) <- Some proc;
-          ignore (Execution.acquire exec ~proc ~loc)
-      | E_release { proc; loc } ->
-          (match holder.(loc) with
-          | Some h when h = proc -> holder.(loc) <- None
-          | _ -> add (Release_not_held { loc; proc }));
-          ignore (Execution.release exec ~proc ~loc)
-      | E_acquire_ro { proc; loc } ->
-          (* read-only entry: synchronizes with the last exclusive release
-             of the location (the same Table-I acquire edges) but takes no
-             lock, so any number may be held concurrently *)
-          ignore (Execution.acquire exec ~proc ~loc)
-      | E_release_ro { proc; loc } ->
-          (* read-only exit: later exclusive acquires are ≺S-after it
-             (writers wait for readers), with no holder bookkeeping *)
-          ignore (Execution.release exec ~proc ~loc)
-      | E_write { proc; loc; value } ->
-          if require_locked_writes && holder.(loc) <> Some proc then
-            add
-              (Write_outside_lock
-                 { op = { id = -1; kind = Op.Write; proc; loc; value } });
-          ignore (Execution.write exec ~proc ~loc ~value)
-      | E_read { proc; loc; value } ->
-          let o = Execution.read exec ~proc ~loc ~value in
-          let readable = Observe.readable_writes exec o in
-          (match
-             List.filter (fun (w : Op.t) -> w.Op.value = value) readable
-           with
-          | [] ->
-              add
-                (Unreadable_value
-                   {
-                     op = o;
-                     readable =
-                       List.sort_uniq compare
-                         (List.map (fun (w : Op.t) -> w.Op.value) readable);
-                   })
-          | ws ->
-              (* Monotonicity: the newly observed write must not be ordered
-                 strictly before the one the previous read observed. *)
-              let key = (proc, loc) in
-              (match Hashtbl.find_opt writes_seen key with
-              | Some prev_write_id
-                when
-                  (* one backward pass from the previously observed write
-                     answers w ≺ prev for every candidate at once *)
-                  let anc_prev =
-                    Order.ancestors (Order.View proc) exec prev_write_id
-                  in
-                  List.for_all
-                    (fun (w : Op.t) -> anc_prev.(w.Op.id))
-                    ws ->
-                  add
-                    (Non_monotonic_reads
-                       {
-                         first = Execution.op exec prev_write_id;
-                         second = o;
-                       })
-              | _ -> ());
-              (* Remember the oldest candidate conservatively. *)
-              (match ws with
-              | w :: _ -> Hashtbl.replace writes_seen key w.Op.id
-              | [] -> ())))
-    events;
-  if not (Order.is_acyclic exec) then add Cyclic_order;
-  { exec; full_violations = List.rev !violations }
-
-(* ------------------------------------------------------------------ *)
-(* The incremental checker.                                            *)
-(* ------------------------------------------------------------------ *)
-
 (* Writes by one process to one location are totally ≺P-ordered (every
    write gains a Program edge from all earlier writes of its (proc, loc)
    bucket), so "which writes to v precede operation x" is always
    per-writer prefix-closed and can be carried as a frontier: one count
-   per (writer, location) slot.  A frontier row is a flat [procs·locs]
-   int array; joining two rows is an elementwise max.
+   per (writer, location) slot, numbered q·locs+v.  Joining two frontiers
+   is a slotwise max.
 
    The Table-I rules draw an edge into a new operation from *every*
    previous member of a (kind, proc, loc) bucket, so the down-set of a
@@ -187,6 +92,105 @@ let check_reference ?(require_locked_writes = false) ?(init = fun _ -> 0)
    The initial operation of each location needs no slot: it precedes
    every read and write of its location under every relation and nothing
    precedes it, so the query sites special-case it instead. *)
+
+(* A frontier row is sparse: the nonzero slots in ascending order, with
+   their counts; a missing slot reads as 0.  Replayed traces fill few
+   slots (on a 4-core, 514-location stencil trace a join's source row
+   holds 0.2 of its 2056 slots on average), so every row operation costs
+   the nonzero slots it walks, and an empty row is one small record
+   sharing the empty arrays. *)
+type row = { mutable keys : int array; mutable vals : int array;
+             mutable len : int }
+
+let row_make () = { keys = [||]; vals = [||]; len = 0 }
+
+(* first index whose key is >= k, or r.len *)
+let lower_bound r k =
+  let lo = ref 0 and hi = ref r.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if r.keys.(mid) < k then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let row_get r k =
+  let i = lower_bound r k in
+  if i < r.len && r.keys.(i) = k then r.vals.(i) else 0
+
+let reserve r n =
+  let cap = Array.length r.keys in
+  if n > cap then begin
+    let cap' = max n (max 4 (2 * cap)) in
+    let keys = Array.make cap' 0 and vals = Array.make cap' 0 in
+    Array.blit r.keys 0 keys 0 r.len;
+    Array.blit r.vals 0 vals 0 r.len;
+    r.keys <- keys;
+    r.vals <- vals
+  end
+
+(* slot k := max (slot k) v *)
+let row_max r k v =
+  let i = lower_bound r k in
+  if i < r.len && r.keys.(i) = k then begin
+    if v > r.vals.(i) then r.vals.(i) <- v
+  end
+  else begin
+    reserve r (r.len + 1);
+    Array.blit r.keys i r.keys (i + 1) (r.len - i);
+    Array.blit r.vals i r.vals (i + 1) (r.len - i);
+    r.keys.(i) <- k;
+    r.vals.(i) <- v;
+    r.len <- r.len + 1
+  end
+
+(* dst := slotwise max dst src.  Most joins change nothing, so a first
+   pass only counts the slots src adds and checks whether any count
+   grows, and returns without writing when neither happens; otherwise
+   one reserve makes room and the union is merged from the back, in
+   place. *)
+let join dst src =
+  let sn = src.len and sk = src.keys and sv = src.vals in
+  let dn = dst.len and dk = dst.keys and dv = dst.vals in
+  (* accesses are unchecked: a row's len never exceeds its capacity *)
+  let fresh = ref 0 and grows = ref false and i = ref 0 in
+  for j = 0 to sn - 1 do
+    let k = Array.unsafe_get sk j in
+    while !i < dn && Array.unsafe_get dk !i < k do
+      incr i
+    done;
+    if !i < dn && Array.unsafe_get dk !i = k then begin
+      if Array.unsafe_get sv j > Array.unsafe_get dv !i then grows := true
+    end
+    else incr fresh
+  done;
+  if !fresh > 0 || !grows then begin
+    let n = dn + !fresh in
+    reserve dst n;
+    let dk = dst.keys and dv = dst.vals in
+    (* out - i counts the fresh src slots still to place, so every write
+       lands in [0, n), and once src is exhausted the rest of dst is
+       already where it belongs *)
+    let i = ref (dn - 1) and out = ref (n - 1) in
+    for j = sn - 1 downto 0 do
+      let k = Array.unsafe_get sk j in
+      while !i >= 0 && Array.unsafe_get dk !i > k do
+        Array.unsafe_set dk !out (Array.unsafe_get dk !i);
+        Array.unsafe_set dv !out (Array.unsafe_get dv !i);
+        decr i;
+        decr out
+      done;
+      let v = Array.unsafe_get sv j in
+      if !i >= 0 && Array.unsafe_get dk !i = k then begin
+        let d = Array.unsafe_get dv !i in
+        Array.unsafe_set dv !out (if v > d then v else d);
+        decr i
+      end
+      else Array.unsafe_set dv !out v;
+      Array.unsafe_set dk !out k;
+      decr out
+    done;
+    dst.len <- n
+  end
 
 type wrec = {
   w_id : int;  (* operation id, for violation reports *)
@@ -220,31 +224,22 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
   if procs < 1 then invalid_arg "History.check: bad process count";
   if locs < 1 then invalid_arg "History.check: bad location count";
   let pl = procs * locs in
-  let fresh_rows () = Array.init procs (fun _ -> Array.make pl 0) in
-  let no_rows : int array array = [||] in
-  let no_row : int array = [||] in
-  (* frontier state; the per-(proc, loc) entries are allocated on first
-     touch so untouched pairs cost one pointer *)
-  let cw = Array.make pl no_rows in
-  let ca = Array.make pl no_rows in
-  let cr = Array.make pl no_row in
-  let s = Array.make locs no_rows in
-  let fc = Array.init procs (fun _ -> fresh_rows ()) in
-  let fj_ar = Array.init procs (fun _ -> fresh_rows ()) in
-  let fj_rw = Array.init procs (fun _ -> Array.make pl 0) in
-  let rows_of tbl i =
-    if tbl.(i) == no_rows then tbl.(i) <- fresh_rows ();
-    tbl.(i)
+  let rows () = Array.init procs (fun _ -> row_make ()) in
+  (* frontier state: one row per observer, except the observer-p-only
+     tables cr and fj_rw.  cw and ca hold procs² · locs rows between
+     them, so their per-(proc, loc) groups are allocated on first touch
+     and an untouched pair costs one pointer to the empty array *)
+  let cw = Array.make pl [||] in
+  let ca = Array.make pl [||] in
+  let group tbl pv =
+    if Array.length tbl.(pv) = 0 then tbl.(pv) <- rows ();
+    tbl.(pv)
   in
-  let row_of tbl i =
-    if tbl.(i) == no_row then tbl.(i) <- Array.make pl 0;
-    tbl.(i)
-  in
-  let join (dst : int array) (src : int array) =
-    for i = 0 to pl - 1 do
-      if src.(i) > dst.(i) then dst.(i) <- src.(i)
-    done
-  in
+  let cr = Array.init pl (fun _ -> row_make ()) in
+  let s = Array.init locs (fun _ -> rows ()) in
+  let fc = Array.init procs (fun _ -> rows ()) in
+  let fj_ar = Array.init procs (fun _ -> rows ()) in
+  let fj_rw = Array.init procs (fun _ -> row_make ()) in
   (* write registries: per (proc, loc) chain and per location, issue order *)
   let chains = Array.init pl (fun _ -> vec_make ()) in
   let by_loc = Array.init locs (fun _ -> vec_make ()) in
@@ -261,18 +256,14 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
 
   let do_read proc loc value id =
     let pv = (proc * locs) + loc in
-    let cw_pv = cw.(pv) and ca_pv = ca.(pv) in
+    let cw_pv = group cw pv and ca_pv = group ca pv in
     (* before-writes frontier of this read at its own location: per
        writer q, how many (q, loc) writes precede it under View proc *)
     let frontier =
       Array.init procs (fun q ->
-          let a =
-            if cw_pv == no_rows then 0 else cw_pv.(proc).((q * locs) + loc)
-          in
-          let b =
-            if ca_pv == no_rows then 0 else ca_pv.(proc).((q * locs) + loc)
-          in
-          max a b)
+          let k = (q * locs) + loc in
+          let a = row_get cw_pv.(proc) k and b = row_get ca_pv.(proc) k in
+          if a > b then a else b)
     in
     let lw_is_init = Array.for_all (fun n -> n = 0) frontier in
     let lw_last q = chains.((q * locs) + loc).arr.(frontier.(q) - 1) in
@@ -405,9 +396,9 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
     (* propagation: the read's down-set (under its own view only — all
        its in-edges are local) feeds later (proc, loc) operations and
        later fences of proc *)
-    let crr = row_of cr pv in
-    if cw_pv != no_rows then join crr cw_pv.(proc);
-    if ca_pv != no_rows then join crr ca_pv.(proc);
+    let crr = cr.(pv) in
+    join crr cw_pv.(proc);
+    join crr ca_pv.(proc);
     join fj_rw.(proc) crr
   in
 
@@ -417,19 +408,17 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
         (Write_outside_lock
            { op = { id = -1; kind = Op.Write; proc; loc; value } });
     let pv = (proc * locs) + loc in
-    let rows = rows_of cw pv in
-    let ca_pv = ca.(pv) and cr_pv = cr.(pv) in
+    let rows = group cw pv and ca_pv = group ca pv in
     for r = 0 to procs - 1 do
-      let dst = rows.(r) in
-      if ca_pv != no_rows then join dst ca_pv.(r);
-      join dst fc.(proc).(r)
+      join rows.(r) ca_pv.(r);
+      join rows.(r) fc.(proc).(r)
     done;
-    if cr_pv != no_row then join rows.(proc) cr_pv;
+    join rows.(proc) cr.(pv);
     (* the write's own strictly-before counts, per (observer, writer) *)
     let before = Array.make (procs * procs) 0 in
     for r = 0 to procs - 1 do
       for q = 0 to procs - 1 do
-        before.((r * procs) + q) <- rows.(r).((q * locs) + loc)
+        before.((r * procs) + q) <- row_get rows.(r) ((q * locs) + loc)
       done
     done;
     let idx = chains.(pv).len + 1 in
@@ -438,7 +427,7 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
     vec_push chains.(pv) w;
     vec_push by_loc.(loc) w;
     for r = 0 to procs - 1 do
-      rows.(r).(pv) <- idx
+      row_max rows.(r) pv idx
     done;
     join fj_rw.(proc) rows.(proc)
   in
@@ -451,14 +440,12 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
       holder.(loc) <- Some proc
     end;
     let pv = (proc * locs) + loc in
-    let rows = rows_of ca pv in
-    let s_v = s.(loc) and cr_pv = cr.(pv) in
+    let rows = group ca pv and s_v = s.(loc) in
     for r = 0 to procs - 1 do
-      let dst = rows.(r) in
-      if s_v != no_rows then join dst s_v.(r);
-      join dst fc.(proc).(r)
+      join rows.(r) s_v.(r);
+      join rows.(r) fc.(proc).(r)
     done;
-    if cr_pv != no_row then join rows.(proc) cr_pv;
+    join rows.(proc) cr.(pv);
     for r = 0 to procs - 1 do
       join fj_ar.(proc).(r) rows.(r)
     done
@@ -472,25 +459,19 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
   in
   let do_release_common proc loc =
     let pv = (proc * locs) + loc in
-    let cw_pv = cw.(pv) and ca_pv = ca.(pv) and cr_pv = cr.(pv) in
-    let s_v = rows_of s loc in
+    let cw_pv = group cw pv and ca_pv = group ca pv and cr_pv = cr.(pv) in
+    let s_v = s.(loc) in
     for r = 0 to procs - 1 do
       let sv = s_v.(r) and fj = fj_ar.(proc).(r) in
-      if cw_pv != no_rows then begin
-        join sv cw_pv.(r);
-        join fj cw_pv.(r)
-      end;
-      if ca_pv != no_rows then begin
-        join sv ca_pv.(r);
-        join fj ca_pv.(r)
-      end;
+      join sv cw_pv.(r);
+      join fj cw_pv.(r);
+      join sv ca_pv.(r);
+      join fj ca_pv.(r);
       join sv fc.(proc).(r);
       join fj fc.(proc).(r)
     done;
-    if cr_pv != no_row then begin
-      join s_v.(proc) cr_pv;
-      join fj_ar.(proc).(proc) cr_pv
-    end
+    join s_v.(proc) cr_pv;
+    join fj_ar.(proc).(proc) cr_pv
   in
 
   let do_fence proc =

@@ -47,23 +47,10 @@ val check :
 
     This is the incremental checker: it never materializes the execution
     DAG (whose Table-I edge sets grow quadratically with the history) and
-    instead carries per-(process, location) write frontiers across
-    events, so an n-event history replays in roughly O(n · procs² · locs)
-    int operations.  It reports exactly the violations, in exactly the
-    order, that {!check_reference} would. *)
-
-type full_report = { exec : Execution.t; full_violations : violation list }
-(** {!check_reference}'s result: the violations plus the execution DAG it
-    built, for callers that want to run further {!Observe} queries. *)
-
-val full_ok : full_report -> bool
-
-val check_reference :
-  ?require_locked_writes:bool -> ?init:(int -> int) -> procs:int ->
-  locs:int -> event list -> full_report
-(** The original checker — every event issued through
-    [Execution.execute], every read answered by
-    [Observe.readable_writes] — kept as the executable specification that
-    the qcheck equivalence properties compare {!check} against.  Its cost
-    grows superlinearly with the history; use {!check} for anything
-    big. *)
+    instead carries per-(process, location) write frontiers across events
+    as sparse rows of nonzero (writer, location) counts.  Each event
+    costs time proportional to the nonzero frontier slots it touches,
+    not to [procs² · locs].  It reports exactly the violations, in
+    exactly the order, that the DAG-building definition (issue every
+    event through {!Execution.execute}, answer every read with
+    {!Observe.readable_writes}) would. *)

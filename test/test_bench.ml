@@ -377,7 +377,7 @@ let test_batching_gate () =
 let test_replay_100k_events () =
   let events = 100_000 in
   let t0 = Unix.gettimeofday () in
-  let o = Pmc_bench.Checkload.replay ~procs:8 ~events in
+  let o = Pmc_bench.Checkload.replay ~procs:8 ~locs:16 ~events in
   let dt = Unix.gettimeofday () -. t0 in
   Alcotest.(check int) "all events replayed" events o.Pmc_bench.Checkload.work;
   Alcotest.(check bool) "consistent trace verdict" true
@@ -418,13 +418,22 @@ let test_check_suite_shape () =
   match Pmc_bench.Spec.suite "check" with
   | None -> Alcotest.fail "check suite missing"
   | Some spec ->
-      Alcotest.(check int) "two cases" 2
-        (List.length spec.Pmc_bench.Spec.cases);
+      Alcotest.(check (list string)) "three cases, historic ids kept"
+        [ "check/replay/c4/s200000"; "check/enum/corpus/s1";
+          "check/replay-wide/c4/s20000" ]
+        (List.map Pmc_bench.Spec.case_id spec.Pmc_bench.Spec.cases);
+      Alcotest.(check (list int)) "replay geometries" [ 8; 512 ]
+        (List.filter_map
+           (fun (c : Pmc_bench.Spec.case) ->
+             if c.Pmc_bench.Spec.work = Pmc_bench.Spec.Check_replay then
+               Some (Pmc_bench.Spec.replay_locs c)
+             else None)
+           spec.Pmc_bench.Spec.cases);
       (match Pmc_bench.Spec.suite "ci" with
       | None -> Alcotest.fail "ci suite missing"
       | Some ci ->
           Alcotest.(check int) "ci = smoke + check"
-            (List.length Pmc_bench.Spec.smoke_cases + 2)
+            (List.length Pmc_bench.Spec.smoke_cases + 3)
             (List.length ci.Pmc_bench.Spec.cases))
 
 let suite =

@@ -157,10 +157,10 @@ let test_no_write_races () =
   done;
   Machine.run m;
   let events, locs = finish () in
-  let r = History.check_reference ~procs:4 ~locs events in
-  Alcotest.(check bool) "trace validates" true (History.full_ok r);
+  let r = History_oracle.check_reference ~procs:4 ~locs events in
+  Alcotest.(check bool) "trace validates" true (History_oracle.full_ok r);
   Alcotest.(check bool) "no write-write races" true
-    (Observe.race_free r.History.exec)
+    (Observe.race_free r.History_oracle.exec)
 
 let suite =
   ( "integration",

@@ -245,40 +245,58 @@ let event_to_string =
   | E_release_ro { proc; loc } -> Printf.sprintf "Rro p%d v%d" proc loc
   | E_fence { proc } -> Printf.sprintf "F p%d" proc
 
-let gen_wild_events =
+let gen_event ~procs ~locs =
   let open QCheck.Gen in
-  let event =
-    int_range 0 2 >>= fun proc ->
-    int_range 0 1 >>= fun loc ->
-    int_range 0 2 >>= fun value ->
-    frequency
-      [
-        (4, return (History.E_read { proc; loc; value }));
-        (4, return (History.E_write { proc; loc; value }));
-        (2, return (History.E_acquire { proc; loc }));
-        (2, return (History.E_release { proc; loc }));
-        (1, return (History.E_acquire_ro { proc; loc }));
-        (1, return (History.E_release_ro { proc; loc }));
-        (1, return (History.E_fence { proc }));
-      ]
-  in
-  list_size (int_range 0 40) event
+  int_range 0 (procs - 1) >>= fun proc ->
+  int_range 0 (locs - 1) >>= fun loc ->
+  int_range 0 2 >>= fun value ->
+  frequency
+    [
+      (4, return (History.E_read { proc; loc; value }));
+      (4, return (History.E_write { proc; loc; value }));
+      (2, return (History.E_acquire { proc; loc }));
+      (2, return (History.E_release { proc; loc }));
+      (1, return (History.E_acquire_ro { proc; loc }));
+      (1, return (History.E_release_ro { proc; loc }));
+      (1, return (History.E_fence { proc }));
+    ]
+
+let gen_wild_events =
+  QCheck.Gen.(list_size (int_range 0 40) (gen_event ~procs:3 ~locs:2))
 
 let arb_wild_events =
   QCheck.make
     ~print:(fun evs -> String.concat "; " (List.map event_to_string evs))
     gen_wild_events
 
+(* The same event mix over a drawn geometry — up to 4 processes and 8
+   locations, so a frontier row spans up to 32 (writer, location) slots
+   and the row operations see many-slot inserts and merges. *)
+let gen_wide_history =
+  let open QCheck.Gen in
+  int_range 1 4 >>= fun procs ->
+  int_range 1 8 >>= fun locs ->
+  list_size (int_range 0 80) (gen_event ~procs ~locs) >|= fun evs ->
+  (procs, locs, evs)
+
+let arb_wide_history =
+  QCheck.make
+    ~print:(fun (procs, locs, evs) ->
+      Printf.sprintf "procs=%d locs=%d: %s" procs locs
+        (String.concat "; " (List.map event_to_string evs)))
+    gen_wide_history
+
 (* The incremental checker must report exactly the violations, in exactly
    the order, that the reference (DAG-building) checker does — on any
    history, well-formed or not, under every option combination. *)
-let same_verdict ?require_locked_writes ?init events =
-  let r = History.check ?require_locked_writes ?init ~procs:3 ~locs:2 events in
+let same_verdict ?require_locked_writes ?init ?(procs = 3) ?(locs = 2) events
+    =
+  let r = History.check ?require_locked_writes ?init ~procs ~locs events in
   let f =
-    History.check_reference ?require_locked_writes ?init ~procs:3 ~locs:2
+    History_oracle.check_reference ?require_locked_writes ?init ~procs ~locs
       events
   in
-  r.History.violations = f.History.full_violations
+  r.History.violations = f.History_oracle.full_violations
 
 let prop_incremental_matches_reference =
   QCheck.Test.make ~count:500
@@ -296,6 +314,23 @@ let prop_incremental_matches_reference_init =
     ~name:"incremental check ≡ reference (nonzero init)" arb_wild_events
     (same_verdict ?require_locked_writes:None ~init:(fun l -> l + 1))
 
+let wide_equivalence ~name ?require_locked_writes ?init () =
+  QCheck.Test.make ~count:1000 ~name arb_wide_history
+    (fun (procs, locs, evs) ->
+      same_verdict ?require_locked_writes ?init ~procs ~locs evs)
+
+let prop_wide_matches_reference =
+  wide_equivalence ~name:"incremental check ≡ reference (wide geometry)" ()
+
+let prop_wide_matches_reference_locked =
+  wide_equivalence
+    ~name:"incremental check ≡ reference (wide, require_locked_writes)"
+    ~require_locked_writes:true ()
+
+let prop_wide_matches_reference_init =
+  wide_equivalence ~name:"incremental check ≡ reference (wide, nonzero init)"
+    ~init:(fun l -> l + 1) ()
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -304,6 +339,9 @@ let props =
       prop_incremental_matches_reference;
       prop_incremental_matches_reference_locked;
       prop_incremental_matches_reference_init;
+      prop_wide_matches_reference;
+      prop_wide_matches_reference_locked;
+      prop_wide_matches_reference_init;
     ]
 
 let suite =

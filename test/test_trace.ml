@@ -200,9 +200,41 @@ let test_replay_apps () =
             (Pmc_model.History.ok report))
         [ Pmc.Backends.Seqcst; Pmc.Backends.Swcc; Pmc.Backends.Dsm;
           Pmc.Backends.Spm ])
-    (* stencil at a deliberately small scale: its RO-heavy traces make the
-       quadratic History.check expensive *)
-    [ ("histogram", 8); ("stencil", 4) ]
+    (* stencil at scale 8 replays ~27k events over 514 locations, with
+       frontier rows holding hundreds of nonzero slots: the dense end of
+       the many-location class *)
+    [ ("histogram", 8); ("stencil", 8) ]
+
+(* The many-location class: a 4-core stencil run touches ~500 words, so
+   a frontier row spans ~2k (writer, location) slots of which a replay
+   fills almost none.  The check must cost the slots it fills, not the
+   slots the geometry allows: a dense-row checker allocated ~118 MB on
+   this trace, the sparse one under 0.5 MB. *)
+let test_replay_many_locations () =
+  let app = Option.get (Pmc_apps.Registry.find "stencil") in
+  let recorder = ref None in
+  let r =
+    Pmc_apps.Runner.run
+      ~cfg:{ Config.default with cores = 4 }
+      ~on_api:(fun api -> recorder := Some (Pmc_trace.Recorder.attach api))
+      app ~backend:Pmc.Backends.Swcc ~scale:1
+  in
+  Alcotest.(check bool) "checksum" true (Pmc_apps.Runner.ok r);
+  let rec_ = Option.get !recorder in
+  Alcotest.(check int) "complete trace" 0
+    (Pmc_trace.Recorder.dropped_total rec_);
+  let l = Pmc_trace.Replay.lower (Pmc_trace.Recorder.events rec_) in
+  Alcotest.(check bool) "many locations" true (l.Pmc_trace.Replay.locs > 500);
+  let a0 = Gc.allocated_bytes () in
+  let report =
+    Pmc_model.History.check ~init:l.Pmc_trace.Replay.init ~procs:4
+      ~locs:l.Pmc_trace.Replay.locs l.Pmc_trace.Replay.events
+  in
+  let allocated = Gc.allocated_bytes () -. a0 in
+  Alcotest.(check bool) "PMC-consistent" true (Pmc_model.History.ok report);
+  if allocated >= 8e6 then
+    Alcotest.failf "History.check allocated %.1f MB (bound 8 MB)"
+      (allocated /. 1e6)
 
 let test_replay_lowering () =
   let rec_ = record_pair annotated_prog in
@@ -267,6 +299,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_drf_never_flagged;
       QCheck_alcotest.to_alcotest prop_racy_always_flagged;
       Alcotest.test_case "replay apps x backends" `Slow test_replay_apps;
+      Alcotest.test_case "replay many locations" `Quick
+        test_replay_many_locations;
       Alcotest.test_case "replay lowering" `Quick test_replay_lowering;
       Alcotest.test_case "export json" `Quick test_export_json;
     ] )
