@@ -35,8 +35,6 @@ end
 
 let clone2 (a : int array array) = Array.map Array.copy a
 
-let marshal_key (st : 'a) = Marshal.to_string st []
-
 (* Hand-packed state keys.  [Marshal] spends most of its time on block
    headers and sharing bookkeeping; litmus states are a handful of small
    int arrays whose shapes are fixed by the program, so each semantics

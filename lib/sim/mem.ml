@@ -11,14 +11,41 @@
 
    [blit] is a manual byte loop rather than [Bigarray.Array1.sub] +
    [blit]: the sub descriptors are heap-allocated, and the loop keeps
-   the simulator's steady state allocation-free. *)
+   the simulator's steady state allocation-free.
+
+   Zero on demand.  A store of at least one page is a private anonymous
+   mapping (mem_stubs.c): the kernel hands out zero pages on first touch,
+   so a machine pays only for the memory a run touches — a 1024-tile
+   machine's 64 MiB of SDRAM and 64 MiB of tile memories mostly never
+   become resident — and a fresh store is zero even when the process
+   reuses memory it freed, as a second run in the daemon does.  Smaller
+   stores (the 8 B scratch, 64 B staging and NoC payload buffers) keep
+   [Bigarray.Array1.create] + [fill], where a syscall each would cost
+   more than the fill.
+
+   The mapping is charged to the GC exactly as [Bigarray.Array1.create]
+   charges its malloc'd data ([caml_alloc_custom_mem] with the store's
+   size), and this is load-bearing.  A variant on [Unix.map_file] of
+   /dev/zero, which the GC does not count, let dead machines and the
+   trace Recorder's rings wait longer for a major cycle: the verdict
+   workload's peak RSS rose ~16% (60-63 -> 70.5-71.8 MB over 20 s runs),
+   where the counted mapping held it at 31-36 MB. *)
 
 type t = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+external page_size : unit -> int = "pmc_mem_page_size" [@@noalloc]
+external create_zeroed : int -> t = "pmc_mem_create_zeroed"
+
+(* the zero-on-demand threshold *)
+let page = page_size ()
+
 let create n : t =
-  let a = Bigarray.Array1.create Bigarray.Char Bigarray.C_layout n in
-  Bigarray.Array1.fill a '\000';
-  a
+  if n >= page then create_zeroed n
+  else begin
+    let a = Bigarray.Array1.create Bigarray.Char Bigarray.C_layout n in
+    Bigarray.Array1.fill a '\000';
+    a
+  end
 
 let length (m : t) = Bigarray.Array1.dim m
 

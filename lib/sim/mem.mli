@@ -12,7 +12,15 @@
 type t = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 val create : int -> t
-(** Zero-filled store of the given size in bytes. *)
+(** Zero store of the given size in bytes.  From one page up the store
+    is a private anonymous mapping, zero on demand: untouched pages
+    cost no memory, and a fresh store reads zero even where the process
+    reuses memory it freed.  The mapping is charged to the GC as the
+    data of [Bigarray.Array1.create] is, so dead stores are reclaimed
+    at the same pace (an uncounted mapping raised the verdict
+    workload's peak RSS by ~16%).  Smaller stores are allocated and
+    zero-filled.  A store compares, hashes and marshals like any other
+    char Bigarray.  @raise Out_of_memory if the mapping fails. *)
 
 val length : t -> int
 

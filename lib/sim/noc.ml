@@ -62,7 +62,10 @@ type t = {
   locals : Mem.t array;                    (* per-tile local memories *)
   outstanding : int array;                 (* in-flight writes per source *)
   last_arrival : int array;                (* latest arrival time per source *)
-  link_last : int array array;             (* per (src, dst) FIFO ordering *)
+  link_last : int array array;             (* per (src, dst) FIFO ordering;
+                                              a source's row is allocated
+                                              on its first post, and a
+                                              missing row reads as 0 *)
   links : link array array;                (* resilient path, per (src, dst);
                                               allocated only when the fault
                                               plane is armed (cores² records
@@ -101,7 +104,7 @@ let create (cfg : Config.t) (fault : Fault.t) (engine : Engine.t)
       locals;
       outstanding = Array.make cfg.cores 0;
       last_arrival = Array.make cfg.cores 0;
-      link_last = Array.make_matrix cfg.cores cfg.cores 0;
+      link_last = Array.make cfg.cores [||];
       links =
         (* fault-free runs never touch the resilient path, so a scale
            machine skips allocating cores² queue records *)
@@ -172,6 +175,25 @@ let alloc_delivery t ~src ~dst ~off ~len =
 let emit_fault t ~time f =
   Probe.emit (Engine.probe t.engine) ~time (Probe.Fault f)
 
+(* The (src, dst) FIFO horizon: the arrival time of the newest write
+   posted on that link.  Rows are lazy, so a machine whose tiles never
+   post (cores² ints are 8 MB at 1024 tiles) allocates none. *)
+let[@inline] link_last t ~src ~dst =
+  let row = t.link_last.(src) in
+  if Array.length row = 0 then 0 else row.(dst)
+
+let set_link_last t ~src ~dst v =
+  let row = t.link_last.(src) in
+  let row =
+    if Array.length row > 0 then row
+    else begin
+      let r = Array.make t.cfg.cores 0 in
+      t.link_last.(src) <- r;
+      r
+    end
+  in
+  row.(dst) <- v
+
 (* Arrival time of a posted write injected at [now], honouring both the
    per-(src, dst) FIFO and — on routed fabrics — per-physical-link
    contention.
@@ -183,11 +205,11 @@ let emit_fault t ~time f =
    payload's serialization time and pays the hop latency — so latency
    reflects path length, and two messages crossing the same link contend
    even when their (src, dst) pairs differ.  The caller stores the
-   result into [link_last.(src).(dst)]. *)
+   result with [set_link_last]. *)
 let route_arrival t ~now ~src ~dst ~words =
   if not t.contended then
     let latency = Config.noc_latency t.cfg ~src ~dst ~words in
-    max (now + latency) (t.link_last.(src).(dst) + 1)
+    max (now + latency) (link_last t ~src ~dst + 1)
   else begin
     let cfg = t.cfg in
     let occupy = cfg.Config.noc_word_cycles * words in
@@ -197,7 +219,7 @@ let route_arrival t ~now ~src ~dst ~words =
         let depart = max !tm t.link_busy.(link) in
         t.link_busy.(link) <- depart + occupy;
         tm := depart + cfg.Config.noc_hop_cycles + occupy);
-    max !tm (t.link_last.(src).(dst) + 1)
+    max !tm (link_last t ~src ~dst + 1)
   end
 
 (* ---------------- resilient per-link delivery ---------------- *)
@@ -292,7 +314,7 @@ and service t ~src ~dst link ~time () =
 let post_resilient t ~now ~src ~dst ~off (mem : Mem.t) ~pos ~len : int =
   let words = (len + 3) / 4 in
   let nominal = route_arrival t ~now ~src ~dst ~words in
-  t.link_last.(src).(dst) <- nominal;
+  set_link_last t ~src ~dst nominal;
   let link = t.links.(src).(dst) in
   let data = Mem.to_bytes mem ~pos ~len in
   let p =
@@ -346,7 +368,7 @@ let post_write t ~src ~dst ~off (mem : Mem.t) ~pos ~len : int =
     let words = (len + 3) / 4 in
     (* FIFO per link: never deliver before an earlier write on this link *)
     let arrival = route_arrival t ~now ~src ~dst ~words in
-    t.link_last.(src).(dst) <- arrival;
+    set_link_last t ~src ~dst arrival;
     post_plain t ~now ~src ~dst ~off ~arrival mem ~pos ~len;
     arrival
   end
@@ -371,7 +393,7 @@ let post_multicast t ~src ~dsts ~off (mem : Mem.t) ~pos ~len : int =
         if faulty then post_resilient t ~now ~src ~dst ~off mem ~pos ~len
         else begin
           let arrival = route_arrival t ~now ~src ~dst ~words in
-          t.link_last.(src).(dst) <- arrival;
+          set_link_last t ~src ~dst arrival;
           post_plain t ~now ~src ~dst ~off ~arrival mem ~pos ~len;
           arrival
         end

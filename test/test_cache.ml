@@ -135,6 +135,55 @@ let prop_flush_equiv =
       ignore (Cache.flush_all c);
       !ok && Bytes.equal (Mem.to_bytes mem ~pos:0 ~len:size) flat)
 
+(* The flat I-cache against the nested-array original (Icache_oracle):
+   the same hit/miss sequence over random fetch streams mixed with
+   [invalidate_all].  Half the fetches pile up to 3·ways distinct lines
+   onto the first few sets, so every geometry conflicts and evicts;
+   multi-way sets exercise the LRU victim order, which the goldens
+   (direct-mapped) never reach.  The rest are uniform over three times
+   the cache's size. *)
+let prop_icache_flat_equiv =
+  let gen =
+    QCheck.Gen.(
+      let* sets = oneofl [ 1; 2; 8; 512 ] in
+      let* ways = int_range 1 4 in
+      let conflict =
+        let+ k = int_bound (3 * ways - 1)
+        and+ set = int_bound (min sets 4 - 1)
+        and+ off = int_bound 31 in
+        (((k * sets) + set) * 32) + off
+      in
+      let uniform = int_bound (3 * sets * ways * 32) in
+      let op =
+        frequency
+          [ (15, map Option.some conflict); (15, map Option.some uniform);
+            (1, return None) ]
+      in
+      let+ ops = list_size (int_range 1 400) op in
+      (sets, ways, ops))
+  in
+  let print (sets, ways, ops) =
+    Printf.sprintf "sets=%d ways=%d [%s]" sets ways
+      (String.concat "; "
+         (List.map
+            (function Some a -> string_of_int a | None -> "inval")
+            ops))
+  in
+  QCheck.Test.make ~count:300 ~name:"icache: flat tags = nested reference"
+    (QCheck.make ~print gen) (fun (sets, ways, ops) ->
+      let flat = Icache.create ~sets ~ways ~line_bytes:32 in
+      let nested = Icache_oracle.create ~sets ~ways ~line_bytes:32 in
+      List.for_all
+        (function
+          | Some addr ->
+              Icache.fetch_line flat addr
+              = Icache_oracle.fetch_line nested addr
+          | None ->
+              Icache.invalidate_all flat;
+              Icache_oracle.invalidate_all nested;
+              true)
+        ops)
+
 let suite =
   ( "cache",
     [
@@ -153,4 +202,5 @@ let suite =
       Alcotest.test_case "flush_all" `Quick test_flush_all;
       Alcotest.test_case "byte operations" `Quick test_byte_ops;
       QCheck_alcotest.to_alcotest prop_flush_equiv;
+      QCheck_alcotest.to_alcotest prop_icache_flat_equiv;
     ] )

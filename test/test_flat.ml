@@ -17,7 +17,13 @@
      - attaching a trace sink never changes timing or values: the
        traced and untraced executions of the same case agree on every
        architectural counter (the probe/trace gating is observation,
-       not behaviour). *)
+       not behaviour);
+     - a machine pays only for the memory it touches, and its stores
+       are zero however dirty the memory the process freed before it
+       was: building a 1024-tile machine allocates a bounded number of
+       minor words, repeated 1024-tile runs keep the peak RSS bounded,
+       and large machines built on two domains give the width-1
+       results. *)
 
 open Pmc_sim
 
@@ -362,6 +368,184 @@ let prop_trace_transparent =
       ignore !recorder;
       untraced = traced)
 
+(* ---------------- zero-on-demand stores ---------------- *)
+
+let big_cfg topo cores =
+  { Config.default with
+    cores; topology = Result.get_ok (Topology.resolve topo ~cores) }
+
+let run_kv ?(topo = "mesh:16x16") ?(cores = 256) backend =
+  Pmc_apps.Runner.run ~cfg:(big_cfg topo cores) Pmc_apps.Kv_store.app
+    ~backend ~scale:2
+
+let kv_sig (r : Pmc_apps.Runner.result) =
+  (r.checksum, r.wall, (Option.get r.service).Pmc_apps.Service.lat_digest)
+
+let all_zero (m : Mem.t) =
+  let rec go i = i >= Mem.length m || (Mem.get_u8 m i = 0 && go (i + 1)) in
+  go 0
+
+(* The store layer on its own, at every size a machine uses: 8 B
+   scratch, 64 B staging, D-cache data, a tile memory, SDRAM and the
+   farmem media.  Stores are filled with ones, dropped and collected;
+   fresh stores of the same sizes must read zero byte for byte, and a
+   view taken with [sub] must outlive its parent. *)
+let test_mem_reuse_zero () =
+  let sizes = [ 8; 64; 4095; 4096; 16 * 1024; 64 * 1024; 16 lsl 20 ] in
+  List.iter
+    (fun n ->
+      for _ = 1 to 8 do
+        Bigarray.Array1.fill (Mem.create n) '\xff'
+      done)
+    sizes;
+  Gc.full_major ();
+  List.iter
+    (fun n ->
+      let fresh = List.init 8 (fun _ -> Mem.create n) in
+      Alcotest.(check bool) (Printf.sprintf "size %d: zero" n) true
+        (List.for_all (fun m -> Mem.length m = n && all_zero m) fresh))
+    sizes;
+  let view =
+    let m = Mem.create (64 * 1024) in
+    Mem.set_u8 m 4097 7;
+    Bigarray.Array1.sub m 4096 8
+  in
+  Gc.full_major ();
+  Alcotest.(check int) "sub view outlives its parent" 7 (Mem.get_u8 view 1);
+  let a = Mem.create 8192 and b = Bigarray.Array1.create Char C_layout 8192 in
+  Bigarray.Array1.fill b '\000';
+  Alcotest.(check bool) "compare as a Bigarray" true (compare a b = 0);
+  Alcotest.(check int) "hash as a Bigarray" (Hashtbl.hash b) (Hashtbl.hash a);
+  Alcotest.(check bool) "marshal as a Bigarray" true
+    (Marshal.from_string (Marshal.to_string a []) 0 = b)
+
+(* A 256-tile machine with farmem attached: write nonzero words across
+   its SDRAM, every tile memory, every D-cache and the farmem media and
+   device cache; drop it and collect.  The next machine must read zero
+   everywhere, and a kv_store run made afterwards must match one made
+   before the dirtying exactly.  D-cache line data and the farmem device
+   cache are only ever read after being overwritten, so their fresh
+   contents show only as "no line resident" here; the store-level test
+   above pins them byte for byte at their sizes. *)
+let test_machine_reuse_zero () =
+  let before = kv_sig (run_kv Pmc.Backends.Swcc) in
+  let cfg = big_cfg "mesh:16x16" 256 in
+  (* every word of each store, by byte offset; farmem words 0-1 hold
+     the redo log's superblock *)
+  let each_word bytes f =
+    for w = 0 to (bytes / 4) - 1 do f (4 * w) done
+  in
+  let visit m ~sdram ~local ~dcache ~farmem =
+    let mc = Machine.config m in
+    each_word mc.Config.sdram_bytes sdram;
+    for tile = 0 to mc.cores - 1 do
+      each_word mc.local_mem_bytes (fun off ->
+          local (Machine.local_addr m ~tile ~off));
+      dcache (Machine.dcache m ~core:tile)
+        (mc.dcache_sets * mc.dcache_ways * mc.line_bytes)
+    done;
+    let f = Machine.farmem m in
+    each_word (Farmem.size f) (fun a -> if a >= 8 then farmem f a)
+  in
+  let dirty = Machine.create cfg in
+  visit dirty
+    ~sdram:(fun a -> Machine.poke_u32 dirty a (Int32.of_int (a lor 1)))
+    ~local:(fun a -> Machine.poke_u32 dirty a (-1l))
+    ~dcache:(fun c bytes ->
+      each_word bytes (fun a -> Cache.store_u32_int c a (a lor 1)))
+    ~farmem:(fun f a -> Farmem.poke_u32 f a (a lor 1));
+  Gc.full_major ();
+  let m = Machine.create cfg in
+  let nonzero = ref 0 in
+  let expect_zero v = if v <> 0 then incr nonzero in
+  let peek a = expect_zero (Int32.to_int (Machine.peek_u32 m a)) in
+  visit m ~sdram:peek ~local:peek
+    ~dcache:(fun c bytes ->
+      each_word bytes (fun a -> if Cache.resident c a then incr nonzero);
+      each_word bytes (fun a -> expect_zero (Cache.load_u32_int c a)))
+    ~farmem:(fun f a -> expect_zero (Farmem.peek_u32 f a));
+  Alcotest.(check int) "fresh machine reads zero everywhere" 0 !nonzero;
+  Alcotest.(check (triple int64 int int)) "kv_store after dirtying" before
+    (kv_sig (run_kv Pmc.Backends.Swcc))
+
+(* Large machines built and run on two domains at once give the width-1
+   results (the DESIGN.md §11 re-entrancy rule): stores are per machine,
+   and a collection on either domain unmaps only dead ones. *)
+let test_domains_large () =
+  let points =
+    [| (Pmc.Backends.Swcc, "mesh:16x16", 256);
+       (Pmc.Backends.Dsm, "mesh:16x16", 256);
+       (Pmc.Backends.Farmem, "mesh:16x16", 256);
+       (Pmc.Backends.Nocc, "hier:32x32", 1024) |]
+  in
+  let run (backend, topo, cores) =
+    let r = run_kv ~topo ~cores backend in
+    (kv_sig r, r.Pmc_apps.Runner.summary)
+  in
+  let at jobs =
+    Pmc_par.Pool.with_pool ~jobs (fun pool ->
+        Pmc_par.Pool.map_ordered pool points ~f:run)
+  in
+  let w1 = at 1 in
+  Alcotest.(check bool) "width 2 = width 1" true (at 2 = w1)
+
+(* Building a 1024-tile machine allocates few minor words: the I-cache
+   tags are two flat arrays per tile and the NoC FIFO rows are lazy
+   (nested per-set arrays cost ~2.2M words here). *)
+let test_create_alloc_bounded () =
+  let cfg = big_cfg "hier:32x32" 1024 in
+  let w0 = Gc.minor_words () in
+  let m = Machine.create cfg in
+  let dw = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity m);
+  Alcotest.(check bool)
+    (Printf.sprintf "hier:32x32 Machine.create: %.0f minor words" dw)
+    true (dw < 500_000.0)
+
+let status_kb field =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text ->
+      String.split_on_char '\n' text
+      |> List.find_map (fun line ->
+             match String.split_on_char ':' line with
+             | [ k; v ] when k = field ->
+                 Scanf.sscanf_opt (String.trim v) "%d kB" Fun.id
+             | _ -> None)
+
+(* Ten consecutive 1024-tile kv_store runs in one process: a machine
+   holds only the pages it touched, and dead machines' stores are
+   charged to the GC, so the peak stays far below ten (or even one)
+   fully resident machines (~200 MB each).  The peak is read from
+   VmHWM after resetting it through /proc/self/clear_refs, and is taken
+   relative to the resident size at the reset; without procfs the check
+   is skipped. *)
+let test_repeated_runs_rss () =
+  let reset_peak () =
+    match Out_channel.with_open_text "/proc/self/clear_refs"
+            (fun oc -> output_string oc "5") with
+    | () -> true
+    | exception Sys_error _ -> false
+  in
+  Gc.compact ();
+  match status_kb "VmRSS" with
+  | Some _ when reset_peak () ->
+      let base = Option.get (status_kb "VmRSS") in
+      let backends = Array.of_list Pmc.Backends.all in
+      for i = 0 to 9 do
+        let backend = backends.(i mod Array.length backends) in
+        let r = run_kv ~topo:"hier:32x32" ~cores:1024 backend in
+        Alcotest.(check bool)
+          (Pmc.Backends.to_string backend ^ " checksum") true
+          (Pmc_apps.Runner.ok r)
+      done;
+      let peak = Option.get (status_kb "VmHWM") in
+      let grew_mb = float_of_int (peak - base) /. 1024.0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "peak RSS grew %.1f MB over 10 runs" grew_mb)
+        true (grew_mb < 120.0)
+  | _ -> ()
+
 let suite =
   ( "flat",
     [
@@ -375,4 +559,14 @@ let suite =
       QCheck_alcotest.to_alcotest prop_poll_wait_is_loop;
       QCheck_alcotest.to_alcotest prop_repeatable;
       QCheck_alcotest.to_alcotest prop_trace_transparent;
+      Alcotest.test_case "stores read zero after reuse" `Quick
+        test_mem_reuse_zero;
+      Alcotest.test_case "machine reads zero after a dirty one" `Quick
+        test_machine_reuse_zero;
+      Alcotest.test_case "large machines on two domains" `Quick
+        test_domains_large;
+      Alcotest.test_case "1024-tile create allocation bounded" `Quick
+        test_create_alloc_bounded;
+      Alcotest.test_case "repeated 1024-tile runs RSS bounded" `Quick
+        test_repeated_runs_rss;
     ] )

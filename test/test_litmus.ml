@@ -218,11 +218,14 @@ let prop_pmc_contains_sc =
    the previous key implementation, retained as the reference — and
    (b) the sequential exploration, at any pool width. *)
 
+(* The previous implementation of [SEM.key]: [Marshal] the state. *)
+let marshal_key (st : 'a) = Marshal.to_string st []
+
 let with_marshal_key (module M : Models.SEM) : (module Models.SEM) =
   (module struct
     include M
 
-    let key st = Models.marshal_key st
+    let key st = marshal_key st
   end)
 
 let result_sig (r : Litmus.result) =
