@@ -103,15 +103,14 @@ let print_dot () =
 (* --stats: per-(program, model) exploration statistics with host
    timing.  This measures the enumeration engine itself, so it calls
    [Litmus.enumerate] directly rather than going through the jobs layer
-   (whose output is a wire contract and carries no timing).  Cells run
-   sequentially and the pool is handed to [enumerate] instead: --jobs N
-   parallelizes {e within} each enumeration (the frontier BFS), which
-   is the path a wide fan-out never exercises.  Every non-timing column
-   is deterministic at any --jobs width.  States are memoized on
-   injective packed keys, so the two counts printed — states explored
-   and distinct keys — are the same number by construction; the column
-   exists so a key-packing bug would be visible as a count explosion
-   rather than silently wrong outcome sets. *)
+   (whose output is a wire contract and carries no timing).  The cells
+   are independent, so they fan out over the pool and each times its own
+   enumeration; rows print in cell order, and every non-timing column is
+   deterministic at any --jobs width.  States are memoized on injective
+   packed keys, so the two counts printed — states explored and distinct
+   keys — are the same number by construction; the column exists so a
+   key-packing bug would be visible as a count explosion rather than
+   silently wrong outcome sets. *)
 let print_stats pool programs =
   let cells =
     List.concat_map
@@ -119,12 +118,10 @@ let print_stats pool programs =
       programs
   in
   let rows =
-    List.map
-      (fun ((p : Lprog.t), m) ->
+    Pmc_par.Pool.map_list_ordered pool cells ~f:(fun ((p : Lprog.t), m) ->
         let t0 = Unix.gettimeofday () in
-        let r = Litmus.enumerate ~pool m p in
+        let r = Litmus.enumerate m p in
         (p, r, Unix.gettimeofday () -. t0))
-      cells
   in
   Fmt.pr "%-28s %-24s %9s %9s %6s %8s %12s@." "program" "model" "states"
     "keys" "stuck" "host s" "states/s";
@@ -212,7 +209,7 @@ let cmd =
                 "Print exploration statistics per (program, model) cell: \
                  states explored, distinct packed keys, stuck states, \
                  host time and states per second.  With $(b,--jobs) N \
-                 the pool parallelizes the frontier BFS inside each \
+                 the cells fan out over the pool, each timing its own \
                  enumeration; all non-timing columns are identical at \
                  any width.")
       $ Arg.(

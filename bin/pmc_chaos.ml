@@ -337,40 +337,24 @@ let zerocost_baseline ~path ~seed ~quiet =
                topology = case.Pmc_bench.Spec.topology })
       in
       let cfg =
-        if report.Pmc_bench.Report.unbatched then Config.unbatched cfg
+        if report.Pmc_bench.Report.unbatched then
+          { cfg with Config.batched = false }
         else cfg
       in
       let r =
         Pmc_apps.Runner.run ~cfg app ~backend:case.Pmc_bench.Spec.backend
           ~scale:case.Pmc_bench.Spec.scale
       in
-      let m = s.Pmc_bench.Measure.metrics in
-      let sum = r.Pmc_apps.Runner.summary in
+      let base = s.Pmc_bench.Measure.metrics in
+      let cur = Pmc_bench.Measure.metrics_of_result r in
       let mismatches =
         List.filter_map
-          (fun (name, base, cur) ->
-            if base = cur then None
-            else Some (Printf.sprintf "%s %d->%d" name base cur))
-          [
-            ("cycles", m.Pmc_bench.Measure.cycles, r.Pmc_apps.Runner.wall);
-            ("noc_flits", m.Pmc_bench.Measure.noc_flits, sum.Stats.noc_flits);
-            ( "noc_writes",
-              m.Pmc_bench.Measure.noc_writes,
-              sum.Stats.noc_writes );
-            ("flushes", m.Pmc_bench.Measure.flushes, sum.Stats.flushes);
-            ( "lock_acquires",
-              m.Pmc_bench.Measure.lock_acquires,
-              sum.Stats.lock_acquires );
-            ( "lock_transfers",
-              m.Pmc_bench.Measure.lock_transfers,
-              sum.Stats.lock_transfers );
-            ( "dcache_misses",
-              m.Pmc_bench.Measure.dcache_misses,
-              sum.Stats.dcache_misses );
-            ( "instructions",
-              m.Pmc_bench.Measure.instructions,
-              sum.Stats.instructions );
-          ]
+          (fun name ->
+            let b = Pmc_bench.Measure.metric base name
+            and c = Pmc_bench.Measure.metric cur name in
+            if b = c then None
+            else Some (Printf.sprintf "%s %.0f->%.0f" name b c))
+          Pmc_bench.Measure.metric_names
       in
       let id = Pmc_bench.Spec.case_id case in
       if mismatches = [] then begin

@@ -53,8 +53,7 @@ let host_band = 0.10
 (* The gated floor on the host-speed rate: a case fails when its
    simulated-cycles-per-host-second drop below this fraction of the
    baseline rate.  Cases where either report carries no usable rate
-   (zero host time or a pre-v3 baseline without cycles) are not
-   gated. *)
+   (zero host time) are not gated. *)
 let host_rate_floor = 0.6
 
 (* The architectural metrics worth gating, and how much drift to accept.

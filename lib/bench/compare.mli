@@ -28,7 +28,7 @@ type host_row = {
   rate_cur : float;
   rate_ok : bool;
       (** [rate_cur >= host_rate_floor *. rate_base], or true when
-          either rate is unusable (pre-v3 baseline, zero host time) *)
+          either rate is unusable (zero host time) *)
 }
 
 type outcome = {

@@ -141,7 +141,7 @@ let run_sim_case ?max_cycles ~unbatched ~warmup ~repeat (c : Spec.case) :
       { Config.default with cores = c.Spec.cores;
         topology = c.Spec.topology }
     in
-    if unbatched then Config.unbatched base else base
+    if unbatched then { base with batched = false } else base
   in
   let cfg =
     (* a per-request budget only ever tightens the livelock watchdog *)
@@ -202,18 +202,11 @@ let run_case ?max_cycles ~unbatched ~warmup ~repeat (c : Spec.case) :
 
 (* ---------------- JSON (schema v5) ----------------
 
-   v5 (this build): v4 plus the per-case [work] discriminator ("sim",
-   "check_replay", "check_enum"; absent means sim, so every older
-   report loads unchanged).  Check cases store their deterministic work
-   count in [cycles] and their verdict digest in [lat_digest].
-   v4: v3 plus the per-case [topology] (absent means star,
-   so pre-topology reports load unchanged) and the served-traffic
-   metrics [requests]/[p50]/[p99]/[p999]/[lat_digest]/[throughput]
-   (absent or requests = 0 means the app records none).
-   v3: v2 plus per-sample [host_cycles_per_s] (the gated host-speed
-   metric) and [minor_words] (mean minor-heap allocation per run).  v1
-   and v2 reports still load: the rate is reconstructed from
-   cycles / host_s and minor_words defaults to absent (negative). *)
+   The only schema this build reads or writes.  Every field is
+   required: [work] ("sim", "check_replay", "check_enum"), the case's
+   [topology], all fifteen metrics, the gated rate [host_cycles_per_s]
+   and [minor_words].  Check cases store their deterministic work count
+   in [cycles] and their verdict digest in [lat_digest]. *)
 
 let schema_version = 5
 
@@ -266,61 +259,54 @@ let sample_to_json (s : sample) : Json.t =
       ("minor_words", Json.float s.minor_words);
     ]
 
-let fail msg = failwith ("Pmc_bench.Measure: malformed report: " ^ msg)
+let fail msg = failwith ("Pmc_bench.Measure: malformed bench JSON: " ^ msg)
 let req what = function Some v -> v | None -> fail ("missing " ^ what)
 
 let metrics_of_json (j : Json.t) : metrics =
+  let i key = req key (Json.get_int key j) in
+  let f key = req key (Json.get_num key j) in
   {
-    cycles = req "cycles" (Json.get_int "cycles" j);
-    noc_flits = req "noc_flits" (Json.get_int "noc_flits" j);
-    noc_writes = req "noc_writes" (Json.get_int "noc_writes" j);
-    flushes = req "flushes" (Json.get_int "flushes" j);
-    lock_acquires = req "lock_acquires" (Json.get_int "lock_acquires" j);
-    lock_transfers = req "lock_transfers" (Json.get_int "lock_transfers" j);
-    dcache_misses = req "dcache_misses" (Json.get_int "dcache_misses" j);
-    instructions = req "instructions" (Json.get_int "instructions" j);
-    utilization = req "utilization" (Json.get_num "utilization" j);
-    (* pre-v4 reports carry no served-traffic metrics *)
-    requests = Option.value ~default:0 (Json.get_int "requests" j);
-    p50 = Option.value ~default:0 (Json.get_int "p50" j);
-    p99 = Option.value ~default:0 (Json.get_int "p99" j);
-    p999 = Option.value ~default:0 (Json.get_int "p999" j);
-    lat_digest = Option.value ~default:0 (Json.get_int "lat_digest" j);
-    throughput = Option.value ~default:0.0 (Json.get_num "throughput" j);
+    cycles = i "cycles";
+    noc_flits = i "noc_flits";
+    noc_writes = i "noc_writes";
+    flushes = i "flushes";
+    lock_acquires = i "lock_acquires";
+    lock_transfers = i "lock_transfers";
+    dcache_misses = i "dcache_misses";
+    instructions = i "instructions";
+    utilization = f "utilization";
+    requests = i "requests";
+    p50 = i "p50";
+    p99 = i "p99";
+    p999 = i "p999";
+    lat_digest = i "lat_digest";
+    throughput = f "throughput";
   }
 
 let sample_of_json (j : Json.t) : sample =
-  let backend_s = req "backend" (Json.get_str "backend" j) in
+  let str key = req key (Json.get_str key j) in
   let backend =
-    match Pmc.Backends.of_string backend_s with
+    let s = str "backend" in
+    match Pmc.Backends.of_string s with
     | Some b -> b
-    | None -> fail ("unknown backend " ^ backend_s)
+    | None -> fail ("unknown backend " ^ s)
   in
-  let metrics = metrics_of_json (req "metrics" (Json.member "metrics" j)) in
-  let host_s = req "host_s" (Json.get_num "host_s" j) in
   let cores = req "cores" (Json.get_int "cores" j) in
   let topology =
-    (* pre-v4 reports carry no topology — they are all star *)
-    match Json.get_str "topology" j with
-    | None -> Topology.Star
-    | Some s -> (
-        match Topology.resolve s ~cores with
-        | Ok t -> t
-        | Error e -> fail e)
+    match Topology.resolve (str "topology") ~cores with
+    | Ok t -> t
+    | Error e -> fail e
   in
   let work =
-    (* pre-v5 reports carry no work discriminator — all simulator runs *)
-    match Json.get_str "work" j with
-    | None -> Spec.Sim
-    | Some s -> (
-        match work_of_string s with
-        | Some w -> w
-        | None -> fail ("unknown work kind " ^ s))
+    let s = str "work" in
+    match work_of_string s with
+    | Some w -> w
+    | None -> fail ("unknown work kind " ^ s)
   in
   {
     case =
       {
-        Spec.app = req "app" (Json.get_str "app" j);
+        Spec.app = str "app";
         backend;
         topology;
         cores;
@@ -330,19 +316,11 @@ let sample_of_json (j : Json.t) : sample =
     ok = req "ok" (Json.get_bool "ok" j);
     deterministic = req "deterministic" (Json.get_bool "deterministic" j);
     repeats = req "repeats" (Json.get_int "repeats" j);
-    metrics;
-    host_s;
+    metrics = metrics_of_json (req "metrics" (Json.member "metrics" j));
+    host_s = req "host_s" (Json.get_num "host_s" j);
     host_cycles_per_s =
-      (* pre-v3 reports carry no rate — reconstruct it from the stored
-         cycle count and host time so old baselines can still gate *)
-      (match Json.get_num "host_cycles_per_s" j with
-      | Some r -> r
-      | None ->
-          if host_s > 0.0 then float_of_int metrics.cycles /. host_s
-          else 0.0);
-    minor_words =
-      (* -1 marks "not recorded" in pre-v3 reports *)
-      Option.value ~default:(-1.0) (Json.get_num "minor_words" j);
+      req "host_cycles_per_s" (Json.get_num "host_cycles_per_s" j);
+    minor_words = req "minor_words" (Json.get_num "minor_words" j);
   }
 
 (* The numeric metrics a {!Compare} run can gate on, with accessors. *)

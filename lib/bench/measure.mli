@@ -18,8 +18,7 @@ type metrics = {
   instructions : int;
   utilization : float;   (** busy fraction of summed core time (Fig. 8) *)
   requests : int;
-      (** served requests; [0] marks an app that records none (all
-          pre-scale apps, and any report older than schema 4) *)
+      (** served requests; [0] marks an app that records none *)
   p50 : int;             (** exact request-latency percentiles, in cycles *)
   p99 : int;
   p999 : int;
@@ -38,11 +37,9 @@ type sample = {
   host_s : float;        (** trimmed-mean host seconds per run *)
   host_cycles_per_s : float;
       (** simulated cycles per host second — the gated host-speed
-          metric; reconstructed from [cycles / host_s] when a pre-v3
-          report is loaded *)
+          metric *)
   minor_words : float;
-      (** trimmed-mean minor-heap words allocated per run; -1 in
-          reports older than schema 3 (not recorded) *)
+      (** trimmed-mean minor-heap words allocated per run *)
 }
 
 exception Unknown_app of string
@@ -60,13 +57,25 @@ val run_case :
     @raise Unknown_app when a simulator case names no registered
     application. *)
 
+val metrics_of_result : Pmc_apps.Runner.result -> metrics
+(** The report metrics of one simulator run. *)
+
 val trimmed_mean : float list -> float
 
 val schema_version : int
+(** 5 — the only schema written and read. *)
+
+val metrics_to_json : metrics -> Json.t
+(** Canonical: the fifteen fields in declaration order.  Shared by the
+    bench report and the [Pmc_jobs.Result] bench result. *)
+
+val metrics_of_json : Json.t -> metrics
+(** Every field required.  @raise Failure on malformed input. *)
 
 val sample_to_json : sample -> Json.t
 val sample_of_json : Json.t -> sample
-(** @raise Failure on malformed input. *)
+(** Every schema-5 field required.  @raise Failure on malformed
+    input. *)
 
 val metric_names : string list
 (** The numeric metrics a {!Compare} run can gate on. *)

@@ -8,7 +8,7 @@ type t = {
   label : string;
   suite : string;
   unbatched : bool;
-  jobs : int;  (* pool width the suite was measured with (schema >= 2) *)
+  jobs : int;  (* pool width the suite was measured with *)
   samples : Measure.sample list;
 }
 
@@ -51,28 +51,26 @@ let to_json (t : t) : Json.t =
 
 let fail msg = failwith ("Pmc_bench.Report: " ^ msg)
 
-(* Reads the current schema and, for backward compatibility, v1 (no
-   [jobs] field — those reports were sequential by construction). *)
+(* Reads schema 5 only: every report in use was written by it. *)
 let of_json (j : Json.t) : t =
-  let schema =
-    match Json.get_int "schema" j with
+  let req what = function
     | Some v -> v
-    | None -> fail "missing schema field"
+    | None -> fail ("missing " ^ what ^ " field")
   in
-  if schema < 1 || schema > Measure.schema_version then
+  let schema = req "schema" (Json.get_int "schema" j) in
+  if schema <> Measure.schema_version then
     fail
-      (Printf.sprintf "schema %d not supported (this build reads 1..%d)"
-         schema Measure.schema_version);
+      (Printf.sprintf "schema %d not supported (this build reads %d)" schema
+         Measure.schema_version);
   {
     schema;
-    label = Option.value ~default:"" (Json.get_str "label" j);
-    suite = Option.value ~default:"" (Json.get_str "suite" j);
-    unbatched = Option.value ~default:false (Json.get_bool "unbatched" j);
-    jobs = Option.value ~default:1 (Json.get_int "jobs" j);
+    label = req "label" (Json.get_str "label" j);
+    suite = req "suite" (Json.get_str "suite" j);
+    unbatched = req "unbatched" (Json.get_bool "unbatched" j);
+    jobs = req "jobs" (Json.get_int "jobs" j);
     samples =
-      (match Json.get_list "results" j with
-      | Some l -> List.map Measure.sample_of_json l
-      | None -> fail "missing results field");
+      List.map Measure.sample_of_json
+        (req "results" (Json.get_list "results" j));
   }
 
 let save path (t : t) =
@@ -108,9 +106,7 @@ let pp ppf (t : t) =
          else "-")
         (* minor-heap words per run: the zero-allocation work shows up
            directly in this column *)
-        (if s.Measure.minor_words >= 0.0 then
-           Printf.sprintf "%.2gw" s.Measure.minor_words
-         else "-")
+        (Printf.sprintf "%.2gw" s.Measure.minor_words)
         (if not s.Measure.ok then "CHECKSUM MISMATCH"
          else if not s.Measure.deterministic then "NONDETERMINISTIC"
          else "ok");

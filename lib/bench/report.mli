@@ -9,8 +9,7 @@ type t = {
   unbatched : bool;
   jobs : int;
       (** Pool width the suite was measured with.  Architectural metrics
-          are identical at any width; only [host_s] is affected.  1 for
-          schema-v1 reports. *)
+          are identical at any width; only [host_s] is affected. *)
   samples : Measure.sample list;
 }
 
@@ -24,9 +23,9 @@ val run : ?pool:Pmc_par.Pool.t -> Spec.t -> t
 val to_json : t -> Json.t
 
 val of_json : Json.t -> t
-(** Reads schema 2 (current) and schema 1 (loads with [jobs = 1]).
-    @raise Failure on malformed input or an unsupported schema
-    version. *)
+(** Reads schema 5 ({!Measure.schema_version}) only; every header and
+    sample field is required.
+    @raise Failure on malformed input or any other schema version. *)
 
 val save : string -> t -> unit
 val load : string -> t

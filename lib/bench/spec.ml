@@ -28,7 +28,7 @@ type case = {
 type t = {
   label : string;
   suite : string;
-  unbatched : bool;  (* run on Config.unbatched (the pre-batching model) *)
+  unbatched : bool;  (* run with Config.batched off (the pre-batching model) *)
   warmup : int;      (* discarded runs before timing *)
   repeat : int;      (* timed runs; host time is outlier-trimmed *)
   cases : case list;

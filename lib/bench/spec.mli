@@ -28,7 +28,7 @@ type t = {
   label : string;     (** free-form tag recorded in the report *)
   suite : string;     (** suite name the cases came from *)
   unbatched : bool;
-      (** run on {!Pmc_sim.Config.unbatched} — the pre-batching cost
+      (** run on [{ cfg with batched = false }] — the pre-batching cost
           model — instead of the default machine *)
   warmup : int;       (** discarded runs before timing *)
   repeat : int;       (** timed runs; host time is outlier-trimmed *)

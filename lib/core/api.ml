@@ -274,16 +274,16 @@ let with_ro t o f =
    core backs off (the paper's sleep()), up to [max_backoff] cycles, so a
    herd of pollers does not saturate the memory port.  Under the DSM
    back-end every poll reads the core's own replica, which disturbs no
-   other tile (Section VI-B observes DSM's polling advantage), so the
-   default cap tightens to [Config.local_poll_backoff]. *)
+   other tile (Section VI-B observes DSM's polling advantage), so with
+   [Config.batched] the default cap tightens to 64 cycles. *)
 let poll_until_int ?max_backoff t (o : Shared.t) word pred : int =
   let max_backoff =
     match max_backoff with
     | Some b -> b
     | None ->
         let (Backend_sig.B ((module B), _)) = t.backend in
-        if B.name = "dsm" then
-          (Machine.config t.machine).Config.local_poll_backoff
+        if B.name = "dsm" && (Machine.config t.machine).Config.batched then
+          64
         else 512
   in
   check_word o word;

@@ -22,7 +22,7 @@ type t = {
   mutable dsm_off : int;            (* common local-memory offset; -1 = none *)
   mutable last_writer : int;        (* tile owning the newest version; -1 = none *)
   (* DSM version tracking (TreadMarks-style lazy release, used when
-     [Config.dsm_lazy_versions] is on): [version] counts publications of
+     [Config.batched] is on): [version] counts publications of
      the object (exit_x after a write, flush); [seen.(tile)] is the
      version that tile's replica holds, valid from time [seen_at.(tile)]
      (flush deliveries are posted writes that land later); -1 = unknown.

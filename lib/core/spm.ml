@@ -50,14 +50,14 @@ let alloc t ~name ~bytes =
   o.Shared.sdram_addr <- Machine.alloc_uncached t.m ~bytes;
   o
 
-(* Burst copy between SDRAM and the SPM.  With [Config.batched_maint] the
+(* Burst copy between SDRAM and the SPM.  With [Config.batched] the
    DMA engine streams the whole object in one burst: a single SDRAM
    latency plus a per-word streaming cost.  With batching off, every word
    is a separate port access that arbitrates (and possibly queues) on its
    own — the pre-batching model the equivalence tests compare against. *)
 let copy_cycles t ~words =
   let cfg = Machine.config t.m in
-  if cfg.Config.batched_maint then cfg.Config.sdram_word_cycles + (words * 2)
+  if cfg.Config.batched then cfg.Config.sdram_word_cycles + (words * 2)
   else begin
     let c = ref 0 in
     for _ = 1 to words do

@@ -147,12 +147,6 @@ let to_json (t : t) : Json.t =
 let fail msg = failwith ("Pmc_jobs.Job: malformed job: " ^ msg)
 let req what = function Some v -> v | None -> fail ("missing " ^ what)
 
-(* Jobs encoded before fabrics existed carry no topology field; they all
-   ran on the star fabric, so defaulting keeps old encodings meaning
-   exactly what they meant (verdict-cache soundness). *)
-let get_topology j =
-  Option.value ~default:"star" (Json.get_str "topology" j)
-
 let get_opt_int key j =
   match Json.member key j with
   | None | Some Json.Null -> None
@@ -187,7 +181,7 @@ let of_json (j : Json.t) : t =
         {
           app = req "app" (Json.get_str "app" j);
           backend = req "backend" (Json.get_str "backend" j);
-          topology = get_topology j;
+          topology = req "topology" (Json.get_str "topology" j);
           cores = req "cores" (Json.get_int "cores" j);
           scale = req "scale" (Json.get_int "scale" j);
           unbatched = req "unbatched" (Json.get_bool "unbatched" j);
@@ -199,7 +193,7 @@ let of_json (j : Json.t) : t =
         {
           c_app = req "app" (Json.get_str "app" j);
           c_backend = req "backend" (Json.get_str "backend" j);
-          c_topology = get_topology j;
+          c_topology = req "topology" (Json.get_str "topology" j);
           c_cores = req "cores" (Json.get_int "cores" j);
           c_scale = req "scale" (Json.get_int "scale" j);
           seed = req "seed" (Json.get_int "seed" j);
@@ -212,7 +206,7 @@ let of_json (j : Json.t) : t =
         {
           x_app = req "app" (Json.get_str "app" j);
           x_backend = req "backend" (Json.get_str "backend" j);
-          x_topology = get_topology j;
+          x_topology = req "topology" (Json.get_str "topology" j);
           x_cores = req "cores" (Json.get_int "cores" j);
           x_scale = req "scale" (Json.get_int "scale" j);
           x_seed = req "seed" (Json.get_int "seed" j);

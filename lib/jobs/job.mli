@@ -21,9 +21,7 @@ type bench = {
   app : string;
   backend : string;
   topology : string;
-      (** fabric name accepted by {!Pmc_sim.Topology.resolve}; jobs
-          decoded from pre-topology encodings default to ["star"], which
-          is what they ran on — so old cache keys stay sound *)
+      (** fabric name accepted by {!Pmc_sim.Topology.resolve} *)
   cores : int;
   scale : int;
   unbatched : bool;
@@ -34,7 +32,7 @@ type bench = {
 type chaos = {
   c_app : string;
   c_backend : string;
-  c_topology : string;  (** fabric name; decode default ["star"] *)
+  c_topology : string;  (** fabric name *)
   c_cores : int;
   c_scale : int;
   seed : int;
@@ -46,7 +44,7 @@ type chaos = {
 type crash = {
   x_app : string;
   x_backend : string;
-  x_topology : string;  (** fabric name; decode default ["star"] *)
+  x_topology : string;  (** fabric name *)
   x_cores : int;
   x_scale : int;
   x_seed : int;

@@ -260,9 +260,6 @@ let counts_to_json (c : Pmc_sim.Fault.counts) =
 
 let counts_of_json j : Pmc_sim.Fault.counts =
   let i key = req key (Json.get_int key j) in
-  (* the draw/power-cut counters default for results cached before they
-     existed *)
-  let opt key = Option.value ~default:0 (Json.get_int key j) in
   {
     Pmc_sim.Fault.noc_drops = i "noc_drops";
     noc_corrupts = i "noc_corrupts";
@@ -274,54 +271,11 @@ let counts_of_json j : Pmc_sim.Fault.counts =
     tile_stalls = i "tile_stalls";
     stall_cycles = i "stall_cycles";
     lock_timeouts = i "lock_timeouts";
-    noc_draws = opt "noc_draws";
-    sdram_draws = opt "sdram_draws";
-    stall_draws = opt "stall_draws";
-    power_cut_draws = opt "power_cut_draws";
-    power_cuts = opt "power_cuts";
-  }
-
-let metrics_to_json (m : Measure.metrics) =
-  Json.Obj
-    [
-      ("cycles", Json.int m.Measure.cycles);
-      ("noc_flits", Json.int m.Measure.noc_flits);
-      ("noc_writes", Json.int m.Measure.noc_writes);
-      ("flushes", Json.int m.Measure.flushes);
-      ("lock_acquires", Json.int m.Measure.lock_acquires);
-      ("lock_transfers", Json.int m.Measure.lock_transfers);
-      ("dcache_misses", Json.int m.Measure.dcache_misses);
-      ("instructions", Json.int m.Measure.instructions);
-      ("utilization", Json.float m.Measure.utilization);
-      ("requests", Json.int m.Measure.requests);
-      ("p50", Json.int m.Measure.p50);
-      ("p99", Json.int m.Measure.p99);
-      ("p999", Json.int m.Measure.p999);
-      ("lat_digest", Json.int m.Measure.lat_digest);
-      ("throughput", Json.float m.Measure.throughput);
-    ]
-
-let metrics_of_json j : Measure.metrics =
-  let i key = req key (Json.get_int key j) in
-  (* the served-traffic metrics default for results cached before they
-     existed: no requests recorded *)
-  let opt key = Option.value ~default:0 (Json.get_int key j) in
-  {
-    Measure.cycles = i "cycles";
-    noc_flits = i "noc_flits";
-    noc_writes = i "noc_writes";
-    flushes = i "flushes";
-    lock_acquires = i "lock_acquires";
-    lock_transfers = i "lock_transfers";
-    dcache_misses = i "dcache_misses";
-    instructions = i "instructions";
-    utilization = req "utilization" (Json.get_num "utilization" j);
-    requests = opt "requests";
-    p50 = opt "p50";
-    p99 = opt "p99";
-    p999 = opt "p999";
-    lat_digest = opt "lat_digest";
-    throughput = Option.value ~default:0.0 (Json.get_num "throughput" j);
+    noc_draws = i "noc_draws";
+    sdram_draws = i "sdram_draws";
+    stall_draws = i "stall_draws";
+    power_cut_draws = i "power_cut_draws";
+    power_cuts = i "power_cuts";
   }
 
 let to_json (t : t) : Json.t =
@@ -350,7 +304,7 @@ let to_json (t : t) : Json.t =
           ("ok", Json.Bool s.b_ok);
           ("deterministic", Json.Bool s.deterministic);
           ("repeats", Json.int s.repeats);
-          ("metrics", metrics_to_json s.metrics);
+          ("metrics", Measure.metrics_to_json s.metrics);
         ]
   | Chaos_soaked r ->
       Json.Obj
@@ -424,7 +378,8 @@ let of_json (j : Json.t) : t =
           b_ok = req "ok" (Json.get_bool "ok" j);
           deterministic = req "deterministic" (Json.get_bool "deterministic" j);
           repeats = req "repeats" (Json.get_int "repeats" j);
-          metrics = metrics_of_json (req "metrics" (Json.member "metrics" j));
+          metrics =
+            Measure.metrics_of_json (req "metrics" (Json.member "metrics" j));
         }
   | "chaos" ->
       let backend_s = req "backend" (Json.get_str "backend" j) in

@@ -76,8 +76,10 @@ end
 
 (* Breadth-first exploration with memoization on packed state keys.  The
    litmus programs are tiny, but [limit] guards against writing one whose
-   stream interleavings explode. *)
-let enumerate_seq ~limit (module M : Models.SEM) (p : Lprog.t) : result =
+   stream interleavings explode.  Parallelism lives one level up, across
+   the independent (program, model) cells of {!enumerate_matrix}. *)
+let enumerate ?(limit = 2_000_000) (module M : Models.SEM) (p : Lprog.t) :
+    result =
   let seen = Seen.create () in
   let outcomes = ref Lprog.Outcome_set.empty in
   let queue = Queue.create () in
@@ -109,77 +111,6 @@ let enumerate_seq ~limit (module M : Models.SEM) (p : Lprog.t) : result =
     states_explored = Seen.cardinal seen;
     stuck_states = !stuck;
   }
-
-(* Level-synchronous parallel BFS.  Each level's frontier is sharded by
-   key hash — a pure function of the state, not of discovery order — the
-   pool expands the shards concurrently (successor computation and key
-   packing are the hot work), and the coordinator merges results in
-   shard order against the single memo table.  Every reported field
-   (outcome set, distinct-state count, stuck count) is a function of the
-   reachable-state set alone, so the result is identical to
-   {!enumerate_seq} at any pool width. *)
-let enumerate_par ~limit ~pool (module M : Models.SEM) (p : Lprog.t) :
-    result =
-  let seen = Seen.create () in
-  let outcomes = ref Lprog.Outcome_set.empty in
-  let stuck = ref 0 in
-  let nshards = 4 * Pmc_par.Pool.jobs pool in
-  let init = M.init p in
-  let init_key = M.key init in
-  ignore (Seen.add seen init_key);
-  let frontier = ref [ (init, init_key) ] in
-  while !frontier <> [] do
-    let shards = Array.make nshards [] in
-    List.iter
-      (fun (st, k) ->
-        let h = Hashtbl.hash k mod nshards in
-        shards.(h) <- st :: shards.(h))
-      !frontier;
-    let expanded =
-      Pmc_par.Pool.map_list_ordered pool (Array.to_list shards)
-        ~f:
-          (List.map (fun st ->
-               let final = M.is_final p st in
-               let out =
-                 if final then
-                   Some (Lprog.outcome_to_string (M.outcome p st))
-                 else None
-               in
-               let succs = M.successors p st in
-               (out, final, List.map (fun s -> (s, M.key s)) succs)))
-    in
-    let next = ref [] in
-    List.iter
-      (List.iter (fun (out, final, succs) ->
-           (match out with
-           | Some o -> outcomes := Lprog.Outcome_set.add o !outcomes
-           | None -> ());
-           if succs = [] && not final then incr stuck;
-           List.iter
-             (fun (s, k) ->
-               if Seen.add seen k then begin
-                 if Seen.cardinal seen > limit then
-                   raise (State_space_too_large (Seen.cardinal seen));
-                 next := (s, k) :: !next
-               end)
-             succs))
-      expanded;
-    frontier := List.rev !next
-  done;
-  {
-    program = p;
-    model = M.name;
-    outcomes = !outcomes;
-    states_explored = Seen.cardinal seen;
-    stuck_states = !stuck;
-  }
-
-let enumerate ?(limit = 2_000_000) ?pool (module M : Models.SEM)
-    (p : Lprog.t) : result =
-  match pool with
-  | Some pool when Pmc_par.Pool.jobs pool > 1 ->
-      enumerate_par ~limit ~pool (module M) p
-  | _ -> enumerate_seq ~limit (module M) p
 
 let outcomes_list r = Lprog.Outcome_set.elements r.outcomes
 

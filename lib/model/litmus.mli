@@ -15,17 +15,12 @@ type result = {
 exception State_space_too_large of int
 
 val enumerate :
-  ?limit:int -> ?pool:Pmc_par.Pool.t -> (module Models.SEM) -> Lprog.t ->
-  result
+  ?limit:int -> (module Models.SEM) -> Lprog.t -> result
 (** Breadth-first exploration with memoization on packed state keys
     (the [key] function of {!module-type:Models.SEM}); raises
     {!State_space_too_large} past [limit]
-    distinct states (default 2M).  With a [pool] of width > 1 the
-    exploration runs level-synchronously: each level's frontier is
-    sharded by key hash, the shards expand concurrently, and the
-    coordinator merges successors in shard order — every result field is
-    a function of the reachable-state set alone, so the result is
-    byte-identical to the sequential run at any width. *)
+    distinct states (default 2M).  One enumeration runs on one domain;
+    {!enumerate_matrix} fans independent enumerations out over a pool. *)
 
 val outcomes_list : result -> string list
 (** The outcome set as sorted strings ({!Lprog.outcome_to_string}). *)

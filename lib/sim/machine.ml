@@ -509,7 +509,7 @@ let noc_push m ~dst ~src_off ~dst_off ~len =
   ignore (noc_push_arrival m ~dst ~src_off ~dst_off ~len)
 
 (* Replicate [len] bytes of my local memory into every tile of [dsts].
-   With [Config.noc_multicast] the sender frames one burst — one header
+   With [Config.batched] the sender frames one burst — one header
    flit plus the payload, one injection cost — and the NoC fans it out;
    without it the replication degrades to one unicast push per tile,
    paying header and injection per destination (the unbatched model).
@@ -519,7 +519,7 @@ let noc_push_multi m ~dsts ~src_off ~dst_off ~len : int =
   let dsts = List.filter (fun d -> d <> core) dsts in
   match dsts with
   | [] -> now m
-  | dsts when m.cfg.Config.noc_multicast ->
+  | dsts when m.cfg.Config.batched ->
       check_local m src_off len;
       stage_push m ~core ~src_off ~len;
       let s = Stats.core (stats m) core in
@@ -558,7 +558,7 @@ let blit_local_to_farmem m ~core ~off ~far ~len =
   Farmem.blit_from (farmem m) ~addr:far m.locals.(core) ~pos:off ~len
 
 (* One SDRAM port arbitration for a single word access — the per-word
-   staging model used when [Config.batched_maint] is off. *)
+   staging model used when [Config.batched] is off. *)
 let sdram_word_wait m = Sdram.contend_word m.sdram ~now:(now m)
 
 (* Wait until all of this core's posted NoC writes have landed.  Under
@@ -581,12 +581,12 @@ let noc_drain m =
 
 let maint_cycles m (r : Cache.maint) =
   (* one cycle per line tag probe plus the write-back traffic.  Batched
-     ([Config.batched_maint]): the range operation drains its dirty lines
+     ([Config.batched]): the range operation drains its dirty lines
      as one burst — one port arbitration for the whole range.  Unbatched:
      every line arbitrates (and possibly queues) separately. *)
   let wb =
     if r.Cache.lines_written_back = 0 then 0
-    else if m.cfg.Config.batched_maint then
+    else if m.cfg.Config.batched then
       Sdram.contend_burst m.sdram ~now:(now m)
         ~lines:r.Cache.lines_written_back
       + (r.Cache.lines_written_back * m.cfg.sdram_line_cycles)

@@ -113,7 +113,7 @@ val noc_push : t -> dst:int -> src_off:int -> dst_off:int -> len:int -> unit
 val noc_push_multi :
   t -> dsts:int list -> src_off:int -> dst_off:int -> len:int -> int
 (** Replicate a chunk of this core's local memory into every tile of
-    [dsts] (the coalesced DSM flush).  With {!Config.t.noc_multicast}
+    [dsts] (the coalesced DSM flush).  With {!Config.t.batched}
     the sender injects one multicast burst — one header flit plus the
     payload, one injection stall — and the NoC fans it out with delivery
     semantics identical to per-destination {!noc_push}es; with the switch
@@ -133,7 +133,7 @@ val blit_sdram_to_local :
   t -> core:int -> sdram:int -> off:int -> len:int -> unit
 (** Bulk-copy [len] bytes of SDRAM at [sdram] into tile [core]'s local
     memory at offset [off] — the SPM staging data path.  Untimed; the
-    caller charges the burst (see {!Config.t.batched_maint}). *)
+    caller charges the burst (see {!Config.t.batched}). *)
 
 val blit_local_to_sdram :
   t -> core:int -> off:int -> sdram:int -> len:int -> unit
@@ -154,7 +154,7 @@ val blit_local_to_farmem :
 val sdram_word_wait : t -> int
 (** Arbitrate for the SDRAM port for one word access and return the
     queuing wait — the per-word staging model used when
-    {!Config.t.batched_maint} is off. *)
+    {!Config.t.batched} is off. *)
 
 (** {1 Cache maintenance} *)
 

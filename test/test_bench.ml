@@ -237,7 +237,7 @@ let test_host_rate_gate () =
   Alcotest.(check bool) "0.5x rate fails" false (Pmc_bench.Compare.ok o);
   Alcotest.(check int) "one rate failure" 1
     (List.length (Pmc_bench.Compare.rate_failures o));
-  (* a rate-less report (pre-v3 baseline, zero host time) never gates *)
+  (* a rate-less report (zero host time) never gates *)
   let o =
     Pmc_bench.Compare.run
       ~base:(mk_report [ mk_sample ~cycles:1000 ~rate:0.0 "a" ])
@@ -250,42 +250,83 @@ let test_host_rate_gate () =
   let o = gate (mk_report [ mk_sample ~cycles:1000 ~rate:5e6 "a" ]) in
   Alcotest.(check bool) "faster passes" true (Pmc_bench.Compare.ok o)
 
-(* a v2 report (no host_cycles_per_s / minor_words) still loads, with
-   the rate reconstructed from cycles / host_s *)
-let test_schema_v2_compat () =
-  let v3 = mk_report [ mk_sample ~cycles:5000 "a" ] in
-  let strip = function
-    | J.Obj kvs ->
-        J.Obj
-          (List.filter_map
-             (fun (k, v) ->
-               match (k, v) with
-               | "schema", _ -> Some (k, J.int 2)
-               | "results", J.List l ->
-                   Some
-                     ( k,
-                       J.List
-                         (List.map
-                            (function
-                              | J.Obj fields ->
-                                  J.Obj
-                                    (List.filter
-                                       (fun (f, _) ->
-                                         f <> "host_cycles_per_s"
-                                         && f <> "minor_words")
-                                       fields)
-                              | v -> v)
-                            l) )
-               | _ -> Some (k, v))
-             kvs)
-    | j -> j
-  in
-  let r = Pmc_bench.Report.of_json (strip (Pmc_bench.Report.to_json v3)) in
-  let s = List.hd r.Pmc_bench.Report.samples in
-  Alcotest.(check (float 1.0)) "rate reconstructed"
-    (5000.0 /. 0.001) s.Pmc_bench.Measure.host_cycles_per_s;
-  Alcotest.(check (float 1e-9)) "minor words marked absent" (-1.0)
-    s.Pmc_bench.Measure.minor_words
+(* Only schema-5 encodings decode: every loader default for an older
+   encoding is gone, so each of these must raise the typed [Failure]
+   rather than load with made-up values.  Each input is a current
+   encoding with one field changed or dropped. *)
+let drop key = function
+  | J.Obj kvs -> J.Obj (List.filter (fun (k, _) -> k <> key) kvs)
+  | j -> j
+
+let edit key f = function
+  | J.Obj kvs ->
+      J.Obj (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) kvs)
+  | j -> j
+
+let rejects what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: decoded" what
+  | exception Failure _ -> ()
+
+let current_report () =
+  Pmc_bench.Report.to_json (mk_report [ mk_sample ~cycles:5000 "a" ])
+
+let current_sample () =
+  Pmc_bench.Measure.sample_to_json (mk_sample ~cycles:5000 "a")
+
+let current_bench_result () =
+  Pmc_jobs.Result.to_json
+    (Pmc_jobs.Result.Bench_measured
+       { Pmc_jobs.Result.id = "a/swcc/c4/s8"; b_ok = true;
+         deterministic = true; repeats = 1;
+         metrics = (mk_sample ~cycles:5000 "a").Pmc_bench.Measure.metrics })
+
+let current_bench_job () =
+  Pmc_jobs.Job.to_json
+    (Pmc_jobs.Job.Bench
+       { Pmc_jobs.Job.app = "stencil"; backend = "dsm"; topology = "star";
+         cores = 4; scale = 8; unbatched = false; warmup = 0; repeat = 1 })
+
+let current_chaos_job () =
+  Pmc_jobs.Job.to_json
+    (Pmc_jobs.Job.Chaos
+       { Pmc_jobs.Job.c_app = "stencil"; c_backend = "dsm";
+         c_topology = "star"; c_cores = 4; c_scale = 8; seed = 1;
+         intensity = 1.0; model_check = true; replay_budget = None })
+
+(* the unedited current encodings are what the rejections start from *)
+let test_current_encodings_load () =
+  ignore (Pmc_bench.Report.of_json (current_report ()));
+  ignore (Pmc_bench.Measure.sample_of_json (current_sample ()));
+  ignore (Pmc_jobs.Result.of_json (current_bench_result ()));
+  ignore (Pmc_jobs.Job.of_json (current_bench_job ()));
+  ignore (Pmc_jobs.Job.of_json (current_chaos_job ()))
+
+let test_schema4_report_rejected () =
+  rejects "schema-4 report" (fun () ->
+      Pmc_bench.Report.of_json
+        (edit "schema" (fun _ -> J.int 4) (current_report ())))
+
+let test_sample_without_minor_words_rejected () =
+  rejects "sample without minor_words" (fun () ->
+      Pmc_bench.Measure.sample_of_json (drop "minor_words" (current_sample ())))
+
+let test_sample_without_topology_rejected () =
+  rejects "sample without topology" (fun () ->
+      Pmc_bench.Measure.sample_of_json (drop "topology" (current_sample ())))
+
+let test_bench_result_without_p50_rejected () =
+  rejects "bench result without p50" (fun () ->
+      Pmc_jobs.Result.of_json
+        (edit "metrics" (drop "p50") (current_bench_result ())))
+
+let test_bench_job_without_topology_rejected () =
+  rejects "bench job without topology" (fun () ->
+      Pmc_jobs.Job.of_json (drop "topology" (current_bench_job ())))
+
+let test_chaos_job_without_topology_rejected () =
+  rejects "chaos job without topology" (fun () ->
+      Pmc_jobs.Job.of_json (drop "topology" (current_chaos_job ())))
 
 let test_trimmed_mean () =
   Alcotest.(check (float 1e-9)) "outliers dropped" 2.0
@@ -340,7 +381,7 @@ let prop_batching_equivalence =
       let base = { Config.small with cores = 4; seed } in
       let rb, cb, okb = run_traced base app ~backend ~scale in
       let ru, cu, oku =
-        run_traced (Config.unbatched base) app ~backend ~scale
+        run_traced { base with Config.batched = false } app ~backend ~scale
       in
       Pmc_apps.Runner.ok rb && Pmc_apps.Runner.ok ru
       && rb.Pmc_apps.Runner.checksum = ru.Pmc_apps.Runner.checksum
@@ -360,7 +401,7 @@ let test_batching_gate () =
       in
       let base = { Config.default with cores = 32 } in
       let b = wall base in
-      let u = wall (Config.unbatched base) in
+      let u = wall { base with Config.batched = false } in
       Alcotest.(check bool)
         (Printf.sprintf "%s: batched (%d) ≤ 0.8 × unbatched (%d)" name b u)
         true
@@ -447,7 +488,20 @@ let suite =
         test_tolerance_overrides;
       Alcotest.test_case "report roundtrip" `Quick test_report_roundtrip;
       Alcotest.test_case "host rate gate" `Quick test_host_rate_gate;
-      Alcotest.test_case "schema v2 compat" `Quick test_schema_v2_compat;
+      Alcotest.test_case "current encodings load" `Quick
+        test_current_encodings_load;
+      Alcotest.test_case "schema-4 report rejected" `Quick
+        test_schema4_report_rejected;
+      Alcotest.test_case "sample without minor_words rejected" `Quick
+        test_sample_without_minor_words_rejected;
+      Alcotest.test_case "sample without topology rejected" `Quick
+        test_sample_without_topology_rejected;
+      Alcotest.test_case "bench result without p50 rejected" `Quick
+        test_bench_result_without_p50_rejected;
+      Alcotest.test_case "bench job without topology rejected" `Quick
+        test_bench_job_without_topology_rejected;
+      Alcotest.test_case "chaos job without topology rejected" `Quick
+        test_chaos_job_without_topology_rejected;
       Alcotest.test_case "trimmed mean" `Quick test_trimmed_mean;
       QCheck_alcotest.to_alcotest prop_batching_equivalence;
       Alcotest.test_case "batching perf gate" `Slow test_batching_gate;

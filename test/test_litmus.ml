@@ -249,14 +249,6 @@ let test_packed_key_matches_marshal () =
         (result_sig (Litmus.enumerate (with_marshal_key m) p))
         (result_sig (Litmus.enumerate m p)))
 
-let test_parallel_bfs_matches_sequential () =
-  Pmc_par.Pool.with_pool ~jobs:2 (fun pool ->
-      each_cell (fun p m name ->
-          Alcotest.check result_sig_t
-            (p.Lprog.name ^ " / " ^ name)
-            (result_sig (Litmus.enumerate m p))
-            (result_sig (Litmus.enumerate ~pool m p))))
-
 let suite =
   ( "litmus",
     [
@@ -278,8 +270,6 @@ let suite =
         test_no_spurious_stuck;
       Alcotest.test_case "packed keys == marshal keys (corpus)" `Slow
         test_packed_key_matches_marshal;
-      Alcotest.test_case "parallel BFS == sequential (corpus)" `Slow
-        test_parallel_bfs_matches_sequential;
       QCheck_alcotest.to_alcotest prop_chain;
       QCheck_alcotest.to_alcotest prop_pmc_contains_sc;
     ] )

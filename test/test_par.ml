@@ -218,21 +218,6 @@ let test_parallel_bench_equals_sequential_modulo_host () =
 
 (* ---------------- report schema compatibility ---------------- *)
 
-let test_report_schema_v1_still_loads () =
-  let v1 =
-    Pmc_bench.Json.Obj
-      [
-        ("schema", Pmc_bench.Json.int 1);
-        ("label", Pmc_bench.Json.Str "old");
-        ("suite", Pmc_bench.Json.Str "smoke");
-        ("unbatched", Pmc_bench.Json.Bool false);
-        ("results", Pmc_bench.Json.List []);
-      ]
-  in
-  let r = Pmc_bench.Report.of_json v1 in
-  Alcotest.(check int) "v1 schema kept" 1 r.Pmc_bench.Report.schema;
-  Alcotest.(check int) "v1 implies jobs=1" 1 r.Pmc_bench.Report.jobs
-
 let test_report_schema_future_rejected () =
   let v99 =
     Pmc_bench.Json.Obj
@@ -281,8 +266,6 @@ let suite =
         test_parallel_litmus_equals_sequential;
       Alcotest.test_case "bench samples identical modulo host_s" `Slow
         test_parallel_bench_equals_sequential_modulo_host;
-      Alcotest.test_case "report schema v1 still loads" `Quick
-        test_report_schema_v1_still_loads;
       Alcotest.test_case "future schema rejected" `Quick
         test_report_schema_future_rejected;
       Alcotest.test_case "jobs survive a JSON round trip" `Quick

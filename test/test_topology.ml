@@ -263,60 +263,6 @@ let test_mailbox_routed () =
         Pmc.Backends.all)
     [ "star"; "mesh"; "torus"; "hier" ]
 
-(* ---------------- back-compatibility ---------------- *)
-
-(* A bench/chaos job encoded before topologies existed decodes to the
-   star fabric — old verdict-cache keys keep their meaning. *)
-let test_job_topology_default () =
-  let bench_json =
-    Pmc_bench.Json.parse
-      {|{"kind":"bench","app":"stencil","backend":"dsm","cores":4,
-         "scale":8,"unbatched":false,"warmup":0,"repeat":1}|}
-  in
-  (match Pmc_jobs.Job.of_json bench_json with
-  | Pmc_jobs.Job.Bench b ->
-      Alcotest.(check string) "bench defaults to star" "star"
-        b.Pmc_jobs.Job.topology
-  | _ -> Alcotest.fail "expected a bench job");
-  let chaos_json =
-    Pmc_bench.Json.parse
-      {|{"kind":"chaos","app":"stencil","backend":"dsm","cores":4,
-         "scale":8,"seed":1,"intensity":1.0,"model_check":true,
-         "replay_budget":null}|}
-  in
-  match Pmc_jobs.Job.of_json chaos_json with
-  | Pmc_jobs.Job.Chaos c ->
-      Alcotest.(check string) "chaos defaults to star" "star"
-        c.Pmc_jobs.Job.c_topology
-  | _ -> Alcotest.fail "expected a chaos job"
-
-(* A schema-3 report (no topology, no served-traffic metrics) still
-   loads: topology reads back as star and the service metrics as
-   absent. *)
-let test_report_v3_loads () =
-  let v3 =
-    {|{"schema":3,"label":"old","suite":"smoke","unbatched":false,"jobs":1,
-       "results":[{"app":"stencil","backend":"dsm","cores":8,"scale":4,
-         "ok":true,"deterministic":true,"repeats":1,
-         "metrics":{"cycles":1000,"noc_flits":10,"noc_writes":2,
-           "flushes":1,"lock_acquires":3,"lock_transfers":2,
-           "dcache_misses":5,"instructions":900,"utilization":0.5},
-         "host_s":0.001,"host_cycles_per_s":1000000.0,
-         "minor_words":128.0}]}|}
-  in
-  let report = Pmc_bench.Report.of_json (Pmc_bench.Json.parse v3) in
-  Alcotest.(check int) "schema" 3 report.Pmc_bench.Report.schema;
-  match report.Pmc_bench.Report.samples with
-  | [ s ] ->
-      Alcotest.(check string) "topology defaults to star" "star"
-        (Topology.to_string s.Pmc_bench.Measure.case.Pmc_bench.Spec.topology);
-      Alcotest.(check int) "no requests recorded" 0
-        s.Pmc_bench.Measure.metrics.Pmc_bench.Measure.requests;
-      Alcotest.(check string) "case id keeps the historic form"
-        "stencil/dsm/c8/s4"
-        (Pmc_bench.Spec.case_id s.Pmc_bench.Measure.case)
-  | l -> Alcotest.failf "expected 1 sample, got %d" (List.length l)
-
 (* Current-schema round trip, topology and service metrics included. *)
 let test_sample_roundtrip_v4 () =
   let case =
@@ -372,9 +318,6 @@ let suite =
         test_replay_routed;
       Alcotest.test_case "mailbox on routed fabrics" `Slow
         test_mailbox_routed;
-      Alcotest.test_case "job topology default" `Quick
-        test_job_topology_default;
-      Alcotest.test_case "schema-3 report loads" `Quick test_report_v3_loads;
       Alcotest.test_case "schema-4 sample round trip" `Quick
         test_sample_roundtrip_v4;
     ] )
