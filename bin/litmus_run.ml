@@ -106,39 +106,42 @@ let print_dot () =
    (whose output is a wire contract and carries no timing).  The cells
    are independent, so they fan out over the pool and each times its own
    enumeration; rows print in cell order, and every non-timing column is
-   deterministic at any --jobs width.  States are memoized on injective
-   packed keys, so the two counts printed — states explored and distinct
-   keys — are the same number by construction; the column exists so a
-   key-packing bug would be visible as a count explosion rather than
-   silently wrong outcome sets. *)
+   deterministic at any --jobs width.  The per-cell times overlap once
+   the cells run in parallel, so the total line times the whole fan-out
+   once and derives its rate from that wall time.  States are memoized
+   on injective packed keys, so the two counts printed — states explored
+   and distinct keys — are the same number by construction; the column
+   exists so a key-packing bug would be visible as a count explosion
+   rather than silently wrong outcome sets. *)
 let print_stats pool programs =
   let cells =
     List.concat_map
       (fun p -> List.map (fun m -> (p, m)) Models.all)
       programs
   in
+  let wall0 = Unix.gettimeofday () in
   let rows =
     Pmc_par.Pool.map_list_ordered pool cells ~f:(fun ((p : Lprog.t), m) ->
         let t0 = Unix.gettimeofday () in
         let r = Litmus.enumerate m p in
         (p, r, Unix.gettimeofday () -. t0))
   in
+  let wall = Unix.gettimeofday () -. wall0 in
   Fmt.pr "%-28s %-24s %9s %9s %6s %8s %12s@." "program" "model" "states"
     "keys" "stuck" "host s" "states/s";
-  let total_states = ref 0 and total_t = ref 0.0 in
+  let total_states = ref 0 in
   List.iter
     (fun ((p : Lprog.t), (r : Litmus.result), dt) ->
       total_states := !total_states + r.Litmus.states_explored;
-      total_t := !total_t +. dt;
       Fmt.pr "%-28s %-24s %9d %9d %6d %8.3f %12.0f@." p.Lprog.name
         r.Litmus.model r.Litmus.states_explored r.Litmus.states_explored
         r.Litmus.stuck_states dt
         (if dt > 0.0 then float_of_int r.Litmus.states_explored /. dt
          else 0.0))
     rows;
-  Fmt.pr "total: %d states in %.3f s (%.0f states/s)@." !total_states
-    !total_t
-    (if !total_t > 0.0 then float_of_int !total_states /. !total_t else 0.0)
+  Fmt.pr "total: %d states in %.3f s wall (%.0f states/s)@." !total_states
+    wall
+    (if wall > 0.0 then float_of_int !total_states /. wall else 0.0)
 
 (* The default mode: one Pmc_jobs litmus job per program (all models),
    fanned over the pool; sections print in program order, so the output
@@ -189,16 +192,16 @@ let cmd =
   Cmd.v
     (Cmd.info "litmus_run" ~doc:"Memory-model litmus tests and figures"
        ~exits:
-         [
-           Cmd.Exit.info 0 ~doc:"enumeration (or analysis) succeeded.";
-           Cmd.Exit.info 2
-             ~doc:"input error: unknown program name or exhausted budget.";
-           Cmd.Exit.info 3 ~doc:"property failure (reserved; unused here).";
-           Cmd.Exit.info 4
-             ~doc:"formal PMC-model inconsistency (reserved; unused here).";
-         ])
+         (Cli.exits ~ok:"enumeration (or analysis) succeeded."
+            ~input:", an unknown program name or an exhausted budget"
+            [
+              Cmd.Exit.info 3 ~doc:"property failure (reserved; unused here).";
+              Cmd.Exit.info 4
+                ~doc:"formal PMC-model inconsistency (reserved; unused here).";
+            ]))
     Term.(
-      const main
+      const Stdlib.exit
+      $ (const main
       $ Arg.(value & flag & info [ "figures" ] ~doc:"Print Fig. 2-5 graphs.")
       $ Arg.(value & flag & info [ "drf" ] ~doc:"Data-race analysis.")
       $ Arg.(value & flag & info [ "dot" ] ~doc:"Fig. 5 as Graphviz dot.")
@@ -219,6 +222,6 @@ let cmd =
                 "Enumerate only $(docv) (repeatable).  Slugs like \
                  $(b,mp_fence), $(b,sb), $(b,iriw) or full descriptive \
                  names; default: every standard program.")
-      $ Pmc_par.Cli.term ~action:"Enumerate" ())
+      $ Cli.jobs))
 
-let () = exit (Cmd.eval' cmd)
+let () = Cli.eval cmd

@@ -12,6 +12,7 @@
      pmc_bench compare base.json pr.json --tolerance cycles=0.05 *)
 
 open Cmdliner
+module Pmc_bench = Root.Pmc_bench
 
 let load_report path =
   try Ok (Pmc_bench.Report.load path) with
@@ -21,71 +22,71 @@ let load_report path =
 
 (* ---------------- run ---------------- *)
 
-(* Apply the --app / --cores / --topology overrides to every case of the
-   suite; topology names resolve against the (possibly overridden) core
-   count. *)
-let override_cases ~apps ~topology ~cores (spec : Pmc_bench.Spec.t) =
+(* The suite with the --app / --cores / --topology overrides applied to
+   every case; topology names resolve against the (possibly overridden)
+   core count of each case. *)
+let spec suite_name label unbatched warmup repeat apps topology cores =
+  let ( let* ) = Result.bind in
+  let* spec =
+    Option.to_result
+      ~none:
+        (Printf.sprintf "option '--suite': unknown suite %S (known: %s)"
+           suite_name
+           (String.concat ", " Pmc_bench.Spec.suite_names))
+      (Pmc_bench.Spec.suite ~label ~unbatched ~warmup ~repeat suite_name)
+  in
+  let override (c : Pmc_bench.Spec.case) =
+    let cores = Option.value cores ~default:c.Pmc_bench.Spec.cores in
+    match topology with
+    | None -> Ok { c with Pmc_bench.Spec.cores }
+    | Some name ->
+        Result.map
+          (fun topology -> { c with Pmc_bench.Spec.cores; topology })
+          (Cli.check_topology name ~cores)
+  in
   let keep (c : Pmc_bench.Spec.case) =
-    apps = [] || List.mem c.Pmc_bench.Spec.app apps
+    apps = []
+    || List.exists
+         (fun (a : Pmc_apps.Runner.app) ->
+           a.Pmc_apps.Runner.name = c.Pmc_bench.Spec.app)
+         apps
   in
-  let cases =
-    List.map
-      (fun (c : Pmc_bench.Spec.case) ->
-        let c =
-          match cores with None -> c | Some n -> { c with Pmc_bench.Spec.cores = n }
-        in
-        match topology with
-        | None -> c
-        | Some name -> (
-            match Pmc_sim.Topology.resolve name ~cores:c.Pmc_bench.Spec.cores with
-            | Ok t -> { c with Pmc_bench.Spec.topology = t }
-            | Error e ->
-                Fmt.epr "%s@." e;
-                exit 1))
+  let* cases =
+    List.fold_right
+      (fun c acc ->
+        let* acc = acc in
+        let* c = override c in
+        Ok (c :: acc))
       (List.filter keep spec.Pmc_bench.Spec.cases)
+      (Ok [])
   in
-  if cases = [] then begin
-    Fmt.epr "--app filter matched no case of the suite@.";
-    exit 1
-  end;
-  { spec with Pmc_bench.Spec.cases }
+  if cases = [] then Error "option '--app': matched no case of the suite"
+  else Ok { spec with Pmc_bench.Spec.cases }
 
-let run_cmd suite_name label out unbatched warmup repeat apps topology cores
-    jobs quiet =
-  match
-    Pmc_bench.Spec.suite ~label ~unbatched ~warmup ~repeat suite_name
-  with
-  | None ->
-      Fmt.epr "unknown suite %S (known: %s)@." suite_name
-        (String.concat ", " Pmc_bench.Spec.suite_names);
-      exit 1
-  | Some spec ->
-      let spec = override_cases ~apps ~topology ~cores spec in
-      let report =
-        Pmc_par.Pool.with_pool ~jobs (fun pool ->
-            Pmc_bench.Report.run ~pool spec)
-      in
-      if not quiet then Fmt.pr "%a" Pmc_bench.Report.pp report;
-      (match out with
-      | None -> ()
-      | Some path -> (
-          try
-            Pmc_bench.Report.save path report;
-            if not quiet then Fmt.pr "wrote %s@." path
-          with Sys_error msg ->
-            Fmt.epr "cannot write %s: %s@." path msg;
-            exit 2));
-      let bad =
-        List.exists
-          (fun (s : Pmc_bench.Measure.sample) ->
-            (not s.Pmc_bench.Measure.ok)
-            || not s.Pmc_bench.Measure.deterministic)
-          report.Pmc_bench.Report.samples
-      in
-      if bad then begin
-        Fmt.epr "run: checksum or determinism failure (see report)@.";
-        exit 3
-      end
+let run_cmd spec out jobs quiet =
+  let report =
+    Pmc_par.Pool.with_pool ~jobs (fun pool -> Pmc_bench.Report.run ~pool spec)
+  in
+  if not quiet then Fmt.pr "%a" Pmc_bench.Report.pp report;
+  (match out with
+  | None -> ()
+  | Some path -> (
+      try
+        Pmc_bench.Report.save path report;
+        if not quiet then Fmt.pr "wrote %s@." path
+      with Sys_error msg ->
+        Fmt.epr "cannot write %s: %s@." path msg;
+        exit 2));
+  let bad =
+    List.exists
+      (fun (s : Pmc_bench.Measure.sample) ->
+        (not s.Pmc_bench.Measure.ok) || not s.Pmc_bench.Measure.deterministic)
+      report.Pmc_bench.Report.samples
+  in
+  if bad then begin
+    Fmt.epr "run: checksum or determinism failure (see report)@.";
+    exit 3
+  end
 
 let suite_t =
   Arg.(
@@ -95,29 +96,6 @@ let suite_t =
           "Benchmark suite: $(b,smoke) (the CI gate), $(b,full), or \
            $(b,scale) (served-traffic apps on 256- and 1024-tile routed \
            fabrics).")
-
-let apps_t =
-  Arg.(
-    value & opt_all string []
-    & info [ "app" ] ~docv:"NAME"
-        ~doc:
-          "Keep only the suite's cases for application $(docv) \
-           (repeatable).  Default: every case.")
-
-let topology_t =
-  Arg.(
-    value & opt (some string) None
-    & info [ "topology" ] ~docv:"FABRIC"
-        ~doc:
-          "Override every case's fabric: star, mesh[:XxY], torus[:XxY] or \
-           hier[:CxS].  Bare names pick a near-square factorization of \
-           each case's core count.")
-
-let cores_t =
-  Arg.(
-    value & opt (some int) None
-    & info [ "cores"; "c" ] ~docv:"N"
-        ~doc:"Override every case's tile count.")
 
 let label_t =
   Arg.(
@@ -131,46 +109,26 @@ let out_t =
     & info [ "o"; "output" ] ~docv:"FILE"
         ~doc:"Write the JSON report to $(docv).")
 
-let unbatched_t =
-  Arg.(
-    value & flag
-    & info [ "unbatched" ]
-        ~doc:
-          "Run on the pre-batching cost model (multicast, lazy DSM \
-           versioning and burst cache maintenance disabled) instead of \
-           the default machine.")
-
-let warmup_t =
-  Arg.(
-    value & opt int 1
-    & info [ "warmup" ] ~docv:"N" ~doc:"Discarded runs before timing.")
-
-let repeat_t =
-  Arg.(
-    value & opt int 3
-    & info [ "repeat" ] ~docv:"N"
-        ~doc:
-          "Timed runs per case.  Architectural metrics must be identical \
-           across repeats (the simulator is deterministic); host time is \
-           outlier-trimmed and averaged.")
-
-let jobs_t = Pmc_par.Cli.term ~action:"Measure cases" ()
-
 let quiet_t =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Only write the report.")
 
 let run_term =
-  Term.(
-    const run_cmd $ suite_t $ label_t $ out_t $ unbatched_t $ warmup_t
-    $ repeat_t $ apps_t $ topology_t $ cores_t $ jobs_t $ quiet_t)
+  let spec =
+    Term.term_result' ~usage:true
+      Term.(
+        const spec $ suite_t $ label_t $ Cli.unbatched $ Cli.warmup ~default:1
+        $ Cli.repeat ~default:3 $ Cli.apps $ Cli.topology_opt $ Cli.cores_opt)
+  in
+  Term.(const run_cmd $ spec $ out_t $ Cli.jobs $ quiet_t)
 
 let run_info =
   Cmd.info "run" ~doc:"Measure a benchmark suite and emit a JSON report"
     ~exits:
-      (Cmd.Exit.info 2 ~doc:"the report file could not be written."
-      :: Cmd.Exit.info 3
-           ~doc:"a checksum mismatched or a case was nondeterministic."
-      :: Cmd.Exit.defaults)
+      (Cli.exits ~input:", an unknown suite, or an unwritable report file"
+         [
+           Cmd.Exit.info 3
+             ~doc:"a checksum mismatched or a case was nondeterministic.";
+         ])
 
 (* ---------------- compare ---------------- *)
 
@@ -247,12 +205,13 @@ let compare_info =
   Cmd.info "compare"
     ~doc:"Diff two reports against per-metric tolerances (the CI gate)"
     ~exits:
-      (Cmd.Exit.info 1
-         ~doc:
-           "regression: a gated metric exceeded its tolerance, a case \
-            disappeared, or a current sample is broken."
-      :: Cmd.Exit.info 2 ~doc:"a report could not be read or parsed."
-      :: Cmd.Exit.defaults)
+      (Cli.exits ~input:", or a report that could not be read or parsed"
+         [
+           Cmd.Exit.info 1
+             ~doc:
+               "regression: a gated metric exceeded its tolerance, a case \
+                disappeared, or a current sample is broken.";
+         ])
 
 (* ---------------- group ---------------- *)
 
@@ -260,6 +219,13 @@ let cmd =
   Cmd.group
     (Cmd.info "pmc_bench"
        ~doc:"Benchmark regression harness for the PMC simulator"
+       ~exits:
+         (Cli.exits
+            [
+              Cmd.Exit.info 1 ~doc:"$(b,compare) found a regression.";
+              Cmd.Exit.info 3
+                ~doc:"$(b,run) saw a checksum or determinism failure.";
+            ])
        ~man:
          [
            `S Manpage.s_description;
@@ -273,4 +239,4 @@ let cmd =
          ])
     [ Cmd.v run_info run_term; Cmd.v compare_info compare_term ]
 
-let () = exit (Cmd.eval cmd)
+let () = Cli.eval cmd

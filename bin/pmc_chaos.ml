@@ -27,33 +27,8 @@
    result, zerocost difference); 4 formal PMC-model inconsistency. *)
 
 open Cmdliner
+module Pmc_bench = Root.Pmc_bench
 open Pmc_sim
-
-let parse_backend s =
-  match Pmc.Backends.of_string s with
-  | Some b -> b
-  | None ->
-      Fmt.epr "unknown backend %S (seqcst|nocc|swcc|dsm|spm|farmem)@." s;
-      exit 2
-
-let parse_app s =
-  match Pmc_apps.Registry.find s with
-  | Some a -> a
-  | None ->
-      Fmt.epr "unknown app %S; one of: %s@." s
-        (String.concat ", " Pmc_apps.Registry.names);
-      exit 2
-
-let parse_topology ~cores s =
-  match Topology.resolve s ~cores with
-  | Ok t -> t
-  | Error e ->
-      Fmt.epr "%s@." e;
-      exit 2
-
-(* The smoke matrix: three kernels with distinct traffic shapes at a
-   geometry small enough for CI. *)
-let smoke_apps = [ "histogram"; "reduce"; "stencil" ]
 
 (* ---------------- soak ---------------- *)
 
@@ -70,50 +45,21 @@ let soak_exit_code (reports : Pmc_apps.Chaos.report list) =
   then 4
   else 3
 
-let chaos_job ~app ~backend ~topology ~cores ~scale ~seed ~intensity
-    ~model_check ~replay_budget =
-  Pmc_jobs.Job.Chaos
-    {
-      Pmc_jobs.Job.c_app = app;
-      c_backend = backend;
-      c_topology = topology;
-      c_cores = cores;
-      c_scale = scale;
-      seed;
-      intensity;
-      model_check;
-      replay_budget;
-    }
+(* The apps a soak or crash sweep covers: [--app], else the smoke
+   kernels or every registered app. *)
+let apps_of app smoke =
+  match app with
+  | Some a -> [ a ]
+  | None -> if smoke then Cli.smoke_apps else Pmc_apps.Registry.all
 
-let soak_cmd app backend topology cores scale seeds seed_base intensity smoke
-    no_model_check replay_budget jobs quiet =
-  ignore (parse_backend backend);
-  (* smoke geometry: small enough that every trace fits the replay
-     budget and the model checker runs on every completed seed *)
-  let cores, scale = if smoke then (4, min scale 4) else (cores, scale) in
-  ignore (parse_topology ~cores topology);
-  let app_names =
-    match app with
-    | Some a ->
-        ignore (parse_app a);
-        [ a ]
-    | None ->
-        let names = if smoke then smoke_apps else Pmc_apps.Registry.names in
-        List.iter (fun a -> ignore (parse_app a)) names;
-        names
-  in
-  let seeds = List.init (max 1 seeds) (fun i -> seed_base + i) in
+let soak_cmd app smoke chaos seeds seed_base jobs quiet =
+  let seeds = List.init seeds (fun i -> seed_base + i) in
   (* the wall of seeds as one job batch: apps outer, seeds inner — the
      same run order (and therefore the same bytes) as always *)
   let wall =
     List.concat_map
-      (fun a ->
-        List.map
-          (fun seed ->
-            chaos_job ~app:a ~backend ~topology ~cores ~scale ~seed
-              ~intensity ~model_check:(not no_model_check) ~replay_budget)
-          seeds)
-      app_names
+      (fun app -> List.map (fun seed -> chaos ~app ~seed) seeds)
+      (apps_of app smoke)
   in
   let results =
     Pmc_par.Pool.with_pool ~jobs (fun pool ->
@@ -145,16 +91,8 @@ let soak_cmd app backend topology cores scale seeds seed_base intensity smoke
 
 (* ---------------- run ---------------- *)
 
-let run_cmd app backend topology cores scale seed intensity no_model_check
-    replay_budget =
-  ignore (parse_app app);
-  ignore (parse_backend backend);
-  ignore (parse_topology ~cores topology);
-  let r =
-    Pmc_jobs.Run.run
-      (chaos_job ~app ~backend ~topology ~cores ~scale ~seed ~intensity
-         ~model_check:(not no_model_check) ~replay_budget)
-  in
+let run_cmd job =
+  let r = Pmc_jobs.Run.run job in
   Fmt.pr "%a" Pmc_jobs.Result.pp r;
   (match r with
   | Pmc_jobs.Result.Error e -> Fmt.epr "run: %s@." e.Pmc_jobs.Result.detail
@@ -181,22 +119,6 @@ let parse_seed_list ~seed_base s =
       | _ -> fail ())
   | _ -> fail ()
 
-let crash_job ~app ~backend ~topology ~cores ~scale ~seed ~window ~log
-    ~model_check ~replay_budget =
-  Pmc_jobs.Job.Crash
-    {
-      Pmc_jobs.Job.x_app = app;
-      x_backend = backend;
-      x_topology = topology;
-      x_cores = cores;
-      x_scale = scale;
-      x_seed = seed;
-      x_window = window;
-      x_log = log;
-      x_model_check = model_check;
-      x_replay_budget = replay_budget;
-    }
-
 (* Torn objects are property failures (3); an inconsistent durable
    prefix is a formal model violation (4); experiment errors are input/
    runtime errors (2). *)
@@ -205,48 +127,15 @@ let crash_exit_code (s : Pmc_apps.Crash.sweep) =
   else if s.Pmc_apps.Crash.torn > 0 then 3
   else 2
 
-let crash_cmd app backend topology cores scale seeds seed_base window no_log
-    smoke no_model_check replay_budget jobs quiet =
-  let b = parse_backend backend in
-  let cores, scale = if smoke then (4, min scale 4) else (cores, scale) in
-  let topo = parse_topology ~cores topology in
-  let app_names =
-    match app with
-    | Some a ->
-        ignore (parse_app a);
-        [ a ]
-    | None ->
-        let names = if smoke then smoke_apps else Pmc_apps.Registry.names in
-        List.iter (fun a -> ignore (parse_app a)) names;
-        names
-  in
+let crash_cmd app smoke crash seeds seed_base window jobs quiet =
   let seeds = parse_seed_list ~seed_base seeds in
-  let log = not no_log in
   (* the cut window is learned once per app from its fault-free twin
      (mirroring Crash.sweep), then travels inside each job — the cut
      cycle is fixed by the job encoding alone, at any --jobs width *)
-  let window_of =
-    match window with
-    | Some w -> fun _ -> max 1 w
-    | None ->
-        let cfg =
-          { Config.default with cores; topology = topo; farmem_log = log }
-        in
-        fun name ->
-          let a = parse_app name in
-          let r = Pmc_apps.Runner.run ~cfg a ~backend:b ~scale in
-          max 1 r.Pmc_apps.Runner.wall
-  in
-  let windows = List.map (fun a -> (a, window_of a)) app_names in
   let wall =
     List.concat_map
-      (fun (a, w) ->
-        List.map
-          (fun seed ->
-            crash_job ~app:a ~backend ~topology ~cores ~scale ~seed ~window:w
-              ~log ~model_check:(not no_model_check) ~replay_budget)
-          seeds)
-      windows
+      (fun app -> List.map (crash ~app ~window) seeds)
+      (apps_of app smoke)
   in
   let results =
     Pmc_par.Pool.with_pool ~jobs (fun pool ->
@@ -281,8 +170,8 @@ let crash_cmd app backend topology cores scale seeds seed_base window no_log
 let zerocost_identity ~seed ~quiet =
   let failures = ref 0 in
   List.iter
-    (fun name ->
-      let app = parse_app name in
+    (fun (app : Pmc_apps.Runner.app) ->
+      let name = app.Pmc_apps.Runner.name in
       List.iter
         (fun backend ->
           let id =
@@ -304,7 +193,7 @@ let zerocost_identity ~seed ~quiet =
           Pmc.Backends.Swcc; Pmc.Backends.Dsm; Pmc.Backends.Spm;
           Pmc.Backends.Farmem;
         ])
-    smoke_apps;
+    Cli.smoke_apps;
   !failures
 
 (* Replay the committed benchmark baseline's cases on a disarmed-chaos
@@ -329,7 +218,13 @@ let zerocost_baseline ~path ~seed ~quiet =
   List.iter
     (fun (s : Pmc_bench.Measure.sample) ->
       let case = s.Pmc_bench.Measure.case in
-      let app = parse_app case.Pmc_bench.Spec.app in
+      let app =
+        match Pmc_apps.Registry.find case.Pmc_bench.Spec.app with
+        | Some app -> app
+        | None ->
+            Fmt.epr "%s: unknown app %S@." path case.Pmc_bench.Spec.app;
+            exit 2
+      in
       let cfg =
         Config.no_faults
           (Config.chaos ~seed
@@ -383,36 +278,10 @@ let zerocost_cmd baseline seed quiet =
 
 (* ---------------- cmdliner plumbing ---------------- *)
 
-let backend_t =
-  Arg.(
-    value & opt string "dsm"
-    & info [ "backend"; "b" ] ~doc:"seqcst, nocc, swcc, dsm, spm or farmem.")
-
-let crash_backend_t =
-  Arg.(
-    value & opt string "farmem"
-    & info [ "backend"; "b" ]
-        ~doc:"Back-end to crash (only farmem has a durable tier).")
-
-let cores_t =
-  Arg.(value & opt int 8 & info [ "cores"; "c" ] ~doc:"Number of tiles.")
-
-let topology_t =
-  Arg.(
-    value & opt string "star"
-    & info [ "topology" ] ~docv:"FABRIC"
-        ~doc:
-          "Fabric the tiles are wired in: star, mesh[:XxY], torus[:XxY] \
-           or hier[:CxS].  Bare mesh/torus/hier pick a near-square \
-           factorization of the core count; on routed fabrics chaos \
-           draws one fault outcome per physical link of each route.")
-
-let scale_t =
-  Arg.(value & opt int 16 & info [ "scale"; "s" ] ~doc:"Workload scale.")
-
 let seeds_t =
   Arg.(
-    value & opt int 10
+    value
+    & opt (Cli.int_at_least 1) 10
     & info [ "seeds" ] ~docv:"N" ~doc:"Fault schedules per app (the wall).")
 
 let seed_base_t =
@@ -420,39 +289,8 @@ let seed_base_t =
     value & opt int 1
     & info [ "seed-base" ] ~docv:"S" ~doc:"First fault seed of the wall.")
 
-let seed_t =
-  Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fault schedule seed.")
-
-let intensity_t =
-  Arg.(
-    value & opt float 1.0
-    & info [ "intensity" ] ~docv:"X"
-        ~doc:"Fault probability multiplier (1.0 = the standard mix).")
-
-let smoke_t =
-  Arg.(
-    value & flag
-    & info [ "smoke" ]
-        ~doc:"CI geometry: three kernels, 4 cores, capped scale.")
-
-let no_model_check_t =
-  Arg.(
-    value & flag
-    & info [ "no-model-check" ]
-        ~doc:"Skip the PMC model replay of completed runs.")
-
-let jobs_t = Pmc_par.Cli.term ~action:"Run the wall of seeds" ()
-
 let quiet_t =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Only print the summary.")
-
-let replay_budget_t =
-  Arg.(
-    value & opt (some int) None
-    & info [ "replay-budget" ] ~docv:"N"
-        ~doc:
-          "Skip the model replay for traces above N captured events \
-           (default 10000).")
 
 let crash_seeds_t =
   Arg.(
@@ -461,31 +299,6 @@ let crash_seeds_t =
         ~doc:
           "Power-cut seeds per app: a count N (from seed-base) or an \
            inclusive range A..B.")
-
-let window_t =
-  Arg.(
-    value & opt (some int) None
-    & info [ "window" ] ~docv:"CYCLES"
-        ~doc:
-          "Cut window in cycles.  Default: each app's fault-free wall \
-           clock, so the cut lands inside the run.")
-
-let no_log_t =
-  Arg.(
-    value & flag
-    & info [ "no-log" ]
-        ~doc:
-          "Disarm the redo log: exit_x publishes word by word, which a \
-           mid-publication cut can tear — the negative control the \
-           checker must catch.")
-
-let app_opt_t =
-  Arg.(
-    value & opt (some string) None
-    & info [ "app"; "a" ] ~doc:"Run a single application.")
-
-let app_t =
-  Arg.(value & opt string "stencil" & info [ "app"; "a" ] ~doc:"Application.")
 
 let baseline_t =
   Arg.(
@@ -500,70 +313,78 @@ let soak_c =
     (Cmd.info "soak"
        ~doc:"Run apps under a wall of seeded fault schedules"
        ~exits:
-         [
-           Cmd.Exit.info 0 ~doc:"every run completed or failed typed.";
-           Cmd.Exit.info 2 ~doc:"input error: unknown app or backend.";
-           Cmd.Exit.info 3 ~doc:"property failure: a silent wrong result.";
-           Cmd.Exit.info 4
-             ~doc:"a model replay found a trace PMC-inconsistent.";
-         ])
+         (Cli.exits ~ok:"every run completed or failed typed."
+            [
+              Cmd.Exit.info 3 ~doc:"property failure: a silent wrong result.";
+              Cmd.Exit.info 4
+                ~doc:"a model replay found a trace PMC-inconsistent.";
+            ]))
     Term.(
-      const soak_cmd $ app_opt_t $ backend_t $ topology_t $ cores_t $ scale_t
-      $ seeds_t $ seed_base_t $ intensity_t $ smoke_t $ no_model_check_t
-      $ replay_budget_t $ jobs_t $ quiet_t)
+      const soak_cmd $ Cli.app_opt $ Cli.smoke $ Cli.chaos ~smoke:Cli.smoke ()
+      $ seeds_t $ seed_base_t $ Cli.jobs $ quiet_t)
 
 let run_c =
   Cmd.v
     (Cmd.info "run" ~doc:"One seeded chaos run with a full report"
        ~exits:
-         [
-           Cmd.Exit.info 0 ~doc:"the run completed or failed typed.";
-           Cmd.Exit.info 2 ~doc:"input error: unknown app or backend.";
-           Cmd.Exit.info 3 ~doc:"property failure: a silent wrong result.";
-           Cmd.Exit.info 4
-             ~doc:"the model replay found the trace PMC-inconsistent.";
-         ])
-    Term.(
-      const run_cmd $ app_t $ backend_t $ topology_t $ cores_t $ scale_t
-      $ seed_t $ intensity_t $ no_model_check_t $ replay_budget_t)
+         (Cli.exits ~ok:"the run completed or failed typed."
+            [
+              Cmd.Exit.info 3 ~doc:"property failure: a silent wrong result.";
+              Cmd.Exit.info 4
+                ~doc:"the model replay found the trace PMC-inconsistent.";
+            ]))
+    Term.(const run_cmd $ Cli.chaos_job)
 
 let crash_c =
   Cmd.v
     (Cmd.info "crash"
        ~doc:"Power-cut crash-recovery experiments on the far-memory tier"
-       ~exits:
+       ~man:
          [
-           Cmd.Exit.info 0
-             ~doc:"every experiment recovered clean (or completed).";
-           Cmd.Exit.info 2
-             ~doc:"input error, or an experiment itself failed.";
-           Cmd.Exit.info 3
-             ~doc:"property failure: a recovered object was torn.";
-           Cmd.Exit.info 4
-             ~doc:"a durable prefix replayed PMC-inconsistent.";
-         ])
+           `S Manpage.s_description;
+           `P
+             "Only $(b,farmem) has a durable tier.  Without $(b,--window) \
+              each app's cut window is its fault-free wall clock, so the \
+              cut lands inside the run.";
+         ]
+       ~exits:
+         (Cli.exits ~ok:"every experiment recovered clean (or completed)."
+            ~input:", or an experiment itself failed"
+            [
+              Cmd.Exit.info 3
+                ~doc:"property failure: a recovered object was torn.";
+              Cmd.Exit.info 4
+                ~doc:"a durable prefix replayed PMC-inconsistent.";
+            ]))
     Term.(
-      const crash_cmd $ app_opt_t $ crash_backend_t $ topology_t $ cores_t
-      $ scale_t $ crash_seeds_t $ seed_base_t $ window_t $ no_log_t $ smoke_t
-      $ no_model_check_t $ replay_budget_t $ jobs_t $ quiet_t)
+      const crash_cmd $ Cli.app_opt $ Cli.smoke $ Cli.crash ~smoke:Cli.smoke ()
+      $ crash_seeds_t $ seed_base_t $ Arg.value Cli.window $ Cli.jobs
+      $ quiet_t)
 
 let zerocost_c =
   Cmd.v
     (Cmd.info "zerocost"
        ~doc:"Assert the disarmed fault plane costs nothing"
        ~exits:
-         [
-           Cmd.Exit.info 0 ~doc:"disarmed runs are bit-identical.";
-           Cmd.Exit.info 2 ~doc:"the baseline report could not be read.";
-           Cmd.Exit.info 3
-             ~doc:"property failure: a disarmed run differed from baseline.";
-         ])
-    Term.(const zerocost_cmd $ baseline_t $ seed_t $ quiet_t)
+         (Cli.exits ~ok:"disarmed runs are bit-identical."
+            ~input:", or a baseline report that could not be read"
+            [
+              Cmd.Exit.info 3
+                ~doc:
+                  "property failure: a disarmed run differed from baseline.";
+            ]))
+    Term.(const zerocost_cmd $ baseline_t $ Cli.seed $ quiet_t)
 
 let main_c =
   Cmd.group
     (Cmd.info "pmc_chaos" ~version:"%%VERSION%%"
-       ~doc:"Fault injection and chaos soak harness for the PMC simulator")
+       ~doc:"Fault injection and chaos soak harness for the PMC simulator"
+       ~exits:
+         (Cli.exits
+            [
+              Cmd.Exit.info 3 ~doc:"property failure.";
+              Cmd.Exit.info 4 ~doc:"formal PMC-model inconsistency.";
+            ]))
     [ soak_c; run_c; crash_c; zerocost_c ]
 
-let () = exit (Cmd.eval main_c)
+let () = Cli.eval main_c

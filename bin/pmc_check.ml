@@ -87,16 +87,17 @@ let cmd =
   Cmd.v
     (Cmd.info "pmc_check" ~doc:"Static PMC annotation checking & lowering"
        ~exits:
-         [
-           Cmd.Exit.info 0 ~doc:"every checked program passed.";
-           Cmd.Exit.info 2 ~doc:"input error: unreadable file or parse failure.";
-           Cmd.Exit.info 3
-             ~doc:"property failure: a program has discipline errors.";
-           Cmd.Exit.info 4
-             ~doc:"formal PMC-model inconsistency (reserved; unused here).";
-         ])
+         (Cli.exits ~ok:"every checked program passed."
+            ~input:", an unreadable file or a parse failure"
+            [
+              Cmd.Exit.info 3
+                ~doc:"property failure: a program has discipline errors.";
+              Cmd.Exit.info 4
+                ~doc:"formal PMC-model inconsistency (reserved; unused here).";
+            ]))
     Term.(
-      const main
+      const Stdlib.exit
+      $ (const main
       $ Arg.(value & flag & info [ "table" ] ~doc:"Print lowering tables.")
       $ Arg.(
           value
@@ -106,6 +107,6 @@ let cmd =
                 "Check an annotated program file.  Repeatable; the batch \
                  is checked in parallel under --jobs and reported in \
                  argument order.")
-      $ Pmc_par.Cli.term ~action:"Check the batch" ())
+      $ Cli.jobs))
 
-let () = exit (Cmd.eval' cmd)
+let () = Cli.eval cmd

@@ -10,110 +10,93 @@
      pmc_demo --list *)
 
 open Cmdliner
+module Pmc_trace = Root.Pmc_trace
 open Pmc_sim
 
-let run_app app_name backend_name topology_name cores scale breakdown verify
-    trace_file race_check model_check capacity =
-  match Pmc_apps.Registry.find app_name with
-  | None ->
-      Fmt.epr "unknown app %S; try --list@." app_name;
-      exit 1
-  | Some app -> (
-      match Pmc.Backends.of_string backend_name with
-      | None ->
-          Fmt.epr "unknown backend %S (seqcst|nocc|swcc|dsm|spm|farmem)@."
-            backend_name;
-          exit 1
-      | Some backend ->
-          let topology =
-            match Topology.resolve topology_name ~cores with
-            | Ok t -> t
-            | Error e ->
-                Fmt.epr "%s@." e;
-                exit 1
+let run_app (app : Pmc_apps.Runner.app) backend topology cores scale breakdown
+    verify trace_file race_check model_check capacity =
+  let cfg = { Config.default with cores; topology } in
+  let tracing = trace_file <> None || race_check || model_check in
+  let recorder = ref None in
+  let on_api =
+    if tracing then
+      Some
+        (fun api ->
+          recorder := Some (Pmc_trace.Recorder.attach ?capacity api))
+    else None
+  in
+  let r = Pmc_apps.Runner.run ~cfg ?on_api app ~backend ~scale in
+  Fmt.pr "%a" Pmc_apps.Runner.pp_result r;
+  if breakdown then begin
+    let s = r.Pmc_apps.Runner.summary in
+    Fmt.pr "%a" Stats.pp_summary s;
+    Fmt.pr "  dcache: %d hits / %d misses; icache misses: %d@."
+      s.Stats.dcache_hits s.Stats.dcache_misses s.Stats.icache_misses;
+    Fmt.pr "  locks: %d acquires, %d transfers; noc writes: %d; \
+            flushes: %d@."
+      s.Stats.lock_acquires s.Stats.lock_transfers s.Stats.noc_writes
+      s.Stats.flushes
+  end;
+  let rc = ref 0 in
+  (match !recorder with
+  | None -> ()
+  | Some rec_ ->
+      let events = Pmc_trace.Recorder.events rec_ in
+      let dropped = Pmc_trace.Recorder.dropped_total rec_ in
+      Fmt.pr "trace: %d events recorded%s@." (List.length events)
+        (if dropped = 0 then ""
+         else Printf.sprintf ", %d dropped (raise --trace-capacity)"
+                dropped);
+      (match trace_file with
+      | None -> ()
+      | Some path ->
+          let stats =
+            Machine.stats (Pmc.Api.machine (Pmc_trace.Recorder.api rec_))
           in
-          let cfg = { Config.default with cores; topology } in
-          let tracing = trace_file <> None || race_check || model_check in
-          let recorder = ref None in
-          let on_api =
-            if tracing then
-              Some
-                (fun api ->
-                  recorder := Some (Pmc_trace.Recorder.attach ?capacity api))
-            else None
-          in
-          let r = Pmc_apps.Runner.run ~cfg ?on_api app ~backend ~scale in
-          Fmt.pr "%a" Pmc_apps.Runner.pp_result r;
-          if breakdown then begin
-            let s = r.Pmc_apps.Runner.summary in
-            Fmt.pr "%a" Stats.pp_summary s;
-            Fmt.pr "  dcache: %d hits / %d misses; icache misses: %d@."
-              s.Stats.dcache_hits s.Stats.dcache_misses s.Stats.icache_misses;
-            Fmt.pr "  locks: %d acquires, %d transfers; noc writes: %d; \
-                    flushes: %d@."
-              s.Stats.lock_acquires s.Stats.lock_transfers s.Stats.noc_writes
-              s.Stats.flushes
-          end;
-          let rc = ref 0 in
-          (match !recorder with
-          | None -> ()
-          | Some rec_ ->
-              let events = Pmc_trace.Recorder.events rec_ in
-              let dropped = Pmc_trace.Recorder.dropped_total rec_ in
-              Fmt.pr "trace: %d events recorded%s@." (List.length events)
-                (if dropped = 0 then ""
-                 else Printf.sprintf ", %d dropped (raise --trace-capacity)"
-                        dropped);
-              (match trace_file with
-              | None -> ()
-              | Some path ->
-                  let stats =
-                    Machine.stats (Pmc.Api.machine (Pmc_trace.Recorder.api rec_))
-                  in
-                  (try
-                     Pmc_trace.Export.write_file ~stats ~path events;
-                     Fmt.pr "trace: wrote %s (open in ui.perfetto.dev)@." path
-                   with Sys_error msg ->
-                     Fmt.epr "trace: cannot write %s: %s@." path msg;
-                     rc := 2));
-              if race_check then begin
-                let races = Pmc_trace.Racecheck.check ~cores events in
-                match races with
-                | [] -> Fmt.pr "race check: no data races detected@."
-                | races ->
-                    Fmt.pr "race check: %d distinct data race(s):@."
-                      (List.length races);
-                    List.iter
-                      (fun r ->
-                        Fmt.pr "  %a@." Pmc_trace.Racecheck.pp_race r)
-                      races;
-                    rc := 3
-              end;
-              if model_check then begin
-                if dropped > 0 then
-                  Fmt.epr
-                    "model check: trace incomplete (%d events dropped) — \
-                     verdict unreliable@."
-                    dropped;
-                let report = Pmc_trace.Replay.check ~cores events in
-                if Pmc_model.History.ok report then
-                  Fmt.pr "model check: run is PMC-consistent \
-                          (History.check ok)@."
-                else begin
-                  Fmt.pr "model check: %d violation(s):@."
-                    (List.length report.Pmc_model.History.violations);
-                  List.iter
-                    (fun v ->
-                      Fmt.pr "  %a@." Pmc_model.History.pp_violation v)
-                    report.Pmc_model.History.violations;
-                  rc := 4
-                end
-              end);
-          if verify && not (Pmc_apps.Runner.ok r) then begin
-            Fmt.epr "checksum mismatch!@.";
-            exit 2
-          end;
-          if !rc <> 0 then exit !rc)
+          (try
+             Pmc_trace.Export.write_file ~stats ~path events;
+             Fmt.pr "trace: wrote %s (open in ui.perfetto.dev)@." path
+           with Sys_error msg ->
+             Fmt.epr "trace: cannot write %s: %s@." path msg;
+             rc := 2));
+      if race_check then begin
+        let races = Pmc_trace.Racecheck.check ~cores events in
+        match races with
+        | [] -> Fmt.pr "race check: no data races detected@."
+        | races ->
+            Fmt.pr "race check: %d distinct data race(s):@."
+              (List.length races);
+            List.iter
+              (fun r ->
+                Fmt.pr "  %a@." Pmc_trace.Racecheck.pp_race r)
+              races;
+            rc := 3
+      end;
+      if model_check then begin
+        if dropped > 0 then
+          Fmt.epr
+            "model check: trace incomplete (%d events dropped) — \
+             verdict unreliable@."
+            dropped;
+        let report = Pmc_trace.Replay.check ~cores events in
+        if Pmc_model.History.ok report then
+          Fmt.pr "model check: run is PMC-consistent \
+                  (History.check ok)@."
+        else begin
+          Fmt.pr "model check: %d violation(s):@."
+            (List.length report.Pmc_model.History.violations);
+          List.iter
+            (fun v ->
+              Fmt.pr "  %a@." Pmc_model.History.pp_violation v)
+            report.Pmc_model.History.violations;
+          rc := 4
+        end
+      end);
+  if verify && not (Pmc_apps.Runner.ok r) then begin
+    Fmt.epr "checksum mismatch!@.";
+    exit 3
+  end;
+  if !rc <> 0 then exit !rc
 
 let list_apps () =
   Fmt.pr "applications:@.";
@@ -122,32 +105,6 @@ let list_apps () =
   List.iter
     (fun k -> Fmt.pr "  %s@." (Pmc.Backends.to_string k))
     Pmc.Backends.all
-
-let app_t =
-  Arg.(value & opt string "raytrace" & info [ "app"; "a" ] ~doc:"Application to run.")
-
-let backend_t =
-  Arg.(
-    value & opt string "swcc"
-    & info [ "backend"; "b" ]
-        ~doc:"Memory architecture: seqcst, nocc, swcc, dsm, spm or farmem.")
-
-let cores_t =
-  Arg.(value & opt int 32 & info [ "cores"; "c" ] ~doc:"Number of tiles.")
-
-let topology_t =
-  Arg.(
-    value & opt string "star"
-    & info [ "topology" ] ~docv:"FABRIC"
-        ~doc:
-          "Fabric the tiles are wired in: $(b,star) (uniform ring-distance \
-           hops), $(b,mesh:XxY), $(b,torus:XxY) or $(b,hier:CxS) (C \
-           clusters of S tiles around a hub ring).  Bare $(b,mesh), \
-           $(b,torus) and $(b,hier) pick a near-square factorization of \
-           the core count.")
-
-let scale_t =
-  Arg.(value & opt int 64 & info [ "scale"; "s" ] ~doc:"Workload scale.")
 
 let breakdown_t =
   Arg.(value & flag & info [ "breakdown" ] ~doc:"Print the stall breakdown.")
@@ -167,28 +124,6 @@ let trace_t =
           "Record the run and write a Chrome trace-event JSON to $(docv) \
            (open in ui.perfetto.dev).")
 
-let race_check_t =
-  Arg.(
-    value & flag
-    & info [ "race-check" ]
-        ~doc:
-          "Record the run and check it for dynamic data races (exit 3 if \
-           any are found).")
-
-let model_check_t =
-  Arg.(
-    value & flag
-    & info [ "model-check" ]
-        ~doc:
-          "Record the run and replay it through the formal PMC model's \
-           history checker (exit 4 on violation).")
-
-let capacity_t =
-  Arg.(
-    value & opt (some int) None
-    & info [ "trace-capacity" ] ~docv:"N"
-        ~doc:"Per-core trace ring capacity (default 65536 events).")
-
 let main app backend topology cores scale breakdown verify trace race_check
     model_check capacity list =
   if list then list_apps ()
@@ -199,24 +134,27 @@ let main app backend topology cores scale breakdown verify trace race_check
 (* The exit-code contract, surfaced in --help so scripts and CI can rely
    on it. *)
 let exits =
-  Cmd.Exit.info 2
-    ~doc:
-      "the checksum mismatched the sequential reference, or the \
-       $(b,--trace) path was unwritable."
-  :: Cmd.Exit.info 3 ~doc:"$(b,--race-check) detected a data race."
-  :: Cmd.Exit.info 4
-       ~doc:
-         "$(b,--model-check) found the run inconsistent with the formal \
-          PMC model."
-  :: Cmd.Exit.defaults
+  Cli.exits ~input:", or an unwritable $(b,--trace) path"
+    [
+      Cmd.Exit.info 3
+        ~doc:
+          "the checksum mismatched the sequential reference, or \
+           $(b,--race-check) detected a data race.";
+      Cmd.Exit.info 4
+        ~doc:
+          "$(b,--model-check) found the run inconsistent with the formal \
+           PMC model.";
+    ]
 
 let cmd =
+  let cores = Cli.cores ~default:32 in
   Cmd.v
     (Cmd.info "pmc_demo" ~doc:"Run PMC-annotated apps on simulated SoCs"
        ~exits)
     Term.(
-      const main $ app_t $ backend_t $ topology_t $ cores_t $ scale_t
-      $ breakdown_t $ verify_t $ trace_t $ race_check_t $ model_check_t
-      $ capacity_t $ list_t)
+      const main $ Cli.app ~default:"raytrace" $ Cli.backend ~default:"swcc"
+      $ Cli.topology cores $ cores $ Cli.scale ~default:64 $ breakdown_t
+      $ verify_t $ trace_t $ Cli.race_check $ Cli.model_check
+      $ Cli.trace_capacity $ list_t)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli.eval cmd

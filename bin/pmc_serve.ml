@@ -22,22 +22,23 @@
    inconsistency. *)
 
 open Cmdliner
+module Pmc_bench = Root.Pmc_bench
+module Pmc_serve = Root.Pmc_serve
 module Job = Pmc_jobs.Job
 module Jresult = Pmc_jobs.Result
 module Run = Pmc_jobs.Run
 module Protocol = Pmc_serve.Protocol
 
 let exit_codes_doc =
-  [
-    Cmd.Exit.info 0 ~doc:"the job succeeded.";
-    Cmd.Exit.info 2
-      ~doc:"input error, exhausted budget, runtime error or daemon rejection.";
-    Cmd.Exit.info 3
-      ~doc:
-        "property failure: discipline errors, checksum mismatch or wrong \
-         result.";
-    Cmd.Exit.info 4 ~doc:"formal PMC-model inconsistency.";
-  ]
+  Cli.exits ~ok:"the job succeeded."
+    ~input:", an exhausted budget, a runtime error or a daemon rejection"
+    [
+      Cmd.Exit.info 3
+        ~doc:
+          "property failure: discipline errors, checksum mismatch or wrong \
+           result.";
+      Cmd.Exit.info 4 ~doc:"formal PMC-model inconsistency.";
+    ]
 
 let socket_t =
   Arg.(
@@ -101,7 +102,8 @@ let connect socket =
 (* Run [job] locally or over the socket and render the result exactly
    as the corresponding one-shot CLI would; exit per the 0/2/3/4
    convention. *)
-let submit_job ~socket ~local ~no_wait ~budget job =
+let submit_job socket local no_wait max_cycles max_states job =
+  let budget = budget_of max_cycles max_states in
   if local then begin
     let r = Run.run ~budget job in
     Fmt.pr "%a" Jresult.pp r;
@@ -147,82 +149,6 @@ let no_wait_t =
     value & flag
     & info [ "no-wait" ]
         ~doc:"Print the job ticket instead of waiting for the result.")
-
-let submit_litmus_cmd socket local no_wait max_cycles max_states program
-    models limit =
-  submit_job ~socket ~local ~no_wait
-    ~budget:(budget_of max_cycles max_states)
-    (Job.Litmus { Job.program; models; limit })
-
-let submit_check_cmd socket local no_wait max_cycles max_states builtin file =
-  let name, source =
-    match (builtin, file) with
-    | Some b, None ->
-        let p =
-          match b with
-          | "fig6" -> Pmc_compile.Ir.fig6
-          | "fig6_missing_fence" -> Pmc_compile.Ir.fig6_missing_fence
-          | _ ->
-              Fmt.epr "unknown builtin %S (fig6|fig6_missing_fence)@." b;
-              exit 2
-        in
-        (p.Pmc_compile.Ir.pname, Pmc_compile.Parse.print p)
-    | None, Some f -> (
-        match In_channel.with_open_text f In_channel.input_all with
-        | s -> (Filename.basename f, s)
-        | exception Sys_error msg ->
-            Fmt.epr "cannot read %s: %s@." f msg;
-            exit 2)
-    | _ ->
-        Fmt.epr "exactly one of FILE or --builtin is required@.";
-        exit 2
-  in
-  submit_job ~socket ~local ~no_wait
-    ~budget:(budget_of max_cycles max_states)
-    (Job.Check { Job.name; source })
-
-let submit_bench_cmd socket local no_wait max_cycles max_states app backend
-    topology cores scale unbatched warmup repeat =
-  submit_job ~socket ~local ~no_wait
-    ~budget:(budget_of max_cycles max_states)
-    (Job.Bench
-       { Job.app; backend; topology; cores; scale; unbatched; warmup;
-         repeat })
-
-let submit_chaos_cmd socket local no_wait max_cycles max_states app backend
-    topology cores scale seed intensity no_model_check replay_budget =
-  submit_job ~socket ~local ~no_wait
-    ~budget:(budget_of max_cycles max_states)
-    (Job.Chaos
-       {
-         Job.c_app = app;
-         c_backend = backend;
-         c_topology = topology;
-         c_cores = cores;
-         c_scale = scale;
-         seed;
-         intensity;
-         model_check = not no_model_check;
-         replay_budget;
-       })
-
-let submit_crash_cmd socket local no_wait max_cycles max_states app backend
-    topology cores scale seed window no_log no_model_check replay_budget =
-  submit_job ~socket ~local ~no_wait
-    ~budget:(budget_of max_cycles max_states)
-    (Job.Crash
-       {
-         Job.x_app = app;
-         x_backend = backend;
-         x_topology = topology;
-         x_cores = cores;
-         x_scale = scale;
-         x_seed = seed;
-         x_window = window;
-         x_log = not no_log;
-         x_model_check = not no_model_check;
-         x_replay_budget = replay_budget;
-       })
 
 (* ---------------- stats / shutdown ---------------- *)
 
@@ -334,15 +260,19 @@ let daemon_c =
   Cmd.v
     (Cmd.info "daemon"
        ~doc:"Serve jobs over a Unix-domain socket until shutdown"
-       ~exits:
-         (Cmd.Exit.info 2 ~doc:"the socket could not be bound."
-         :: Cmd.Exit.defaults))
+       ~exits:(Cli.exits ~input:", or a socket that could not be bound" []))
     Term.(
-      const daemon_cmd $ socket_t
-      $ Pmc_par.Cli.term ~action:"Run accepted jobs" ()
-      $ cache_t $ max_queue_t $ max_cycles_t $ max_states_t $ quiet_t)
+      const daemon_cmd $ socket_t $ Cli.jobs $ cache_t $ max_queue_t
+      $ max_cycles_t $ max_states_t $ quiet_t)
 
-let submit_litmus_c =
+let submit_kind name ~doc job =
+  Cmd.v
+    (Cmd.info name ~doc ~exits:exit_codes_doc)
+    Term.(
+      const submit_job $ socket_t $ local_t $ no_wait_t $ max_cycles_t
+      $ max_states_t $ job)
+
+let litmus_job =
   let program_t =
     Arg.(
       required
@@ -365,17 +295,23 @@ let submit_litmus_c =
       value & opt (some int) None
       & info [ "limit" ] ~docv:"N" ~doc:"State-space enumeration limit.")
   in
-  Cmd.v
-    (Cmd.info "litmus" ~doc:"Submit a litmus enumeration job"
-       ~exits:exit_codes_doc)
-    Term.(
-      const submit_litmus_cmd $ socket_t $ local_t $ no_wait_t $ max_cycles_t
-      $ max_states_t $ program_t $ models_t $ limit_t)
+  Term.(
+    const (fun program models limit ->
+        Job.Litmus { Job.program; models; limit })
+    $ program_t $ models_t $ limit_t)
 
-let submit_check_c =
+let check_job =
   let builtin_t =
     Arg.(
-      value & opt (some string) None
+      value
+      & opt
+          (some
+             (enum
+                [
+                  ("fig6", Pmc_compile.Ir.fig6);
+                  ("fig6_missing_fence", Pmc_compile.Ir.fig6_missing_fence);
+                ]))
+          None
       & info [ "builtin" ] ~docv:"NAME"
           ~doc:"Check a built-in program: fig6 or fig6_missing_fence.")
   in
@@ -384,143 +320,42 @@ let submit_check_c =
       value & pos 0 (some string) None
       & info [] ~docv:"FILE" ~doc:"Annotated program file to check.")
   in
-  Cmd.v
-    (Cmd.info "check" ~doc:"Submit a discipline-check job"
-       ~exits:exit_codes_doc)
-    Term.(
-      const submit_check_cmd $ socket_t $ local_t $ no_wait_t $ max_cycles_t
-      $ max_states_t $ builtin_t $ file_t)
+  let make builtin file =
+    match (builtin, file) with
+    | Some p, None ->
+        Ok
+          (Job.Check
+             {
+               Job.name = p.Pmc_compile.Ir.pname;
+               source = Pmc_compile.Parse.print p;
+             })
+    | None, Some f -> (
+        match In_channel.with_open_text f In_channel.input_all with
+        | source -> Ok (Job.Check { Job.name = Filename.basename f; source })
+        | exception Sys_error msg -> Error ("cannot read " ^ f ^ ": " ^ msg))
+    | _ -> Error "exactly one of FILE or --builtin is required"
+  in
+  Term.term_result' ~usage:true Term.(const make $ builtin_t $ file_t)
 
-let backend_t =
-  Arg.(
-    value & opt string "dsm"
-    & info [ "backend"; "b" ] ~doc:"seqcst, nocc, swcc, dsm, spm or farmem.")
-
-let cores_t =
-  Arg.(value & opt int 8 & info [ "cores"; "c" ] ~doc:"Number of tiles.")
-
-let topology_t =
-  Arg.(
-    value & opt string "star"
-    & info [ "topology" ] ~docv:"FABRIC"
-        ~doc:
-          "Fabric the tiles are wired in: star, mesh[:XxY], torus[:XxY] \
-           or hier[:CxS].")
-
-let scale_t =
-  Arg.(value & opt int 16 & info [ "scale"; "s" ] ~doc:"Workload scale.")
-
-let submit_bench_c =
-  let app_t =
-    Arg.(
-      value & opt string "stencil" & info [ "app"; "a" ] ~doc:"Application.")
+let bench_job =
+  let make app backend cores topology scale unbatched warmup repeat =
+    Job.Bench
+      {
+        Job.app = app.Pmc_apps.Runner.name;
+        backend = Pmc.Backends.to_string backend;
+        topology = Pmc_sim.Topology.to_string topology;
+        cores;
+        scale;
+        unbatched;
+        warmup;
+        repeat;
+      }
   in
-  let unbatched_t =
-    Arg.(
-      value & flag
-      & info [ "unbatched" ] ~doc:"Disable write batching (worst case).")
-  in
-  let warmup_t =
-    Arg.(
-      value & opt int 0
-      & info [ "warmup" ] ~docv:"N" ~doc:"Unmeasured warmup repeats.")
-  in
-  let repeat_t =
-    Arg.(
-      value & opt int 1
-      & info [ "repeat" ] ~docv:"N" ~doc:"Measured repeats (determinism check).")
-  in
-  Cmd.v
-    (Cmd.info "bench" ~doc:"Submit a benchmark case job" ~exits:exit_codes_doc)
-    Term.(
-      const submit_bench_cmd $ socket_t $ local_t $ no_wait_t $ max_cycles_t
-      $ max_states_t $ app_t $ backend_t $ topology_t $ cores_t $ scale_t
-      $ unbatched_t $ warmup_t $ repeat_t)
-
-let submit_chaos_c =
-  let app_t =
-    Arg.(
-      value & opt string "stencil" & info [ "app"; "a" ] ~doc:"Application.")
-  in
-  let seed_t =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Fault schedule seed.")
-  in
-  let intensity_t =
-    Arg.(
-      value & opt float 1.0
-      & info [ "intensity" ] ~docv:"X"
-          ~doc:"Fault probability multiplier (1.0 = the standard mix).")
-  in
-  let no_model_check_t =
-    Arg.(
-      value & flag
-      & info [ "no-model-check" ]
-          ~doc:"Skip the PMC model replay of completed runs.")
-  in
-  let replay_budget_t =
-    Arg.(
-      value & opt (some int) None
-      & info [ "replay-budget" ] ~docv:"N"
-          ~doc:"Skip the model replay for traces above N captured events.")
-  in
-  Cmd.v
-    (Cmd.info "chaos" ~doc:"Submit a seeded chaos-run job"
-       ~exits:exit_codes_doc)
-    Term.(
-      const submit_chaos_cmd $ socket_t $ local_t $ no_wait_t $ max_cycles_t
-      $ max_states_t $ app_t $ backend_t $ topology_t $ cores_t $ scale_t
-      $ seed_t $ intensity_t $ no_model_check_t $ replay_budget_t)
-
-let submit_crash_c =
-  let app_t =
-    Arg.(
-      value & opt string "stencil" & info [ "app"; "a" ] ~doc:"Application.")
-  in
-  let crash_backend_t =
-    Arg.(
-      value & opt string "farmem"
-      & info [ "backend"; "b" ]
-          ~doc:"Back-end to crash (only farmem has a durable tier).")
-  in
-  let seed_t =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Power-cut seed.")
-  in
-  let window_t =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "window" ] ~docv:"CYCLES"
-          ~doc:
-            "Cut window in cycles.  Required: the cut cycle is a pure \
-             function of (seed, window), so the job encoding — the \
-             verdict-cache key — must carry it.")
-  in
-  let no_log_t =
-    Arg.(
-      value & flag
-      & info [ "no-log" ]
-          ~doc:"Disarm the redo log (the tearable debug mode).")
-  in
-  let no_model_check_t =
-    Arg.(
-      value & flag
-      & info [ "no-model-check" ]
-          ~doc:"Skip the PMC model replay of the durable prefix.")
-  in
-  let replay_budget_t =
-    Arg.(
-      value & opt (some int) None
-      & info [ "replay-budget" ] ~docv:"N"
-          ~doc:"Skip the model replay for prefixes above N events.")
-  in
-  Cmd.v
-    (Cmd.info "crash" ~doc:"Submit a power-cut crash-recovery job"
-       ~exits:exit_codes_doc)
-    Term.(
-      const submit_crash_cmd $ socket_t $ local_t $ no_wait_t $ max_cycles_t
-      $ max_states_t $ app_t $ crash_backend_t $ topology_t $ cores_t
-      $ scale_t $ seed_t $ window_t $ no_log_t $ no_model_check_t
-      $ replay_budget_t)
+  let cores = Cli.cores ~default:8 in
+  Term.(
+    const make $ Cli.app ~default:"stencil" $ Cli.backend ~default:"dsm"
+    $ cores $ Cli.topology cores $ Cli.scale ~default:16 $ Cli.unbatched
+    $ Cli.warmup ~default:0 $ Cli.repeat ~default:1)
 
 let submit_c =
   Cmd.group
@@ -529,21 +364,30 @@ let submit_c =
          "Submit one job (over the socket, or in-process with $(b,--local))"
        ~exits:exit_codes_doc)
     [
-      submit_litmus_c; submit_check_c; submit_bench_c; submit_chaos_c;
-      submit_crash_c;
+      submit_kind "litmus" ~doc:"Submit a litmus enumeration job" litmus_job;
+      submit_kind "check" ~doc:"Submit a discipline-check job" check_job;
+      submit_kind "bench" ~doc:"Submit a benchmark case job" bench_job;
+      submit_kind "chaos" ~doc:"Submit a seeded chaos-run job" Cli.chaos_job;
+      submit_kind "crash" ~doc:"Submit a power-cut crash-recovery job"
+        Cli.crash_job;
     ]
+
+let client_exits =
+  Cli.exits ~input:", an unreachable daemon or an unexpected response" []
 
 let stats_c =
   let json_t =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the stats object as JSON.")
   in
   Cmd.v
-    (Cmd.info "stats" ~doc:"Query queue depth and cache hit rate")
+    (Cmd.info "stats" ~exits:client_exits
+       ~doc:"Query queue depth and cache hit rate")
     Term.(const stats_cmd $ socket_t $ json_t)
 
 let shutdown_c =
   Cmd.v
-    (Cmd.info "shutdown" ~doc:"Gracefully drain and stop the daemon")
+    (Cmd.info "shutdown" ~exits:client_exits
+       ~doc:"Gracefully drain and stop the daemon")
     Term.(const shutdown_cmd $ socket_t)
 
 let bench_client_c =
@@ -558,7 +402,7 @@ let bench_client_c =
       & info [ "model"; "m" ] ~doc:"Model to enumerate on each request.")
   in
   Cmd.v
-    (Cmd.info "bench-client"
+    (Cmd.info "bench-client" ~exits:client_exits
        ~doc:"Hammer a daemon with litmus jobs and report the cache hit rate")
     Term.(const bench_client_cmd $ socket_t $ requests_t $ model_t)
 
@@ -570,4 +414,4 @@ let main_c =
        ~exits:exit_codes_doc)
     [ daemon_c; submit_c; stats_c; shutdown_c; bench_client_c ]
 
-let () = exit (Cmd.eval main_c)
+let () = Cli.eval main_c

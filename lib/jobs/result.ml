@@ -474,15 +474,22 @@ let pp ppf (t : t) =
         (if s.b_ok then "ok" else "CHECKSUM-MISMATCH")
         (if s.deterministic then "" else " NONDETERMINISTIC")
         s.repeats;
-      let m = s.metrics in
-      Fmt.pf ppf
-        "  cycles %d  noc_flits %d  noc_writes %d  flushes %d@.  \
-         lock_acquires %d  lock_transfers %d  dcache_misses %d  \
-         instructions %d  utilization %s@."
-        m.Measure.cycles m.Measure.noc_flits m.Measure.noc_writes
-        m.Measure.flushes m.Measure.lock_acquires m.Measure.lock_transfers
-        m.Measure.dcache_misses m.Measure.instructions
-        (Json.to_compact (Json.float m.Measure.utilization))
+      (* every gated metric, then utilization and throughput, four to
+         a line, each value as the result JSON writes it *)
+      let json = Measure.metrics_to_json s.metrics in
+      let field name =
+        name ^ " " ^ Json.to_compact (Option.get (Json.member name json))
+      in
+      let rec lines = function
+        | a :: b :: c :: d :: rest -> [ a; b; c; d ] :: lines rest
+        | [] -> []
+        | last -> [ last ]
+      in
+      List.iter
+        (fun line -> Fmt.pf ppf "  %s@." (String.concat "  " line))
+        (lines
+           (List.map field
+              (Measure.metric_names @ [ "utilization"; "throughput" ])))
   | Chaos_soaked r ->
       (* identical to pmc_chaos run's report *)
       Fmt.pf ppf "%a@.%a@.trace: %d events captured, %d dropped@."
