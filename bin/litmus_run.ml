@@ -67,6 +67,8 @@ let print_figures () =
   ignore (Execution.release e ~proc:1 ~loc:0);
   print_graph "Fig. 5: multi-core communication (v0 = X, v1 = f)" e
 
+(* An exhausted trace or state budget leaves that program without a
+   verdict: it is reported on stderr and the run exits 2. *)
 let print_drf pool =
   (* race analysis per program is independent work: compute in parallel,
      print in program order *)
@@ -74,15 +76,25 @@ let print_drf pool =
     Pmc_par.Pool.map_list_ordered pool Lprog.all_standard ~f:(fun p ->
         match Drf.find_race p with
         | None -> `Drf (Drf.sc_equivalent p)
-        | Some r -> `Racy r)
+        | Some r -> `Racy r
+        | exception Drf.Too_many_traces n ->
+            `Budget (Printf.sprintf "more than %d SC traces" n)
+        | exception Litmus.State_space_too_large n ->
+            `Budget (Printf.sprintf "more than %d states" n))
   in
-  List.iter2
-    (fun p result ->
+  List.fold_left2
+    (fun code p result ->
       match result with
       | `Drf sc_eq ->
-          Fmt.pr "%-32s data-race free; PMC == SC: %b@." p.Lprog.name sc_eq
-      | `Racy r -> Fmt.pr "%-32s racy: %a@." p.Lprog.name Drf.pp_race r)
-    Lprog.all_standard results
+          Fmt.pr "%-32s data-race free; PMC == SC: %b@." p.Lprog.name sc_eq;
+          code
+      | `Racy r ->
+          Fmt.pr "%-32s racy: %a@." p.Lprog.name Drf.pp_race r;
+          code
+      | `Budget what ->
+          Fmt.epr "%s: no verdict: %s@." p.Lprog.name what;
+          2)
+    0 Lprog.all_standard results
 
 let print_dot () =
   let e = Execution.create ~procs:2 ~locs:2 () in
@@ -184,7 +196,7 @@ let main figures drf dot stats programs jobs =
         2
     | Ok selected ->
         Pmc_par.Pool.with_pool ~jobs (fun pool ->
-            if drf then (print_drf pool; 0)
+            if drf then print_drf pool
             else if stats then (print_stats pool selected; 0)
             else print_programs pool selected)
 
@@ -193,7 +205,9 @@ let cmd =
     (Cmd.info "litmus_run" ~doc:"Memory-model litmus tests and figures"
        ~exits:
          (Cli.exits ~ok:"enumeration (or analysis) succeeded."
-            ~input:", an unknown program name or an exhausted budget"
+            ~input:
+              ", an unknown program name or an exhausted budget (a \
+               $(b,--drf) program with too many SC traces or states)"
             [
               Cmd.Exit.info 3 ~doc:"property failure (reserved; unused here).";
               Cmd.Exit.info 4

@@ -93,9 +93,15 @@ let suite_t =
     value & opt string "smoke"
     & info [ "suite" ] ~docv:"NAME"
         ~doc:
-          "Benchmark suite: $(b,smoke) (the CI gate), $(b,full), or \
-           $(b,scale) (served-traffic apps on 256- and 1024-tile routed \
-           fabrics).")
+          (Printf.sprintf
+             "Benchmark suite, one of %s.  $(b,smoke) is the CI gate, \
+              $(b,scale) runs the served-traffic apps on 256- and \
+              1024-tile routed fabrics, $(b,check) measures the model \
+              plane, and $(b,ci) (smoke plus check) is the \
+              committed-baseline set."
+             (String.concat ", "
+                (List.map (Printf.sprintf "$(b,%s)")
+                   Pmc_bench.Spec.suite_names))))
 
 let label_t =
   Arg.(

@@ -157,17 +157,6 @@ let fence t =
   B.fence b;
   emit t Ev_fence
 
-(* Location-scoped fence (the Sec. IV-D optimization): order this core's
-   operations on the given objects only.  The in-order back-ends realize
-   every fence as a compiler barrier, so the run-time effect equals a
-   plain fence; the scoping information matters to analysis tools
-   ([Pmc_model.Execution.fence_scoped]) and appears in the trace. *)
-let fence_scoped t (objs : Shared.t list) =
-  ignore objs;
-  let (Backend_sig.B ((module B), b)) = t.backend in
-  B.fence b;
-  emit t Ev_fence
-
 let flush t (o : Shared.t) =
   if t.check then begin
     match scope_of t o with

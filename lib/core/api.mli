@@ -80,12 +80,6 @@ val exit_ro : t -> Shared.t -> unit
 val fence : t -> unit
 (** ≺F: order this core's operations across locations. *)
 
-val fence_scoped : t -> Shared.t list -> unit
-(** Location-scoped fence (the Section IV-D optimization): order only this
-    core's operations on the given objects.  On the in-order back-ends it
-    costs the same as [fence] (a compiler barrier); the scope matters to
-    analysis tooling ({!Pmc_model.Execution.fence_scoped}). *)
-
 val flush : t -> Shared.t -> unit
 (** Best-effort: push modifications towards other processes soon.  Only
     legal inside an exclusive scope. *)

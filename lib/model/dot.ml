@@ -1,5 +1,5 @@
 (* Graphviz export of executions — renders the dependency graphs the
-   paper draws in Figs. 2-5.  Transitively reduced by default, like the
+   paper draws in Figs. 2-5, transitively reduced under ≺ like the
    figures. *)
 
 let node_label (o : Op.t) =
@@ -17,8 +17,7 @@ let edge_style = function
   | Execution.Sync -> "label=\"<S\", color=blue"
   | Execution.Fence -> "label=\"<F\", color=red"
 
-let of_execution ?(reduced = true) ?(relation = Order.Full)
-    (exec : Execution.t) : string =
+let of_execution (exec : Execution.t) : string =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph execution {\n  rankdir=TB;\n";
   (* cluster operations per process, as the figures lay them out *)
@@ -42,17 +41,10 @@ let of_execution ?(reduced = true) ?(relation = Order.Full)
       if p >= 0 then Buffer.add_string buf "  }\n"
     end
   done;
-  let edges =
-    if reduced then Order.transitive_reduction relation exec
-    else
-      List.filter
-        (fun (e : Execution.edge) -> Order.edge_visible relation e.Execution.kind)
-        (Execution.edges exec)
-  in
   List.iter
     (fun ({ src; kind; dst } : Execution.edge) ->
       Buffer.add_string buf
         (Printf.sprintf "  n%d -> n%d [%s];\n" src dst (edge_style kind)))
-    edges;
+    (Order.transitive_reduction Order.Full exec);
   Buffer.add_string buf "}\n";
   Buffer.contents buf

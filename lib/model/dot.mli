@@ -1,5 +1,4 @@
 (** Graphviz export of executions — the dependency graphs of Figs. 2-5,
-    transitively reduced by default like the paper's figures. *)
+    transitively reduced under ≺ like the paper's figures. *)
 
-val of_execution :
-  ?reduced:bool -> ?relation:Order.relation -> Execution.t -> string
+val of_execution : Execution.t -> string

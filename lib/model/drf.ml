@@ -18,69 +18,32 @@ let pp_race ppf r =
     r.b.proc
     (if r.b.is_write then "write" else "read")
 
-(* Enumerate every SC trace of [p] (depth-first over interleavings) and
-   detect races on each.  Returns the first race found, or None.  Traces
-   are exponential in program size; litmus programs are small enough. *)
+exception Too_many_traces of int
+
+(* Enumerate every SC trace of [p] (depth-first over interleavings, each
+   step taken by [Models.Sc.step]) and detect races on each.  Returns the
+   first race found, or None.  Traces are exponential in program size;
+   litmus programs are small enough, and past [limit] traces the walk
+   raises rather than answer for a program it has not finished. *)
 let find_race ?(limit = 200_000) (p : Lprog.t) : race option =
   let n = Lprog.n_threads p in
   let traces_seen = ref 0 in
   let exception Found of race in
-  let exception Limit in
-  (* SC machine state threaded through the search *)
-  let rec go pc regs mem locks (events : History.event list) =
+  let rec go st (events : History.event list) =
     let stepped = ref false in
     for t = 0 to n - 1 do
-      let th = p.Lprog.threads.(t) in
-      if pc.(t) < Array.length th then begin
-        let adv = Array.copy pc in
-        adv.(t) <- adv.(t) + 1;
-        match th.(pc.(t)) with
-        | Lprog.Ld { loc; reg } ->
-            stepped := true;
-            let regs' = Models.clone2 regs in
-            regs'.(t).(reg) <- mem.(loc);
-            go adv regs' mem locks
-              (History.E_read { proc = t; loc; value = mem.(loc) } :: events)
-        | Lprog.St { loc; v } ->
-            stepped := true;
-            let mem' = Array.copy mem in
-            mem'.(loc) <- Lprog.eval regs.(t) v;
-            go adv regs mem' locks
-              (History.E_write { proc = t; loc; value = mem'.(loc) }
-              :: events)
-        | Lprog.Wait_eq { loc; v } ->
-            if mem.(loc) = v then begin
-              stepped := true;
-              go adv regs mem locks
-                (History.E_read { proc = t; loc; value = v } :: events)
-            end
-        | Lprog.Acq l ->
-            if locks.(l) = -1 then begin
-              stepped := true;
-              let locks' = Array.copy locks in
-              locks'.(l) <- t;
-              go adv regs mem locks'
-                (History.E_acquire { proc = t; loc = l } :: events)
-            end
-        | Lprog.Rel l ->
-            if locks.(l) = t then begin
-              stepped := true;
-              let locks' = Array.copy locks in
-              locks'.(l) <- -1;
-              go adv regs mem locks'
-                (History.E_release { proc = t; loc = l } :: events)
-            end
-        | Lprog.Fence ->
-            stepped := true;
-            go adv regs mem locks (History.E_fence { proc = t } :: events)
-        | Lprog.Flush _ ->
-            stepped := true;
-            go adv regs mem locks events
-      end
+      match Models.Sc.step p st t with
+      | None -> ()
+      | Some st' ->
+          stepped := true;
+          go st'
+            (match Models.Sc.event p st t with
+            | Some e -> e :: events
+            | None -> events)
     done;
     if not !stepped then begin
       incr traces_seen;
-      if !traces_seen > limit then raise Limit;
+      if !traces_seen > limit then raise (Too_many_traces limit);
       check_trace (List.rev events)
     end
   and check_trace events =
@@ -120,17 +83,9 @@ let find_race ?(limit = 200_000) (p : Lprog.t) : race option =
     in
     pairs !accesses
   in
-  try
-    go
-      (Array.make n 0)
-      (Array.make_matrix n p.Lprog.regs 0)
-      (Array.make p.Lprog.locs 0)
-      (Array.make p.Lprog.locs (-1))
-      [];
-    None
-  with
-  | Found r -> Some r
-  | Limit -> None
+  match go (Models.Sc.init p) [] with
+  | () -> None
+  | exception Found r -> Some r
 
 let is_drf ?limit p = find_race ?limit p = None
 

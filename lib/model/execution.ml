@@ -34,17 +34,6 @@ type t = {
   mutable n_ops : int;
   mutable succs : (edge_kind * int) list array;  (* outgoing edges per op *)
   mutable preds : (edge_kind * int) list array;  (* incoming edges per op *)
-  fence_scopes : (int, int list) Hashtbl.t;
-      (* fence op id -> the locations it orders (absent = all) *)
-  by_kpl : (Op.kind * int * int, int list) Hashtbl.t;
-      (* (kind, proc, loc) -> ids, newest first.  The Table-I rules only
-         ever select candidates by (kind, proc, loc), (kind, loc) or
-         (kind, proc); these indexes make [execute] proportional to the
-         number of matches instead of the history length.  [Init]
-         operations are not indexed: there is exactly one per location
-         (its id IS the location) and it matches any process. *)
-  by_kl : (Op.kind * int, int list) Hashtbl.t;
-  by_kp : (Op.kind * int, int list) Hashtbl.t;
 }
 
 let capacity_grow exec =
@@ -82,9 +71,7 @@ let add_edge exec ~src ~kind ~dst =
    value each initial operation writes (default 0, zeroed memory). *)
 let create ?(init = fun _ -> 0) ~procs ~locs () =
   let exec =
-    { procs; locs; ops = [||]; n_ops = 0; succs = [||]; preds = [||];
-      fence_scopes = Hashtbl.create 8; by_kpl = Hashtbl.create 64;
-      by_kl = Hashtbl.create 64; by_kp = Hashtbl.create 64 }
+    { procs; locs; ops = [||]; n_ops = 0; succs = [||]; preds = [||] }
   in
   for v = 0 to locs - 1 do
     ignore (add_op_raw exec Op.Init ~proc:Op.env_proc ~loc:v ~value:(init v))
@@ -125,8 +112,7 @@ let edges exec =
    Fences span all locations of the issuing process; all other rows apply
    to the new operation's location only.  [Init] operations participate as
    both write and release rows. *)
-let rules_for (exec : t) (o : Op.t) : (Op.pattern * edge_kind) list =
-  ignore exec;
+let rules_for (o : Op.t) : (Op.pattern * edge_kind) list =
   let p = o.proc and v = o.loc in
   let pat = Op.pattern in
   match o.kind with
@@ -156,61 +142,6 @@ let rules_for (exec : t) (o : Op.t) : (Op.pattern * edge_kind) list =
         (pat ~kind:Op.Release ~proc:p (), Fence) ]
   | Op.Init -> []
 
-(* Index maintenance: a non-[Init] operation is filed under every base
-   kind it acts as, so bucket lookups see exactly what [Op.matches] would
-   accept.  [Init] is left out (see the field comment) and consulted
-   explicitly during candidate collection. *)
-let index_add exec (o : Op.t) =
-  if o.Op.kind <> Op.Init then begin
-    let file k =
-      let push tbl key =
-        Hashtbl.replace tbl key
-          (o.Op.id :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
-      in
-      push exec.by_kpl (k, o.Op.proc, o.Op.loc);
-      push exec.by_kl (k, o.Op.loc);
-      push exec.by_kp (k, o.Op.proc)
-    in
-    file o.Op.kind
-  end
-
-(* Previously issued operations matching [pattern], ids ascending.
-   Equivalent to filtering all ops with [Op.matches] — the Table-I rules
-   only use the three indexed pattern shapes (never a value constraint),
-   and the per-location [Init] operation (id = its location, process
-   matching every constraint) is appended by hand where its write/release
-   roles apply. *)
-let candidate_ids exec (pat : Op.pattern) : int list =
-  let find tbl key = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-  match pat.Op.p_kind, pat.Op.p_value with
-  | Some k, None ->
-      let real =
-        match pat.Op.p_proc, pat.Op.p_loc with
-        | Some p, Some v -> find exec.by_kpl (k, p, v)
-        | None, Some v -> find exec.by_kl (k, v)
-        | Some p, None -> find exec.by_kp (k, p)
-        | None, None ->
-            List.concat_map
-              (fun p -> find exec.by_kp (k, p))
-              (List.init exec.procs Fun.id)
-      in
-      let inits =
-        if k = Op.Write || k = Op.Release then
-          match pat.Op.p_loc with
-          | Some v -> [ v ]
-          | None -> List.init exec.locs Fun.id
-        else []
-      in
-      List.sort compare (List.rev_append real inits)
-  | _ ->
-      (* value-constrained or kind-free pattern: not produced by the
-         Table-I rules; fall back to the full scan *)
-      let acc = ref [] in
-      for i = exec.n_ops - 1 downto 0 do
-        if Op.matches pat exec.ops.(i) then acc := i :: !acc
-      done;
-      !acc
-
 (* State transition (Def. 4): append [o] and add the Table-I edges from all
    matching previously issued operations. *)
 let execute exec (kind : Op.kind) ~proc ?(loc = Op.no_loc) ?(value = 0) () :
@@ -224,73 +155,23 @@ let execute exec (kind : Op.kind) ~proc ?(loc = Op.no_loc) ?(value = 0) () :
       if loc < 0 || loc >= exec.locs then
         invalid_arg "Execution.execute: bad location");
   let o = add_op_raw exec kind ~proc ~loc ~value in
-  let rules = rules_for exec o in
-  (* a scoped fence only orders operations on its locations *)
-  let scope_allows (a : Op.t) =
-    (not (Op.is_fence a))
-    ||
-    match Hashtbl.find_opt exec.fence_scopes a.id with
-    | None -> true
-    | Some locs -> List.mem o.loc locs
-  in
-  (* Collect (src, rule) pairs per rule from the indexes, then add edges
-     in (src id, rule order) order — the same order the original
-     scan-all-ops loop produced, so succ/pred lists are identical. *)
-  let pairs = ref [] in
-  List.iteri
-    (fun ri (pattern, kind) ->
-      List.iter
-        (fun i ->
-          let a = exec.ops.(i) in
-          if scope_allows a then pairs := (i, ri, kind) :: !pairs)
-        (candidate_ids exec pattern))
-    rules;
-  List.iter
-    (fun (i, _, kind) -> add_edge exec ~src:i ~kind ~dst:o.id)
-    (List.sort
-       (fun (i1, r1, _) (i2, r2, _) -> compare (i1, r1) (i2, r2))
-       !pairs);
-  index_add exec o;
+  let rules = rules_for o in
+  (* edges are added in (source id, rule) order *)
+  for i = 0 to o.id - 1 do
+    let a = exec.ops.(i) in
+    List.iter
+      (fun (pattern, kind) ->
+        if Op.matches pattern a then add_edge exec ~src:i ~kind ~dst:o.id)
+      rules
+  done;
   o
 
-(* Convenience wrappers used pervasively by tests and the history checker. *)
+(* Convenience wrappers, one per operation kind. *)
 let read exec ~proc ~loc ~value = execute exec Op.Read ~proc ~loc ~value ()
 let write exec ~proc ~loc ~value = execute exec Op.Write ~proc ~loc ~value ()
 let acquire exec ~proc ~loc = execute exec Op.Acquire ~proc ~loc ()
 let release exec ~proc ~loc = execute exec Op.Release ~proc ~loc ()
 let fence exec ~proc = execute exec Op.Fence ~proc ()
-
-(* Location-scoped fence — the extension Section IV-D leaves open
-   ("without loss of generality, one could offer more complex fences on
-   specific locations for optimization purposes").  The fence enters the
-   graph through the normal Table-I rules, but it only orders operations
-   on the locations in [locs]: incoming edges from out-of-scope
-   operations are filtered here, outgoing edges to out-of-scope
-   operations are filtered by [execute] through [fence_scopes].  A scoped
-   fence over all locations is exactly the plain fence. *)
-let fence_scoped exec ~proc ~locs : Op.t =
-  List.iter
-    (fun v ->
-      if v < 0 || v >= exec.locs then
-        invalid_arg "Execution.fence_scoped: bad location")
-    locs;
-  let o = execute exec Op.Fence ~proc () in
-  Hashtbl.replace exec.fence_scopes o.id locs;
-  (* drop the in-edges that came from out-of-scope operations *)
-  let keep (_, src) =
-    let a = exec.ops.(src) in
-    Op.is_fence a || List.mem a.Op.loc locs
-  in
-  let removed = List.filter (fun e -> not (keep e)) exec.preds.(o.id) in
-  exec.preds.(o.id) <- List.filter keep exec.preds.(o.id);
-  List.iter
-    (fun (_, src) ->
-      exec.succs.(src) <-
-        List.filter (fun (_, dst) -> dst <> o.id) exec.succs.(src))
-    removed;
-  o
-
-let fence_scope exec (o : Op.t) = Hashtbl.find_opt exec.fence_scopes o.id
 
 let pp ppf exec =
   Fmt.pf ppf "execution: %d procs, %d locs, %d ops@." exec.procs exec.locs

@@ -24,14 +24,6 @@ type t = {
   mutable succs : (edge_kind * int) list array;
       (** outgoing edges, indexed by operation id *)
   mutable preds : (edge_kind * int) list array;
-  fence_scopes : (int, int list) Hashtbl.t;
-      (** fence op id → ordered locations; absent = all (plain fence) *)
-  by_kpl : (Op.kind * int * int, int list) Hashtbl.t;
-      (** candidate indexes for {!execute} — (kind, proc, loc),
-          (kind, loc) and (kind, proc) buckets of non-[Init] operation
-          ids, newest first; maintained internally *)
-  by_kl : (Op.kind * int, int list) Hashtbl.t;
-  by_kp : (Op.kind * int, int list) Hashtbl.t;
 }
 
 val create : ?init:(int -> int) -> procs:int -> locs:int -> unit -> t
@@ -67,14 +59,6 @@ val write : t -> proc:int -> loc:int -> value:int -> Op.t
 val acquire : t -> proc:int -> loc:int -> Op.t
 val release : t -> proc:int -> loc:int -> Op.t
 val fence : t -> proc:int -> Op.t
-
-val fence_scoped : t -> proc:int -> locs:int list -> Op.t
-(** Location-scoped fence — the optimization Section IV-D leaves open:
-    orders only this process's operations on the given locations.  A
-    scope covering all locations is exactly the plain fence. *)
-
-val fence_scope : t -> Op.t -> int list option
-(** The scope of a fence operation; [None] means unscoped. *)
 
 val pp : Format.formatter -> t -> unit
 (** Operations then edges, one per line. *)

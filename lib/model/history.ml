@@ -23,8 +23,8 @@
    the nonzero slots plus O(procs · locs) empty rows, and 2 · procs
    more for each (process, location) pair the history touches.  The
    test suite pins it against the original definition — every event
-   issued through [Execution.execute], every read answered with
-   [Observe.readable_writes] — on random histories. *)
+   issued through [Execution.execute], every read answered with Def. 12
+   on the resulting DAG (test/history_oracle.ml) — on random histories. *)
 
 type event =
   | E_read of { proc : int; loc : int; value : int }
@@ -512,5 +512,5 @@ let check ?(require_locked_writes = false) ?(init = fun _ -> 0) ~procs ~locs
     events;
   (* every edge the Table-I rules create points from a lower id to a
      higher one, so ≺ is acyclic by construction — the reference's final
-     [Order.is_acyclic] pass can never fire and is not replayed here *)
+     acyclicity pass can never fire and is not replayed here *)
   { violations = List.rev !violations }

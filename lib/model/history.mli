@@ -52,5 +52,5 @@ val check :
     costs time proportional to the nonzero frontier slots it touches,
     not to [procs² · locs].  It reports exactly the violations, in
     exactly the order, that the DAG-building definition (issue every
-    event through {!Execution.execute}, answer every read with
-    {!Observe.readable_writes}) would. *)
+    event through {!Execution.execute}, answer every read with Def. 12
+    on the resulting DAG) would. *)

@@ -176,7 +176,12 @@ let filter_steps n (step : int -> 'a option) (acc : 'a list) : 'a list =
 
 (* ------------------------------------------------------------------ *)
 
-module Sc : SEM = struct
+module Sc : sig
+  include SEM
+
+  val step : Lprog.t -> state -> int -> state option
+  val event : Lprog.t -> state -> int -> History.event option
+end = struct
   let name = "SC"
 
   type state = {
@@ -194,6 +199,9 @@ module Sc : SEM = struct
       locks = Array.make p.locs (-1);
     }
 
+  (* Thread [t]'s next instruction; [None] when [t] has finished or
+     waits — on an unmet [Wait_eq], a held lock, or a release of a lock it
+     does not hold (which [successors] refuses). *)
   let step p st t : state option =
     match instr_at p st.pc t with
     | None -> None
@@ -223,10 +231,34 @@ module Sc : SEM = struct
               locks.(l) <- -1;
               adv { st with locks }
             end
-            else failwith "SC: release without acquire"
+            else None
         | Lprog.Fence | Lprog.Flush _ -> adv st)
 
-  let successors p st = filter_steps (Lprog.n_threads p) (step p st) []
+  let event p st t : History.event option =
+    match instr_at p st.pc t with
+    | None | Some (Lprog.Flush _) -> None
+    | Some (Lprog.Ld { loc; _ }) ->
+        Some (History.E_read { proc = t; loc; value = st.mem.(loc) })
+    | Some (Lprog.St { loc; v }) ->
+        Some
+          (History.E_write
+             { proc = t; loc; value = Lprog.eval st.regs.(t) v })
+    | Some (Lprog.Wait_eq { loc; v }) ->
+        Some (History.E_read { proc = t; loc; value = v })
+    | Some (Lprog.Acq l) -> Some (History.E_acquire { proc = t; loc = l })
+    | Some (Lprog.Rel l) -> Some (History.E_release { proc = t; loc = l })
+    | Some Lprog.Fence -> Some (History.E_fence { proc = t })
+
+  let successors p st =
+    filter_steps (Lprog.n_threads p)
+      (fun t ->
+        match step p st t with
+        | Some _ as next -> next
+        | None -> (
+            match instr_at p st.pc t with
+            | Some (Lprog.Rel _) -> failwith "SC: release without acquire"
+            | _ -> None))
+      []
 
   let is_final p st = all_done p st.pc
   let outcome _p st = clone2 st.regs

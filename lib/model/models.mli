@@ -40,7 +40,22 @@ end
 val clone2 : int array array -> int array array
 (** Deep copy of a 2-D state component (shared by the semantics). *)
 
-module Sc : SEM
+module Sc : sig
+  include SEM
+
+  val step : Lprog.t -> state -> int -> state option
+  (** [step p st t] — the state after thread [t] executes its next
+      instruction, or [None] when [t] has finished or waits.  It waits on
+      an unmet [Wait_eq], on a lock held elsewhere, and on a release of a
+      lock it does not hold — which [successors] refuses with [Failure]
+      instead.  {!Drf} walks the SC interleavings with it. *)
+
+  val event : Lprog.t -> state -> int -> History.event option
+  (** The event thread [t]'s next instruction performs from [st] (none
+      for a flush or a finished thread); meaningful when {!step} moves
+      [t]. *)
+end
+
 module Pc : SEM
 module Cc : SEM
 module Ec : SEM

@@ -1,4 +1,6 @@
-(** Queries over the ordering relations of an execution (Defs. 5-10). *)
+(** Queries over the ordering relations of an execution (Defs. 5-10):
+    the race test of {!Drf} and the reduced graphs of {!Dot} and the
+    paper's figures. *)
 
 (** Which edges are visible: [Global] is ≺G = ≺P ∪ ≺S ∪ ≺F (Def. 9) —
     what every process agrees on; [View p] is p≺ = ≺G ∪ p≺ℓ; [Full] is
@@ -12,91 +14,10 @@ val reaches : relation -> Execution.t -> int -> int -> bool
 (** [reaches rel exec a b] — is there a path from operation [a] to [b]
     using only edges visible under [rel]?  Irreflexive. *)
 
-val before : relation -> Execution.t -> int -> int -> bool
-(** Alias of {!reaches}. *)
-
-val ancestors : relation -> Execution.t -> int -> bool array
-(** [ancestors rel exec b] — every operation id [a] with
-    [reaches rel exec a b], computed in one backward traversal.  Edges
-    always point from lower to higher ids and all edges into an operation
-    are created when it is issued, so the result for a given [b] never
-    changes as the execution grows. *)
-
-val descendants : relation -> Execution.t -> int -> bool array
-(** [descendants rel exec a] — every id [b] with [reaches rel exec a b],
-    in one forward traversal.  Unlike {!ancestors} this set can grow as
-    later operations are issued. *)
-
-(** Bytes-backed bitsets, unioned a 64-bit word at a time.  One bit per
-    operation id; the closure rows below and the bulk reachability passes
-    in {!Observe} are built out of these. *)
-module Bits : sig
-  type t
-
-  val create : int -> t
-  (** [create n] — an all-clear set over bits [0..n-1]. *)
-
-  val length : t -> int
-  (** The bit capacity given to {!create}. *)
-
-  val get : t -> int -> bool
-  (** Is the bit set?  The index must be below {!length}. *)
-
-  val set : t -> int -> unit
-  (** Set one bit. *)
-
-  val union_into : into:t -> t -> unit
-  (** [union_into ~into src] — OR [src] into [into], word at a time, over
-      the shorter of the two capacities. *)
-
-  val iter : (int -> unit) -> t -> unit
-  (** Apply to every set bit, ascending. *)
-end
-
-type closure
-(** The full reachability closure of an execution under one relation: a
-    bitset ancestor row per operation.  Ids are issue-ordered and every
-    edge points from a lower id to a higher one, so row [i] is the union
-    of its predecessors' rows plus the predecessors themselves — the
-    whole closure is built in one pass of word-at-a-time unions, and
-    answers every precedence query about the execution in O(1). *)
-
-val closure : relation -> Execution.t -> closure
-(** Build the closure.  O(n²/64) words plus one union per edge. *)
-
-val closure_relation : closure -> relation
-(** The relation the closure was built under. *)
-
-val precedes : closure -> int -> int -> bool
-(** [precedes c a b] — does operation [a] strictly precede [b] under the
-    closure's relation?  O(1). *)
-
-val ancestors_row : closure -> int -> Bits.t
-(** The ancestor bitset of one operation (bit [a] set iff [a] precedes
-    it).  The row's {!Bits.length} may be smaller than the execution —
-    only ids below the operation's own can ever be ancestors. *)
-
 val concurrent : relation -> Execution.t -> int -> int -> bool
 (** Neither reaches the other. *)
-
-val is_acyclic : Execution.t -> bool
-(** ≺ must remain a partial order. *)
-
-val topological : Execution.t -> int list
-(** Issue order is a topological order of the DAG (asserted). *)
 
 val transitive_reduction : relation -> Execution.t -> Execution.edge list
 (** The minimal edge set with the same reachability — the paper's figures
     are drawn transitively reduced.  Parallel edges between one pair are
     collapsed. *)
-
-val writes_of : Execution.t -> int -> Op.t list
-(** All writes (including [Init]) to one location, in issue order. *)
-
-val gdo_total : Execution.t -> int -> bool
-(** Global Data Order (Sec. IV-E): are all writes to the location totally
-    ordered under ≺G?  Holds when writes are wrapped in acquire/release. *)
-
-val gpo_pairs : Execution.t -> int -> (int * int) list
-(** Global Process Order pairs of one process: cross-location operation
-    pairs ordered under ≺G — produced by fences. *)

@@ -80,7 +80,7 @@ let check_reference ?(require_locked_writes = false) ?(init = fun _ -> 0)
                   (* one backward pass from the previously observed write
                      answers w ≺ prev for every candidate at once *)
                   let anc_prev =
-                    Order.ancestors (Order.View proc) exec prev_write_id
+                    Dag.ancestors (Order.View proc) exec prev_write_id
                   in
                   List.for_all
                     (fun (w : Op.t) -> anc_prev.(w.Op.id))
@@ -97,5 +97,5 @@ let check_reference ?(require_locked_writes = false) ?(init = fun _ -> 0)
               | w :: _ -> Hashtbl.replace writes_seen key w.Op.id
               | [] -> ())))
     events;
-  if not (Order.is_acyclic exec) then add Cyclic_order;
+  if not (Dag.is_acyclic exec) then add Cyclic_order;
   { exec; full_violations = List.rev !violations }

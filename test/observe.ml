@@ -5,7 +5,13 @@
    last write ordered before it, but may also return any write that is not
    itself ordered before that last write (a newer value that has already
    propagated).  Two ordered reads must observe writes in a consistent
-   direction (monotonicity). *)
+   direction (monotonicity).
+
+   A test oracle: [History_oracle] answers every read with
+   [readable_writes], and the tests pin Defs. 11-12 on hand-built
+   executions.  Every query runs on a [Dag] closure. *)
+
+open Pmc_model
 
 (* Last writes before op [o] as seen by process [p] (Def. 11): the writes a
    to o's location with a p≺ o and no other write between.  Under a race
@@ -15,14 +21,14 @@
 (* Both passes below run on a bitset reachability closure (one ancestor
    row per operation, built by word-at-a-time unions): every "a ≺ b"
    question is then an O(1) bit test instead of a DFS. *)
-let last_writes_in (c : Order.closure) (exec : Execution.t) (o : Op.t) :
+let last_writes_in (c : Dag.closure) (exec : Execution.t) (o : Op.t) :
     Op.t list =
   let v = o.Op.loc in
-  let row = Order.ancestors_row c o.Op.id in
+  let row = Dag.ancestors_row c o.Op.id in
   let ws = ref [] in
-  for i = min (Execution.n_ops exec) (Order.Bits.length row) - 1 downto 0 do
+  for i = min (Execution.n_ops exec) (Dag.Bits.length row) - 1 downto 0 do
     let a = Execution.op exec i in
-    if Op.is_write a && a.Op.loc = v && Order.Bits.get row i then
+    if Op.is_write a && a.Op.loc = v && Dag.Bits.get row i then
       ws := a :: !ws
   done;
   let ws = !ws in
@@ -32,7 +38,7 @@ let last_writes_in (c : Order.closure) (exec : Execution.t) (o : Op.t) :
     (fun (a : Op.t) ->
       not
         (List.exists
-           (fun (b : Op.t) -> b.id <> a.id && Order.precedes c a.id b.id)
+           (fun (b : Op.t) -> b.id <> a.id && Dag.precedes c a.id b.id)
            ws))
     ws
 
@@ -43,7 +49,7 @@ let last_writes ?(view : int option) (exec : Execution.t) (o : Op.t) :
     | Some p -> Order.View p
     | None -> if o.Op.proc >= 0 then Order.View o.Op.proc else Order.Global
   in
-  last_writes_in (Order.closure rel exec) exec o
+  last_writes_in (Dag.closure rel exec) exec o
 
 (* Readable values for a read [o] by its process (Def. 12): the values of
    writes b such that some last write a satisfies a p⪯ b — i.e. b is not
@@ -51,7 +57,7 @@ let last_writes ?(view : int option) (exec : Execution.t) (o : Op.t) :
    they have not been issued from o's point of view. *)
 let readable_writes (exec : Execution.t) (o : Op.t) : Op.t list =
   let p = o.Op.proc in
-  let c = Order.closure (Order.View p) exec in
+  let c = Dag.closure (Order.View p) exec in
   let lw = last_writes_in c exec o in
   let v = o.Op.loc in
   let n = Execution.n_ops exec in
@@ -60,9 +66,9 @@ let readable_writes (exec : Execution.t) (o : Op.t) : Op.t list =
     let b = Execution.op exec i in
     if
       Op.is_write b && b.Op.loc = v
-      && (not (Order.precedes c o.Op.id b.id))
+      && (not (Dag.precedes c o.Op.id b.id))
       && List.exists
-           (fun (a : Op.t) -> a.id = b.id || Order.precedes c a.id b.id)
+           (fun (a : Op.t) -> a.id = b.id || Dag.precedes c a.id b.id)
            lw
     then out := b :: !out
   done;
@@ -79,22 +85,19 @@ let readable_values exec o =
    set with several values. *)
 type race = { loc : int; a : Op.t; b : Op.t }
 
-let pp_race ppf { loc; a; b } =
-  Fmt.pf ppf "race on v%d between %a and %a" loc Op.pp a Op.pp b
-
 let write_write_races (exec : Execution.t) : race list =
-  let c = Order.closure Order.Full exec in
+  let c = Dag.closure Order.Full exec in
   let races = ref [] in
   for v = 0 to exec.Execution.locs - 1 do
-    let ws = Order.writes_of exec v in
+    let ws = Dag.writes_of exec v in
     let rec pairs = function
       | [] -> ()
       | (a : Op.t) :: rest ->
           List.iter
             (fun (b : Op.t) ->
               if
-                (not (Order.precedes c a.id b.id))
-                && not (Order.precedes c b.id a.id)
+                (not (Dag.precedes c a.id b.id))
+                && not (Dag.precedes c b.id a.id)
               then races := { loc = v; a; b } :: !races)
             rest;
           pairs rest

@@ -1,55 +1,13 @@
-(* Tests of the extensions beyond the paper's core: location-scoped fences
-   (the Sec. IV-D optimization), byte-granularity accesses, the barrier,
-   the Graphviz exporter, the additional litmus programs, and failure
-   injection (a deliberately broken SWCC back-end must be caught by the
-   checksums — the coherence protocol is load-bearing). *)
+(* Tests of the extensions beyond the paper's core: byte-granularity
+   accesses, the barrier, the Graphviz exporter, the additional litmus
+   programs, and failure injection (a deliberately broken SWCC back-end
+   must be caught by the checksums — the coherence protocol is
+   load-bearing). *)
 
 open Pmc_sim
 open Pmc_model
 
 let cfg = { Config.small with cores = 4 }
-
-(* ---------------- scoped fences (model) ---------------- *)
-
-let test_scoped_fence_orders_in_scope () =
-  let e = Execution.create ~procs:1 ~locs:3 () in
-  ignore (Execution.acquire e ~proc:0 ~loc:0);
-  let r0 = Execution.release e ~proc:0 ~loc:0 in
-  let f = Execution.fence_scoped e ~proc:0 ~locs:[ 0; 1 ] in
-  let a1 = Execution.acquire e ~proc:0 ~loc:1 in
-  Alcotest.(check bool) "rel(v0) <F fence (in scope)" true
-    (Order.reaches Order.Global e r0.Op.id f.Op.id);
-  Alcotest.(check bool) "fence <F acq(v1) (in scope)" true
-    (Order.reaches Order.Global e f.Op.id a1.Op.id);
-  Alcotest.(check (option (list int))) "scope recorded" (Some [ 0; 1 ])
-    (Execution.fence_scope e f)
-
-let test_scoped_fence_ignores_out_of_scope () =
-  let e = Execution.create ~procs:1 ~locs:3 () in
-  ignore (Execution.acquire e ~proc:0 ~loc:2);
-  let r2 = Execution.release e ~proc:0 ~loc:2 in
-  let f = Execution.fence_scoped e ~proc:0 ~locs:[ 0; 1 ] in
-  let a2 = Execution.acquire e ~proc:0 ~loc:2 in
-  Alcotest.(check bool) "rel(v2) not ordered into the fence" false
-    (Order.reaches Order.Full e r2.Op.id f.Op.id);
-  Alcotest.(check bool) "fence not ordered into acq(v2)" false
-    (Order.reaches Order.Full e f.Op.id a2.Op.id)
-
-let test_scoped_fence_full_scope_equals_plain () =
-  let build use_scoped =
-    let e = Execution.create ~procs:1 ~locs:2 () in
-    ignore (Execution.acquire e ~proc:0 ~loc:0);
-    ignore (Execution.release e ~proc:0 ~loc:0);
-    if use_scoped then ignore (Execution.fence_scoped e ~proc:0 ~locs:[ 0; 1 ])
-    else ignore (Execution.fence e ~proc:0);
-    ignore (Execution.acquire e ~proc:0 ~loc:1);
-    List.map
-      (fun (ed : Execution.edge) -> (ed.Execution.src, ed.Execution.dst))
-      (Execution.edges e)
-    |> List.sort compare
-  in
-  Alcotest.(check (list (pair int int)))
-    "full-scope fence = plain fence" (build false) (build true)
 
 (* ---------------- byte accesses ---------------- *)
 
@@ -306,12 +264,6 @@ let test_broken_dsm_detected () =
 let suite =
   ( "extensions",
     [
-      Alcotest.test_case "scoped fence orders in-scope ops" `Quick
-        test_scoped_fence_orders_in_scope;
-      Alcotest.test_case "scoped fence ignores out-of-scope ops" `Quick
-        test_scoped_fence_ignores_out_of_scope;
-      Alcotest.test_case "full-scope fence = plain fence" `Quick
-        test_scoped_fence_full_scope_equals_plain;
       Alcotest.test_case "byte round-trip (all back-ends)" `Quick
         test_byte_roundtrip_all_backends;
       Alcotest.test_case "bytes alias words" `Quick

@@ -123,6 +123,40 @@ let test_drf_sc () =
   Alcotest.(check bool) "DRF ⇒ PMC behaves like SC (exclusive_fig4)" true
     (Drf.sc_equivalent Lprog.exclusive_fig4)
 
+(* A walk that runs out of traces has no verdict: with [~limit:1] only
+   the first trace is checked (p0's block, then p1's — race-free), and the
+   race of p1's unlocked load against p0's store is found only further
+   on.  Answering DRF there would be wrong. *)
+let late_race =
+  Lprog.make ~name:"late race" ~locs:1 ~regs:1
+    [
+      [ Lprog.Acq 0; Lprog.St { loc = 0; v = Lprog.Const 1 }; Lprog.Rel 0 ];
+      [ Lprog.Acq 0; Lprog.Rel 0; Lprog.Ld { loc = 0; reg = 0 } ];
+    ]
+
+(* A release of a lock the thread does not hold: the SC semantics refuses
+   the program, while the race walk stops that thread there and still
+   judges the trace it reached. *)
+let stray_release =
+  Lprog.make ~name:"stray release" ~locs:1 ~regs:1
+    [ [ Lprog.St { loc = 0; v = Lprog.Const 1 }; Lprog.Rel 0 ];
+      [ Lprog.Ld { loc = 0; reg = 0 } ] ]
+
+let test_drf_stray_release () =
+  Alcotest.check_raises "SC refuses" (Failure "SC: release without acquire")
+    (fun () -> ignore (Litmus.enumerate (module Models.Sc) stray_release));
+  Alcotest.(check bool) "the walk agrees with the oracle" true
+    (Drf.find_race stray_release = Drf_oracle.find_race stray_release);
+  Alcotest.(check bool) "and finds the race" true
+    (Drf.find_race stray_release <> None)
+
+let test_drf_limit_is_typed () =
+  Alcotest.check_raises "limit 1: no verdict" (Drf.Too_many_traces 1)
+    (fun () -> ignore (Drf.is_drf ~limit:1 late_race));
+  Alcotest.(check (option string)) "full walk: the race"
+    (Some "race on v0: p1 read / p0 write")
+    (Option.map (Fmt.str "%a" Drf.pp_race) (Drf.find_race late_race))
+
 (* PMC is weaker than EC (Sec. IV-E): without the receiver's fence the
    acquire of X may be hoisted above the polling loop.  Under EC
    (synchronization in program order) the program still works; under PMC
@@ -210,6 +244,94 @@ let prop_pmc_contains_sc =
           let pmc = Litmus.enumerate ~limit:300_000 (module Models.Pmc) p in
           Lprog.Outcome_set.subset sc.Litmus.outcomes pmc.Litmus.outcomes))
 
+(* qcheck: [Drf.find_race] walks SC through [Models.Sc.step]; the
+   interpreter it replaced is kept as [Drf_oracle].  Both must name the
+   same first race, or none, on well-formed synchronized programs: 2-3
+   threads of at most 4 instructions each, built from plain accesses,
+   fences, [Wait_eq] polls and lock-wrapped blocks. *)
+let gen_sync_prog =
+  let open QCheck.Gen in
+  let loc = int_range 0 1 in
+  let access =
+    oneof
+      [
+        map2 (fun l r -> Lprog.Ld { loc = l; reg = r }) loc (int_range 0 1);
+        map2
+          (fun l v -> Lprog.St { loc = l; v = Lprog.Const v })
+          loc (int_range 1 2);
+        map2 (fun l r -> Lprog.St { loc = l; v = Lprog.Reg r }) loc
+          (int_range 0 1);
+      ]
+  in
+  let locked budget =
+    loc >>= fun l ->
+    map
+      (fun body -> (Lprog.Acq l :: body) @ [ Lprog.Rel l ])
+      (list_size
+         (int_range 1 (min 2 (budget - 2)))
+         (frequency [ (3, access); (1, return (Lprog.Flush l)) ]))
+  in
+  let block budget =
+    frequency
+      ([
+         (4, map (fun i -> [ i ]) access);
+         (1, return [ Lprog.Fence ]);
+         (1, map2 (fun l v -> [ Lprog.Wait_eq { loc = l; v } ]) loc
+               (int_range 0 2));
+       ]
+      @ if budget >= 3 then [ (4, locked budget) ] else [])
+  in
+  let rec thread budget =
+    block budget >>= fun b ->
+    let rest = budget - List.length b in
+    if rest = 0 then return b
+    else frequency [ (1, return b); (3, map (( @ ) b) (thread rest)) ]
+  in
+  int_range 2 3 >>= fun n ->
+  map
+    (fun threads -> Lprog.make ~name:"rand-sync" ~locs:2 ~regs:2 threads)
+    (list_repeat n (thread 4))
+
+let print_prog (p : Lprog.t) =
+  let instr = function
+    | Lprog.Ld { loc; reg } -> Printf.sprintf "r%d<-v%d" reg loc
+    | Lprog.St { loc; v = Lprog.Const c } -> Printf.sprintf "v%d<-%d" loc c
+    | Lprog.St { loc; v = Lprog.Reg r } -> Printf.sprintf "v%d<-r%d" loc r
+    | Lprog.Wait_eq { loc; v } -> Printf.sprintf "wait v%d=%d" loc v
+    | Lprog.Acq l -> Printf.sprintf "acq %d" l
+    | Lprog.Rel l -> Printf.sprintf "rel %d" l
+    | Lprog.Fence -> "fence"
+    | Lprog.Flush l -> Printf.sprintf "flush %d" l
+  in
+  String.concat " || "
+    (Array.to_list
+       (Array.map
+          (fun th -> String.concat "; " (Array.to_list (Array.map instr th)))
+          p.Lprog.threads))
+
+(* The DRF share of the drawn programs is printed with the verdict and
+   must be strictly between 0 and 1: a generator drawing only racy (or
+   only race-free) programs would compare one branch of the walk. *)
+let test_drf_matches_oracle =
+  let drf = ref 0 and drawn = ref 0 in
+  let prop =
+    QCheck.Test.make ~count:500
+      ~name:"Drf.find_race == Drf_oracle on synchronized programs"
+      (QCheck.make ~print:print_prog gen_sync_prog) (fun p ->
+        let r = Drf.find_race p in
+        incr drawn;
+        if r = None then incr drf;
+        r = Drf_oracle.find_race p)
+  in
+  let name, speed, run = QCheck_alcotest.to_alcotest prop in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      Printf.printf "DRF share of the drawn programs: %d/%d\n" !drf !drawn;
+      Alcotest.(check bool) "both verdicts drawn" true
+        (!drf > 0 && !drf < !drawn) )
+
 (* ---------------- enumeration-engine equivalences ----------------
 
    The BFS memoizes on hand-packed keys and can fan a level out over a
@@ -263,6 +385,11 @@ let suite =
         test_exclusive_fig4;
       Alcotest.test_case "strength chain" `Slow test_strength_chain;
       Alcotest.test_case "DRF ⇒ SC" `Slow test_drf_sc;
+      Alcotest.test_case "DRF trace limit is a typed error" `Quick
+        test_drf_limit_is_typed;
+      Alcotest.test_case "DRF walk blocks on a stray release" `Quick
+        test_drf_stray_release;
+      test_drf_matches_oracle;
       Alcotest.test_case "PMC weaker than PC" `Quick test_pmc_weaker_than_pc;
       Alcotest.test_case "PMC weaker than EC (hoisting)" `Quick
         test_pmc_weaker_than_ec;

@@ -294,9 +294,9 @@ let test_acyclic_and_topological () =
   for i = 1 to 10 do
     ignore (Execution.write e ~proc:(i mod 2) ~loc:(i mod 2) ~value:i)
   done;
-  check_bool "execution is acyclic" true (Order.is_acyclic e);
+  check_bool "execution is acyclic" true (Dag.is_acyclic e);
   Alcotest.(check (list int)) "ids are topological" (List.init 12 Fun.id)
-    (Order.topological e)
+    (Dag.topological e)
 
 let test_gdo_gpo () =
   (* lock-wrapped writes by two processes: GDO holds *)
@@ -307,12 +307,12 @@ let test_gdo_gpo () =
   ignore (Execution.acquire e ~proc:1 ~loc:0);
   ignore (Execution.write e ~proc:1 ~loc:0 ~value:2);
   ignore (Execution.release e ~proc:1 ~loc:0);
-  check_bool "GDO: writes to v totally ordered" true (Order.gdo_total e 0);
+  check_bool "GDO: writes to v totally ordered" true (Dag.gdo_total e 0);
   (* unlocked writes by two processes: GDO broken *)
   let e' = fresh () in
   ignore (Execution.write e' ~proc:0 ~loc:0 ~value:1);
   ignore (Execution.write e' ~proc:1 ~loc:0 ~value:2);
-  check_bool "no GDO without locks" false (Order.gdo_total e' 0);
+  check_bool "no GDO without locks" false (Dag.gdo_total e' 0);
   (* GPO: a fence orders the synchronization operations of one process
      across locations (the EC relaxation the paper recovers: "acquire/
      releases of different locations by the same process are not ordered,
@@ -323,12 +323,12 @@ let test_gdo_gpo () =
   ignore (Execution.fence e'' ~proc:0);
   let acq1 = Execution.acquire e'' ~proc:0 ~loc:1 in
   check_bool "GPO: rel(v0) globally before acq(v1) across the fence" true
-    (List.mem (rel0.Op.id, acq1.Op.id) (Order.gpo_pairs e'' 0));
+    (List.mem (rel0.Op.id, acq1.Op.id) (Dag.gpo_pairs e'' 0));
   let e3 = fresh () in
   ignore (Execution.acquire e3 ~proc:0 ~loc:0);
   ignore (Execution.release e3 ~proc:0 ~loc:0);
   ignore (Execution.acquire e3 ~proc:0 ~loc:1);
-  check_bool "no GPO pair without fence" true (Order.gpo_pairs e3 0 = [])
+  check_bool "no GPO pair without fence" true (Dag.gpo_pairs e3 0 = [])
 
 (* A plain write enters a fence only locally (Table I, write row, column
    F is ≺ℓ): the cross-location write-before-write guarantee is visible in
@@ -400,7 +400,7 @@ let replay ops =
 
 let prop_acyclic =
   QCheck.Test.make ~name:"random executions stay acyclic" ~count:200 gen_ops
-    (fun ops -> Order.is_acyclic (replay ops))
+    (fun ops -> Dag.is_acyclic (replay ops))
 
 let prop_edges_point_forward =
   QCheck.Test.make ~name:"edges always point to newer ops" ~count:200 gen_ops
