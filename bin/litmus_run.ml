@@ -5,7 +5,7 @@
      litmus_run                   # all standard programs, all models
      litmus_run -p mp_fence       # one program (repeatable)
      litmus_run --figures         # Fig. 2-5 dependency graphs
-     litmus_run --drf             # data-race-freedom analysis
+     litmus_run --drf [-p sb]     # data-race-freedom analysis
 
    Enumeration goes through the shared Pmc_jobs layer — the same code
    path the pmc_serve daemon runs — so this CLI and a daemon answer are
@@ -69,11 +69,11 @@ let print_figures () =
 
 (* An exhausted trace or state budget leaves that program without a
    verdict: it is reported on stderr and the run exits 2. *)
-let print_drf pool =
+let print_drf pool programs =
   (* race analysis per program is independent work: compute in parallel,
      print in program order *)
   let results =
-    Pmc_par.Pool.map_list_ordered pool Lprog.all_standard ~f:(fun p ->
+    Pmc_par.Pool.map_list_ordered pool programs ~f:(fun p ->
         match Drf.find_race p with
         | None -> `Drf (Drf.sc_equivalent p)
         | Some r -> `Racy r
@@ -94,7 +94,7 @@ let print_drf pool =
       | `Budget what ->
           Fmt.epr "%s: no verdict: %s@." p.Lprog.name what;
           2)
-    0 Lprog.all_standard results
+    0 programs results
 
 let print_dot () =
   let e = Execution.create ~procs:2 ~locs:2 () in
@@ -170,35 +170,38 @@ let print_programs pool programs =
   List.iter (fun r -> Fmt.pr "%a" Pmc_jobs.Result.pp r) results;
   Pmc_jobs.Result.exit_code_all results
 
+(* Every mode checks the [-p] names first, so a typo is an input error
+   even where the selection is not used. *)
 let main figures drf dot stats programs jobs =
-  if figures then (print_figures (); 0)
-  else if dot then (print_dot (); 0)
-  else
-    let selection =
-      match programs with
-      | [] -> Ok Lprog.all_standard
-      | names ->
-          let missing =
-            List.filter
-              (fun n -> Pmc_jobs.Run.find_program n = None)
-              names
-          in
-          if missing <> [] then Error missing
-          else Ok (List.filter_map Pmc_jobs.Run.find_program names)
-    in
-    match selection with
-    | Error missing ->
-        List.iter
-          (fun n ->
-            Fmt.epr "unknown program %S (known: %s)@." n
-              (String.concat ", " Pmc_jobs.Run.program_names))
-          missing;
-        2
-    | Ok selected ->
-        Pmc_par.Pool.with_pool ~jobs (fun pool ->
-            if drf then print_drf pool
-            else if stats then (print_stats pool selected; 0)
-            else print_programs pool selected)
+  let selection =
+    match programs with
+    | [] -> Ok Lprog.all_standard
+    | names ->
+        let missing =
+          List.filter (fun n -> Pmc_jobs.Run.find_program n = None) names
+        in
+        if missing <> [] then Error missing
+        else Ok (List.filter_map Pmc_jobs.Run.find_program names)
+  in
+  match selection with
+  | Error missing ->
+      List.iter
+        (fun n ->
+          Fmt.epr "unknown program %S (known: %s)@." n
+            (String.concat ", " Pmc_jobs.Run.program_names))
+        missing;
+      2
+  | Ok _ when figures ->
+      print_figures ();
+      0
+  | Ok _ when dot ->
+      print_dot ();
+      0
+  | Ok selected ->
+      Pmc_par.Pool.with_pool ~jobs (fun pool ->
+          if drf then print_drf pool selected
+          else if stats then (print_stats pool selected; 0)
+          else print_programs pool selected)
 
 let cmd =
   Cmd.v
@@ -233,7 +236,8 @@ let cmd =
           value & opt_all string []
           & info [ "program"; "p" ] ~docv:"NAME"
               ~doc:
-                "Enumerate only $(docv) (repeatable).  Slugs like \
+                "Enumerate (with $(b,--drf), analyse) only $(docv) \
+                 (repeatable).  Slugs like \
                  $(b,mp_fence), $(b,sb), $(b,iriw) or full descriptive \
                  names; default: every standard program.")
       $ Cli.jobs))

@@ -1,14 +1,13 @@
 (* Crash-consistency checker for the far-memory tier.
 
-   One crash experiment runs a registered application on the [farmem]
-   back-end with a seed-derived power cut armed ([Config.crash]), lets
-   the cut kill every tile mid-run, and then judges what the durable
+   A crash experiment cuts power to a registered application on the
+   [farmem] back-end at a seed-derived cycle and judges what the durable
    image left behind:
 
-     1. run the workload under a trace recorder until [Engine.Power_cut]
-        (or completion, if the cut cycle lands past the wall);
-     2. snapshot the durable image ([Farmem.image]) of the crashed
-        machine — exactly the media bytes, the device cache is lost;
+     1. run the workload under a trace recorder up to the cut (or to
+        completion, if the cut cycle lands past the last task);
+     2. snapshot the durable image — exactly the media bytes, the device
+        cache is lost;
      3. restore the image into a fresh device and replay recovery
         ([Farmem.recover]): committed redo-log slots are re-applied,
         uncommitted ones discarded;
@@ -20,6 +19,13 @@
         (kept scopes truncated at their last committed publication,
         uncommitted scopes dropped, incomplete read-only scopes dropped)
         must replay PMC-consistent through [Pmc_model.History].
+
+   Steps 1–2 are shared by every cut of an app: with only the cut armed,
+   the timeline before a cut is the fault-free timeline, so one run with
+   a marker at each cut cycle records each cut's trace length and a
+   sparse durable snapshot ([judge_cuts]); steps 3–5 ([judge]) then run
+   per cut.  [test/crash_oracle.ml] keeps the one-run-per-cut path as
+   the oracle.
 
    Soundness of the expected-bytes reconstruction: the device serves
    reads from durable media only, commits hold the object lock through
@@ -319,15 +325,326 @@ let durable_prefix (states : obj_state array) (trace : Event.t list) :
     states;
   List.rev !out
 
-(* ---------------- one experiment ---------------- *)
+(* ---------------- judging one crash state ---------------- *)
 
-let crash_one ?(log = true) ?window ?capacity
-    ?(replay_budget = default_replay_budget) ?(model_check = true)
-    ?(topology = Topology.Star) (a : Runner.app) ~backend ~cores ~scale
-    ~seed : report =
-  let base_cfg =
-    { Config.default with cores; topology; farmem_log = log }
+(* Steps 3–5 on a crash state: [base] carries the experiment's identity
+   and what the run left (cut, wall, recorded and dropped counts),
+   [trace] the recorded events up to the cut (a cut run ends in its
+   [Power_cut] event), and [durable] restores the durable image into a
+   fresh device and returns it with the crashed device's allocation
+   directory — [None] when the back-end never created a far-memory
+   tier. *)
+let judge ?(replay_budget = default_replay_budget) ?(model_check = true)
+    (base : report) ~(trace : Event.t list) ~durable : report =
+  let fail msg =
+    {
+      base with
+      cut = None;
+      verdict = Check_error msg;
+      objects = [];
+      recovery = None;
+      replayed = false;
+    }
   in
+  match durable with
+  | None ->
+      fail
+        (Printf.sprintf "backend %s has no far-memory tier"
+           (Pmc.Backends.to_string base.backend))
+  | Some _ when base.dropped > 0 ->
+      fail "trace ring overflow: prefix reconstruction unsound"
+  | Some restore -> (
+      let fresh, allocs = restore () in
+      let recovery = Farmem.recover fresh in
+      let mk_report ~verdict ~objects ~replayed =
+        { base with verdict; objects; recovery = Some recovery; replayed }
+      in
+      let clean = match base.cut with None -> Completed | Some _ -> Recovered in
+      (* device directory entry i is object id i (ids restart at 0 each
+         run and the back-end allocates inside Shared.make) *)
+      let states =
+        Array.of_list
+          (List.map
+             (fun (name, addr, bytes) ->
+               let words = (bytes - header_bytes) / 4 in
+               {
+                 o_name = name;
+                 o_words = words;
+                 o_addr = addr;
+                 expected = Bytes.make (4 * words) '\000';
+                 pubs_total = 0;
+                 k = Farmem.peek_u32 fresh addr;
+                 o_in_flight = false;
+                 pubs_seen = 0;
+                 frozen = false;
+               })
+             allocs)
+      in
+      (* publication totals, then classify in-flight commits *)
+      List.iter
+        (fun (e : Event.t) ->
+          match e.Event.kind with
+          | Event.Annot { ann = Event.Exit_x | Event.Flush; obj = Some o }
+            when o.Event.id < Array.length states ->
+              let s = states.(o.Event.id) in
+              s.pubs_total <- s.pubs_total + 1
+          | _ -> ())
+        trace;
+      let anomaly = ref None in
+      Array.iter
+        (fun s ->
+          if s.k = s.pubs_total + 1 then s.o_in_flight <- true
+          else if s.k > s.pubs_total + 1 then
+            anomaly :=
+              Some
+                (Printf.sprintf
+                   "object %s: durable count %d exceeds %d recorded \
+                    publications + 1"
+                   s.o_name s.k s.pubs_total))
+        states;
+      match !anomaly with
+      | Some msg -> fail msg
+      | None ->
+          (* 4: torn-object check against publication k *)
+          reconstruct_expected states trace;
+          let objects =
+            Array.to_list
+              (Array.map
+                 (fun s ->
+                   {
+                     obj_name = s.o_name;
+                     words = s.o_words;
+                     committed = s.k;
+                     published = s.pubs_total;
+                     in_flight = s.o_in_flight;
+                     torn_words = torn_words_of fresh s;
+                   })
+                 states)
+          in
+          let torn_objs = List.filter (fun o -> o.torn_words > 0) objects in
+          if torn_objs <> [] then
+            mk_report
+              ~verdict:
+                (Torn
+                   {
+                     objects = List.length torn_objs;
+                     words =
+                       List.fold_left
+                         (fun acc o -> acc + o.torn_words)
+                         0 torn_objs;
+                   })
+              ~objects ~replayed:false
+          else begin
+            (* 5: the durable prefix must be PMC-consistent *)
+            let prefix = durable_prefix states trace in
+            if model_check && List.length prefix <= replay_budget then begin
+              let rep = Pmc_trace.Replay.check ~cores:base.cores prefix in
+              if Pmc_model.History.ok rep then
+                mk_report ~verdict:clean ~objects ~replayed:true
+              else
+                mk_report
+                  ~verdict:
+                    (Prefix_inconsistent
+                       (List.length rep.Pmc_model.History.violations))
+                  ~objects ~replayed:true
+            end
+            else mk_report ~verdict:clean ~objects ~replayed:false
+          end)
+
+(* ---------------- every cut from one run ---------------- *)
+
+let base_config ~log ~topology ~cores =
+  { Config.default with cores; topology; farmem_log = log }
+
+(* The cut window: the wall clock of the app's fault-free run. *)
+let learn_window ~cfg (a : Runner.app) ~backend ~scale =
+  max 1 (Runner.run ~cfg a ~backend ~scale).Runner.wall
+
+(* What a run's marker saw at a cut cycle: the run still going — the
+   cut fires, and the marker keeps what a cut run would have left — or
+   every task already finished, when the cut is a no-op. *)
+type mark =
+  | Fired of {
+      pushed : int array;  (* events per core's ring before the cut *)
+      wall : int;
+      durable : Farmem.sparse option;
+    }
+  | Idle
+
+exception Last_cut
+
+let pushed rec_ =
+  Array.init (Pmc_trace.Recorder.cores rec_) (fun core ->
+      Pmc_trace.Recorder.pushed rec_ ~core)
+
+(* What a recorder of [capacity] events per core reports after [pushed]
+   events per core plus [extra] Power_cut events on core 0: (held,
+   dropped). *)
+let ring_counts ~capacity pushed ~extra =
+  let held = ref 0 and dropped = ref 0 in
+  Array.iteri
+    (fun core n ->
+      let n = if core = 0 then n + extra else n in
+      held := !held + min n capacity;
+      dropped := !dropped + max 0 (n - capacity))
+    pushed;
+  (!held, !dropped)
+
+let power_cut_event ~seq cycle : Event.t =
+  {
+    Event.seq;
+    time = cycle;
+    core = 0;
+    kind =
+      Event.Fault
+        { kind = Event.Power_cut; detail = Printf.sprintf "at=%d" cycle };
+  }
+
+(* One run under a trace recorder, with a marker at every distinct cut
+   cycle in place of the crash config's single cut closure.  The markers
+   are scheduled from [on_api] — after [Machine.create], before any task
+   is spawned, the queue position the cut closure takes — so every
+   tie-break at a cut cycle is the cut run's.  The access-plane fault
+   path stays disarmed, so up to each cut the run *is* that cut's run: a
+   marker that finds tasks live records what the cut would have left
+   (ring occupancy, wall, sparse durable image), and the last one stops
+   the run.  A cut past the last task is a no-op, as in the cut run,
+   whose verdict is then judged on the finished run. *)
+let judge_cuts ?(log = true) ?(capacity = Pmc_trace.Recorder.default_capacity)
+    ?replay_budget ?model_check ?(topology = Topology.Star) (a : Runner.app)
+    ~backend ~cores ~scale ~window (cuts : (int * int) list) : report list =
+  if capacity <= 0 then invalid_arg "Crash.judge_cuts: capacity must be > 0";
+  let cfg = base_config ~log ~topology ~cores in
+  let cycles = List.sort_uniq compare (List.map snd cuts) in
+  let last = List.fold_left max 0 cycles in
+  let marks = Hashtbl.create 16 in
+  let idle_seen = ref false in
+  let run_state = ref None in
+  let snapshot m = Option.map Farmem.sparse_image (Machine.farmem_opt m) in
+  let on_api api =
+    let m = Pmc.Api.machine api in
+    let engine = Machine.engine m in
+    (* with one cut the cut run's own rings serve; with more, a ring that
+       dropped would lose an earlier cut's prefix, so they only grow *)
+    let capacity = if List.length cycles = 1 then capacity else max_int in
+    let rec_ = Pmc_trace.Recorder.attach ~capacity api in
+    run_state := Some (m, rec_);
+    List.iter
+      (fun c ->
+        Engine.at engine ~time:c (fun () ->
+            if Engine.live_tasks engine > 0 then begin
+              Hashtbl.replace marks c
+                (Fired
+                   {
+                     pushed = pushed rec_;
+                     wall = Engine.wall_time engine;
+                     durable = snapshot m;
+                   });
+              if c = last && not !idle_seen then raise Last_cut
+            end
+            else begin
+              idle_seen := true;
+              Hashtbl.replace marks c Idle
+            end))
+      cycles
+  in
+  let failure =
+    if cuts = [] then None
+    else
+      match Runner.run ~cfg ~on_api a ~backend ~scale with
+      | _ | (exception Last_cut) -> None
+      | exception Pmc_error.Error c ->
+          Some (Printf.sprintf "typed error: %s" (Pmc_error.to_string c))
+      | exception Engine.Watchdog n ->
+          Some (Printf.sprintf "watchdog: no progress by cycle %d" n)
+      | exception Engine.Deadlock msg -> Some ("deadlock: " ^ msg)
+  in
+  (* where the run ended: the last marker, a clean finish or the failure;
+     every prefix judged below was recorded without a drop, so event
+     [i] of the merged trace is the one stamped [seq = i] *)
+  let trace, end_pushed, end_wall =
+    match !run_state with
+    | Some (m, rec_) ->
+        ( lazy (Array.of_list (Pmc_trace.Recorder.events rec_)),
+          pushed rec_,
+          Engine.wall_time (Machine.engine m) )
+    | None -> (lazy [||], [||], 0)
+  in
+  let end_durable =
+    lazy (Option.bind !run_state (fun (m, _) -> snapshot m))
+  in
+  (* a no-op cut's run ends at the later of its last entry and the cut;
+     markers past the last entry hide the former, so learn it from a
+     fault-free run when they do *)
+  let fault_free_wall = lazy (Runner.run ~cfg a ~backend ~scale).Runner.wall in
+  let idle_wall c =
+    if end_wall > last || c = last then end_wall
+    else max c (Lazy.force fault_free_wall)
+  in
+  let prefix n tail =
+    let trace = Lazy.force trace in
+    let l = ref tail in
+    for i = n - 1 downto 0 do
+      l := trace.(i) :: !l
+    done;
+    !l
+  in
+  (* what a cut run's recorder reports: a cut adds its Power_cut event *)
+  let base ~seed ~cut ~wall ~pushed =
+    let events, dropped =
+      ring_counts ~capacity pushed ~extra:(if cut = None then 0 else 1)
+    in
+    {
+      app = a.Runner.name; backend; cores; scale; seed; window; cut; log;
+      verdict = Completed; wall; objects = []; recovery = None; events;
+      dropped; replayed = false;
+    }
+  in
+  (* judge from the trace a cut run's recorder holds — never read when it
+     overflowed the ring — and the sparse snapshot in a fresh device *)
+  let judge_at ~seed ~cut ~wall ~pushed durable =
+    let base = base ~seed ~cut ~wall ~pushed in
+    let n = Array.fold_left ( + ) 0 pushed in
+    let trace =
+      if base.dropped > 0 then []
+      else
+        prefix n
+          (match cut with
+          | Some c -> [ power_cut_event ~seq:n c ]
+          | None -> [])
+    in
+    judge ?replay_budget ?model_check base ~trace
+      ~durable:
+        (Option.map
+           (fun img () ->
+             let fresh =
+               Farmem.of_sparse
+                 ~word_occupancy:cfg.Config.farmem_word_occupancy img
+             in
+             (fresh, Farmem.allocs fresh))
+           durable)
+  in
+  List.map
+    (fun (seed, c) ->
+      match (Hashtbl.find_opt marks c, failure) with
+      | Some (Fired { pushed; wall; durable }), _ ->
+          judge_at ~seed ~cut:(Some c) ~wall ~pushed durable
+      | Some Idle, None ->
+          judge_at ~seed ~cut:None ~wall:(idle_wall c) ~pushed:end_pushed
+            (Lazy.force end_durable)
+      | _, Some msg ->
+          {
+            (base ~seed ~cut:None ~wall:end_wall ~pushed:end_pushed) with
+            verdict = Check_error msg;
+          }
+      | None, None ->
+          (* a run neither fails nor ends before its last marker *)
+          assert false)
+    cuts
+
+let crash_one ?(log = true) ?window ?capacity ?replay_budget ?model_check
+    ?(topology = Topology.Star) (a : Runner.app) ~backend ~cores ~scale ~seed
+    : report =
   (* the cut window defaults to the run's own wall clock, learned from a
      fault-free twin — the crash config leaves the access-plane fault
      path disarmed, so the pre-cut timeline is the fault-free timeline *)
@@ -335,178 +652,12 @@ let crash_one ?(log = true) ?window ?capacity
     match window with
     | Some w -> max 1 w
     | None ->
-        let r = Runner.run ~cfg:base_cfg a ~backend ~scale in
-        max 1 r.Runner.wall
+        learn_window ~cfg:(base_config ~log ~topology ~cores) a ~backend ~scale
   in
-  let cfg = Config.crash ~seed ~window base_cfg in
-  let recorder = ref None in
-  let machine = ref None in
-  let on_api api =
-    machine := Some (Pmc.Api.machine api);
-    recorder := Some (Pmc_trace.Recorder.attach ?capacity api)
-  in
-  let mk_report ~cut ~verdict ~objects ~recovery ~replayed =
-    let wall =
-      match !machine with
-      | Some m -> Engine.wall_time (Machine.engine m)
-      | None -> 0
-    in
-    let events, dropped =
-      match !recorder with
-      | Some r ->
-          (Pmc_trace.Recorder.recorded r, Pmc_trace.Recorder.dropped_total r)
-      | None -> (0, 0)
-    in
-    {
-      app = a.Runner.name; backend; cores; scale; seed; window; cut; log;
-      verdict; wall; objects; recovery; events; dropped; replayed;
-    }
-  in
-  let fail msg =
-    mk_report ~cut:None ~verdict:(Check_error msg) ~objects:[] ~recovery:None
-      ~replayed:false
-  in
-  let run_outcome =
-    match Runner.run ~cfg ~on_api a ~backend ~scale with
-    | r -> Ok (`Completed r)
-    | exception Engine.Power_cut cycle -> Ok (`Cut cycle)
-    | exception Pmc_error.Error c ->
-        Error (Printf.sprintf "typed error: %s" (Pmc_error.to_string c))
-    | exception Engine.Watchdog n ->
-        Error (Printf.sprintf "watchdog: no progress by cycle %d" n)
-    | exception Engine.Deadlock msg -> Error ("deadlock: " ^ msg)
-  in
-  match run_outcome with
-  | Error msg -> fail msg
-  | Ok outcome -> (
-      let cut = match outcome with `Cut c -> Some c | `Completed _ -> None in
-      match Option.bind !machine Machine.farmem_opt with
-      | None ->
-          fail
-            (Printf.sprintf "backend %s has no far-memory tier"
-               (Pmc.Backends.to_string backend))
-      | Some crashed_dev ->
-          let rec_ = Option.get !recorder in
-          if Pmc_trace.Recorder.dropped_total rec_ > 0 then
-            fail "trace ring overflow: prefix reconstruction unsound"
-          else begin
-            (* 2–3: snapshot the durable image, restore, replay recovery *)
-            let img = Farmem.image crashed_dev in
-            let fresh =
-              Farmem.create ~data_bytes:cfg.Config.farmem_bytes
-                ~word_occupancy:cfg.Config.farmem_word_occupancy ~slots:cores
-            in
-            Farmem.restore fresh img;
-            let recovery = Farmem.recover fresh in
-            let trace = Pmc_trace.Recorder.events rec_ in
-            (* device directory entry i is object id i (ids restart at 0
-               each run and the back-end allocates inside Shared.make) *)
-            let allocs = Array.of_list (Farmem.allocs crashed_dev) in
-            let states =
-              Array.map
-                (fun (name, addr, bytes) ->
-                  let words = (bytes - header_bytes) / 4 in
-                  {
-                    o_name = name;
-                    o_words = words;
-                    o_addr = addr;
-                    expected = Bytes.make (4 * words) '\000';
-                    pubs_total = 0;
-                    k = Farmem.peek_u32 fresh addr;
-                    o_in_flight = false;
-                    pubs_seen = 0;
-                    frozen = false;
-                  })
-                allocs
-            in
-            (* publication totals, then classify in-flight commits *)
-            List.iter
-              (fun (e : Event.t) ->
-                match e.Event.kind with
-                | Event.Annot
-                    { ann = Event.Exit_x | Event.Flush; obj = Some o }
-                  when o.Event.id < Array.length states ->
-                    let s = states.(o.Event.id) in
-                    s.pubs_total <- s.pubs_total + 1
-                | _ -> ())
-              trace;
-            let anomaly = ref None in
-            Array.iter
-              (fun s ->
-                if s.k = s.pubs_total + 1 then s.o_in_flight <- true
-                else if s.k > s.pubs_total + 1 then
-                  anomaly :=
-                    Some
-                      (Printf.sprintf
-                         "object %s: durable count %d exceeds %d recorded \
-                          publications + 1"
-                         s.o_name s.k s.pubs_total))
-              states;
-            match !anomaly with
-            | Some msg -> fail msg
-            | None ->
-                (* 4: torn-object check against publication k *)
-                reconstruct_expected states trace;
-                let objects =
-                  Array.to_list
-                    (Array.map
-                       (fun s ->
-                         {
-                           obj_name = s.o_name;
-                           words = s.o_words;
-                           committed = s.k;
-                           published = s.pubs_total;
-                           in_flight = s.o_in_flight;
-                           torn_words = torn_words_of fresh s;
-                         })
-                       states)
-                in
-                let torn_objs =
-                  List.filter (fun o -> o.torn_words > 0) objects
-                in
-                if torn_objs <> [] then
-                  mk_report ~cut
-                    ~verdict:
-                      (Torn
-                         {
-                           objects = List.length torn_objs;
-                           words =
-                             List.fold_left
-                               (fun acc o -> acc + o.torn_words)
-                               0 torn_objs;
-                         })
-                    ~objects ~recovery:(Some recovery) ~replayed:false
-                else begin
-                  (* 5: the durable prefix must be PMC-consistent *)
-                  let prefix = durable_prefix states trace in
-                  if
-                    model_check
-                    && List.length prefix <= replay_budget
-                  then begin
-                    let rep = Pmc_trace.Replay.check ~cores prefix in
-                    if Pmc_model.History.ok rep then
-                      mk_report ~cut
-                        ~verdict:
-                          (match cut with
-                          | None -> Completed
-                          | Some _ -> Recovered)
-                        ~objects ~recovery:(Some recovery) ~replayed:true
-                    else
-                      mk_report ~cut
-                        ~verdict:
-                          (Prefix_inconsistent
-                             (List.length rep.Pmc_model.History.violations))
-                        ~objects ~recovery:(Some recovery) ~replayed:true
-                  end
-                  else
-                    mk_report ~cut
-                      ~verdict:
-                        (match cut with
-                        | None -> Completed
-                        | Some _ -> Recovered)
-                      ~objects ~recovery:(Some recovery) ~replayed:false
-                end
-          end)
+  List.hd
+    (judge_cuts ~log ?capacity ?replay_budget ?model_check ~topology a ~backend
+       ~cores ~scale ~window
+       [ (seed, Fault.power_cut_cycle ~fault_seed:seed ~window) ])
 
 (* ---------------- the seed sweep ---------------- *)
 
@@ -540,56 +691,24 @@ let summarize (reports : report list) : sweep =
 
 let ok s = s.torn = 0 && s.inconsistent = 0 && s.errors = 0
 
-let sweep ?log ?capacity ?replay_budget ?model_check ?topology ?progress
-    ?pool ~apps ~backend ~cores ~scale ~seeds () : sweep =
+let sweep ?(log = true) ?capacity ?replay_budget ?model_check
+    ?(topology = Topology.Star) ~apps ~backend ~cores ~scale ~seeds () : sweep =
   (* the cut window is learned once per app from its fault-free twin, so
      every seed of an app shares one deterministic window — which also
-     keeps the window inside job keys stable *)
-  let windows =
-    List.map
-      (fun (a : Runner.app) ->
-        let base_cfg =
-          {
-            Config.default with
-            cores;
-            topology = Option.value ~default:Topology.Star topology;
-            farmem_log = Option.value ~default:true log;
-          }
-        in
-        let r = Runner.run ~cfg:base_cfg a ~backend ~scale in
-        (a, max 1 r.Runner.wall))
-      apps
-  in
-  let one (a : Runner.app) ~window seed =
-    crash_one ?log ~window ?capacity ?replay_budget ?model_check ?topology a
-      ~backend ~cores ~scale ~seed
-  in
-  let reports =
-    match pool with
-    | Some pool when Pmc_par.Pool.jobs pool > 1 ->
-        let wall =
-          List.concat_map
-            (fun (a, window) -> List.map (fun seed -> (a, window, seed)) seeds)
-            windows
-        in
-        let reports =
-          Pmc_par.Pool.map_list_ordered pool wall
-            ~f:(fun (a, window, seed) -> one a ~window seed)
-        in
-        List.iter (fun r -> Option.iter (fun f -> f r) progress) reports;
-        reports
-    | _ ->
-        List.concat_map
-          (fun (a, window) ->
-            List.map
+     keeps the window inside job keys stable — and one run judges every
+     seed's cut *)
+  let cfg = base_config ~log ~topology ~cores in
+  summarize
+    (List.concat_map
+       (fun (a : Runner.app) ->
+         let window = learn_window ~cfg a ~backend ~scale in
+         judge_cuts ~log ?capacity ?replay_budget ?model_check ~topology a
+           ~backend ~cores ~scale ~window
+           (List.map
               (fun seed ->
-                let r = one a ~window seed in
-                Option.iter (fun f -> f r) progress;
-                r)
-              seeds)
-          windows
-  in
-  summarize reports
+                (seed, Fault.power_cut_cycle ~fault_seed:seed ~window))
+              seeds))
+       apps)
 
 (* ---------------- printing ---------------- *)
 

@@ -1,10 +1,12 @@
-(* The check-suite workloads: the model plane's two hot paths, packaged
-   so [Measure] can time them like simulator cases.
+(* The check-suite workloads: the model plane's two hot paths and the
+   crash checker, packaged so [Measure] can time them like simulator
+   cases.
 
-   Both workloads are deterministic by construction — the replay trace
-   comes from a fixed-seed LCG and enumeration explores fixed programs —
-   so the work count and digest must be identical across repeats and
-   across hosts; only the measured rate varies. *)
+   Every workload is deterministic by construction — the replay trace
+   comes from a fixed-seed LCG, enumeration explores fixed programs and
+   the crash sweep draws its cuts from fixed seeds — so the work count
+   and digest must be identical across repeats and across hosts; only
+   the measured rate varies. *)
 
 open Pmc_model
 
@@ -87,3 +89,28 @@ let enum () =
         r.Litmus.outcomes)
     cells;
   { work = !work; ok = !work > 0; digest = !digest }
+
+(* A one-pass crash sweep of one app on the far-memory tier over eight
+   fixed seeds: [work] counts the cuts judged, [digest] pins each
+   report's verdict, cut, wall and recorded events. *)
+let crash_seeds = List.init 8 (fun i -> i + 1)
+
+let crash ~app ~cores ~scale =
+  let a =
+    match Pmc_apps.Registry.find app with
+    | Some a -> a
+    | None -> invalid_arg ("Checkload.crash: unknown app " ^ app)
+  in
+  let s =
+    Pmc_apps.Crash.sweep ~apps:[ a ] ~backend:Pmc.Backends.Farmem ~cores
+      ~scale ~seeds:crash_seeds ()
+  in
+  let digest =
+    List.fold_left
+      (fun h (r : Pmc_apps.Crash.report) ->
+        let h = digest_string h (Pmc_apps.Crash.verdict_name r.verdict) in
+        let h = digest_int h (Option.value ~default:(-1) r.cut) in
+        digest_int (digest_int h r.wall) r.events)
+      digest_seed s.Pmc_apps.Crash.reports
+  in
+  { work = s.Pmc_apps.Crash.total; ok = Pmc_apps.Crash.ok s; digest }

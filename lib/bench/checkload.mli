@@ -1,11 +1,13 @@
 (** The check-suite workloads: the model plane's two hot paths —
-    incremental history replay and litmus-corpus enumeration — packaged
-    so {!Measure} can time them like simulator cases.
+    incremental history replay and litmus-corpus enumeration — and the
+    crash checker, packaged so {!Measure} can time them like simulator
+    cases.
 
-    Both are deterministic by construction: the replay trace comes from
-    a fixed-seed generator and enumeration explores fixed programs, so
-    [work] and [digest] are pure functions of the case; only the
-    measured rate is host-dependent. *)
+    All are deterministic by construction: the replay trace comes from a
+    fixed-seed generator, enumeration explores fixed programs and the
+    crash sweep draws its cuts from fixed seeds, so [work] and [digest]
+    are pure functions of the case; only the measured rate is
+    host-dependent. *)
 
 type outcome = {
   work : int;    (** events replayed / distinct states enumerated *)
@@ -27,3 +29,9 @@ val enum : unit -> outcome
 (** Enumerate every standard litmus program under every semantics;
     [work] totals the distinct states, [digest] pins every cell's
     state count, stuck count and outcome set. *)
+
+val crash : app:string -> cores:int -> scale:int -> outcome
+(** A one-pass {!Pmc_apps.Crash.sweep} of [app] on the far-memory tier
+    over seeds 1-8; [work] counts the cuts judged, [ok] requires every
+    verdict acceptable, [digest] pins each report's verdict, cut, wall
+    and recorded events. *)

@@ -199,14 +199,19 @@ let run_case ?max_cycles ~unbatched ~warmup ~repeat (c : Spec.case) :
             ~events:c.Spec.scale)
   | Spec.Check_enum ->
       run_check_case ~warmup ~repeat c (fun () -> Checkload.enum ())
+  | Spec.Check_crash ->
+      run_check_case ~warmup ~repeat c (fun () ->
+          Checkload.crash ~app:c.Spec.app ~cores:c.Spec.cores
+            ~scale:c.Spec.scale)
 
 (* ---------------- JSON (schema v5) ----------------
 
    The only schema this build reads or writes.  Every field is
-   required: [work] ("sim", "check_replay", "check_enum"), the case's
-   [topology], all fifteen metrics, the gated rate [host_cycles_per_s]
-   and [minor_words].  Check cases store their deterministic work count
-   in [cycles] and their verdict digest in [lat_digest]. *)
+   required: [work] ("sim", "check_replay", "check_enum",
+   "check_crash"), the case's [topology], all fifteen metrics, the gated
+   rate [host_cycles_per_s] and [minor_words].  Check cases store their
+   deterministic work count in [cycles] and their verdict digest in
+   [lat_digest]. *)
 
 let schema_version = 5
 
@@ -214,11 +219,13 @@ let work_to_string = function
   | Spec.Sim -> "sim"
   | Spec.Check_replay -> "check_replay"
   | Spec.Check_enum -> "check_enum"
+  | Spec.Check_crash -> "check_crash"
 
 let work_of_string = function
   | "sim" -> Some Spec.Sim
   | "check_replay" -> Some Spec.Check_replay
   | "check_enum" -> Some Spec.Check_enum
+  | "check_crash" -> Some Spec.Check_crash
   | _ -> None
 
 let metrics_to_json (m : metrics) : Json.t =

@@ -15,6 +15,7 @@ type work =
   | Check_replay  (* History.check over a synthetic [scale]-event trace;
                      [app] names the location geometry, see [replay_locs] *)
   | Check_enum    (* Litmus.enumerate over the standard corpus *)
+  | Check_crash   (* a one-pass Crash.sweep of [app] over 8 fixed seeds *)
 
 type case = {
   app : string;
@@ -40,6 +41,7 @@ let case_id (c : case) =
   match c.work with
   | Check_replay -> Printf.sprintf "check/%s/c%d/s%d" c.app c.cores c.scale
   | Check_enum -> Printf.sprintf "check/enum/%s/s%d" c.app c.scale
+  | Check_crash -> Printf.sprintf "check/crash/%s/s%d" c.app c.scale
   | Sim -> (
       match c.topology with
       | Pmc_sim.Topology.Star ->
@@ -112,7 +114,9 @@ let scale_cases =
    200k events over 2 locations per process; "replay-wide" spreads 20k
    over 512 locations — the many-location regime of recorded stencil and
    radiosity traces, where a frontier row has thousands of slots and
-   almost all of them stay empty.  Every work count is deterministic, so
+   almost all of them stay empty.  The crash case judges eight seeded
+   power cuts of the mailbox app from one recorded run, holding the
+   one-pass crash checker's cost.  Every work count is deterministic, so
    only the rate is host-dependent — it is gated by
    [Compare.host_rate_floor] like every simulator case. *)
 let check_case ~app ~cores ~scale work =
@@ -124,6 +128,8 @@ let check_cases =
     check_case ~app:"replay" ~cores:4 ~scale:200_000 Check_replay;
     check_case ~app:"corpus" ~cores:1 ~scale:1 Check_enum;
     check_case ~app:"replay-wide" ~cores:4 ~scale:20_000 Check_replay;
+    { (check_case ~app:"mailbox" ~cores:4 ~scale:4 Check_crash) with
+      backend = Pmc.Backends.Farmem };
   ]
 
 let replay_locs (c : case) =

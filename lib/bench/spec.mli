@@ -1,9 +1,10 @@
 (** Benchmark suite descriptions: which (app, back-end, topology, cores,
     scale) combinations to run and with what measurement discipline. *)
 
-(** What a case exercises: a simulator run, or one of the model plane's
-    two hot paths.  Check cases record their deterministic work count in
-    [metrics.cycles] (events replayed / states enumerated) and their
+(** What a case exercises: a simulator run, one of the model plane's
+    two hot paths, or the crash checker.  Check cases record their
+    deterministic work count in [metrics.cycles] (events replayed /
+    states enumerated / cuts judged) and their
     throughput in [host_cycles_per_s], so the existing rate gate applies
     unchanged. *)
 type work =
@@ -14,6 +15,9 @@ type work =
   | Check_enum
       (** {!Pmc_model.Litmus.enumerate} over the standard corpus under
           every semantics *)
+  | Check_crash
+      (** {!Pmc_apps.Crash.sweep} of [app] on the far-memory tier over
+          eight fixed seeds, every cut judged from one recorded run *)
 
 type case = {
   app : string;       (** registry name, see {!Pmc_apps.Registry} *)
@@ -41,8 +45,8 @@ val case_id : case -> string
     historic form, so pre-topology baselines still join),
     ["app/backend/topology/cN/sM"] on routed fabrics, and
     ["check/app/cN/sM"] (["check/replay/cN/sM"],
-    ["check/replay-wide/cN/sM"]) / ["check/enum/app/sM"] for check
-    cases. *)
+    ["check/replay-wide/cN/sM"]), ["check/enum/app/sM"] and
+    ["check/crash/app/sM"] for check cases. *)
 
 val smoke_cases : case list
 (** The CI gate: three kernels with distinct traffic shapes on every
@@ -59,8 +63,9 @@ val scale_cases : case list
 val check_cases : case list
 (** The model-plane throughput gate: incremental history replay in two
     geometries (200k synthetic events over 8 locations, and 20k over
-    512 locations, both with 4 processes) and litmus-corpus enumeration
-    (every standard program under every semantics). *)
+    512 locations, both with 4 processes), litmus-corpus enumeration
+    (every standard program under every semantics) and a one-pass crash
+    sweep (mailbox at scale 4 on 4 cores, eight seeded cuts). *)
 
 val replay_locs : case -> int
 (** The location count a {!Check_replay} case's trace spreads over,

@@ -188,6 +188,63 @@ let restore t (img : Bytes.t) =
   Mem.blit_of_bytes img 0 t.shadow 0 t.size;
   t.dirty <- []
 
+(* The sparse durable image: only the media bytes [recover] and the
+   crash checker's torn-object check read — the superblock, each log
+   slot's flag and record count plus, when the flag is set, its records,
+   and the allocated data region [alloc_base, brk).  Every other media
+   byte is either still zero or unread (the records of an uncommitted
+   slot), so restoring the spans into a fresh, zero-on-demand device
+   yields the same recovery and the same object payloads as the full
+   [image]/[restore] round trip.  The device it restores into ends at
+   the image's [brk], so both copies follow the bytes the run allocated
+   rather than [farmem_bytes] — a full-size device would also charge the
+   GC for its whole mapping, a major collection per restore. *)
+type sparse = {
+  sp_slots : int;
+  sp_brk : int;
+  sp_allocs : (string * int * int) list;
+  spans : (int * Bytes.t) list;
+}
+
+let sparse_image t =
+  let span addr len = (addr, Mem.to_bytes t.media ~pos:addr ~len) in
+  let slot_span i =
+    let slot = slot_addr t i in
+    if Mem.get_u32_int t.media slot = 0 then span slot 8
+    else begin
+      (* walk the records as [recover] will, clamped to the device *)
+      let pos = ref (slot + 8) in
+      for _ = 1 to Mem.get_u32_int t.media (slot + 4) do
+        if !pos + 8 <= t.size then
+          pos := !pos + 8 + (4 * Mem.get_u32_int t.media (!pos + 4))
+      done;
+      span slot (min t.size !pos - slot)
+    end
+  in
+  let alloc_base = align8 (8 + (t.slots * t.slot_bytes)) in
+  {
+    sp_slots = t.slots;
+    sp_brk = t.brk;
+    sp_allocs = t.allocs;
+    spans =
+      (span 0 8 :: List.init t.slots slot_span)
+      @ [ span alloc_base (t.brk - alloc_base) ];
+  }
+
+let of_sparse ~word_occupancy (img : sparse) =
+  let slots = img.sp_slots in
+  let alloc_base = align8 (8 + (slots * log_slot_bytes)) in
+  let t = create ~data_bytes:(img.sp_brk - alloc_base) ~word_occupancy ~slots in
+  List.iter
+    (fun (addr, b) ->
+      let len = Bytes.length b in
+      Mem.blit_of_bytes b 0 t.media addr len;
+      Mem.blit_of_bytes b 0 t.shadow addr len)
+    img.spans;
+  t.allocs <- img.sp_allocs;
+  t.brk <- img.sp_brk;
+  t
+
 type recovery = {
   committed : bool;     (* a committed log was found (and re-applied) *)
   records : int;        (* records applied *)

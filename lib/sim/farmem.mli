@@ -95,6 +95,24 @@ val restore : t -> Bytes.t -> unit
 (** Load a durable image into a fresh device (media and — restart —
     device cache).  @raise Invalid_argument on a size mismatch. *)
 
+type sparse
+(** A sparse durable image: the superblock, each log slot's flag and
+    record count (plus its records when the flag is set), the allocated
+    data region and the allocation directory — everything {!recover}
+    and the crash checker read. *)
+
+val sparse_image : t -> sparse
+(** The durable state {!recover} starts from, copied in time
+    proportional to the log in use and the bytes allocated, not to
+    {!size}. *)
+
+val of_sparse : word_occupancy:int -> sparse -> t
+(** A fresh device holding a sparse image (media and — restart — device
+    cache), with the image's allocation directory, sized to end at its
+    last allocation.  Recovery and every allocated payload match the
+    full {!image}/{!restore} round trip into a device of the original
+    size. *)
+
 type recovery = {
   committed : bool;     (** some committed slot was found (and re-applied) *)
   records : int;        (** records applied, across all slots *)

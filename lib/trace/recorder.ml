@@ -7,6 +7,13 @@
    trace (model replay, race checking) should check [dropped_total] and
    raise capacity — the CLI does.
 
+   A ring starts small and doubles up to its capacity, so a short run
+   pays for the events it records, not for [capacity] slots per core
+   (filling four 65,536-slot arrays cost a crash experiment ~2.7 ms, more
+   than simulating it).  Growth happens only while the ring has never
+   wrapped, so the doubled buffer keeps the oldest-first order at index 0
+   and overflow behaves exactly as a preallocated ring's.
+
    [attach] claims both hooks (the [Pmc.Api] trace callback and the
    simulator's [Pmc_sim.Probe] sink); [detach] restores them.  The global
    [seq] counter stamps emission order, which on the deterministic
@@ -15,35 +22,60 @@
 
 open Pmc_sim
 
-type ring = {
-  buf : Event.t array;
-  mutable len : int;    (* number of valid entries *)
-  mutable head : int;   (* next write position *)
-  mutable dropped : int;
-}
-
 let dummy_event : Event.t =
   { Event.seq = -1; time = 0; core = 0; kind = Event.Task { op = Event.Spawn } }
 
-let ring_create capacity =
-  { buf = Array.make capacity dummy_event; len = 0; head = 0; dropped = 0 }
+module Ring = struct
+  type t = {
+    capacity : int;
+    mutable buf : Event.t array;
+    mutable len : int;    (* number of valid entries *)
+    mutable head : int;   (* next write position *)
+    mutable dropped : int;
+  }
 
-let ring_push r (e : Event.t) =
-  let cap = Array.length r.buf in
-  r.buf.(r.head) <- e;
-  r.head <- (r.head + 1) mod cap;
-  if r.len < cap then r.len <- r.len + 1 else r.dropped <- r.dropped + 1
+  let initial_slots = 64
 
-(* Oldest-first contents of the ring. *)
-let ring_list r =
-  let cap = Array.length r.buf in
-  let start = (r.head - r.len + cap) mod cap in
-  List.init r.len (fun i -> r.buf.((start + i) mod cap))
+  let create capacity =
+    if capacity <= 0 then invalid_arg "Recorder.Ring.create: capacity";
+    {
+      capacity;
+      buf = Array.make (min capacity initial_slots) dummy_event;
+      len = 0;
+      head = 0;
+      dropped = 0;
+    }
+
+  (* Only a ring that never wrapped is full below its capacity, and such
+     a ring holds its events oldest first from index 0. *)
+  let grow r =
+    let size = Array.length r.buf in
+    let buf = Array.make (min r.capacity (2 * size)) dummy_event in
+    Array.blit r.buf 0 buf 0 size;
+    r.buf <- buf;
+    r.head <- size
+
+  let push r (e : Event.t) =
+    if r.len = Array.length r.buf && r.len < r.capacity then grow r;
+    let size = Array.length r.buf in
+    r.buf.(r.head) <- e;
+    r.head <- (r.head + 1) mod size;
+    if r.len < size then r.len <- r.len + 1 else r.dropped <- r.dropped + 1
+
+  (* Oldest-first contents of the ring. *)
+  let to_list r =
+    let size = Array.length r.buf in
+    let start = (r.head - r.len + size) mod size in
+    List.init r.len (fun i -> r.buf.((start + i) mod size))
+
+  let recorded r = r.len
+  let dropped r = r.dropped
+end
 
 type t = {
   api : Pmc.Api.t;
   machine : Machine.t;
-  rings : ring array;
+  rings : Ring.t array;
   mutable seq : int;
   mutable attached : bool;
 }
@@ -52,7 +84,7 @@ let default_capacity = 1 lsl 16
 
 let push t ~core ~time kind =
   let core = if core < 0 || core >= Array.length t.rings then 0 else core in
-  ring_push t.rings.(core) { Event.seq = t.seq; time; core; kind };
+  Ring.push t.rings.(core) { Event.seq = t.seq; time; core; kind };
   t.seq <- t.seq + 1
 
 let api_hook t ~core (ev : Pmc.Api.event) =
@@ -158,7 +190,7 @@ let attach ?(capacity = default_capacity) (api : Pmc.Api.t) : t =
     {
       api;
       machine;
-      rings = Array.init cores (fun _ -> ring_create capacity);
+      rings = Array.init cores (fun _ -> Ring.create capacity);
       seq = 0;
       attached = true;
     }
@@ -176,12 +208,17 @@ let detach t =
 
 let api t = t.api
 let cores t = Array.length t.rings
-let recorded t = Array.fold_left (fun acc r -> acc + r.len) 0 t.rings
-let dropped t ~core = t.rings.(core).dropped
-let dropped_total t = Array.fold_left (fun acc r -> acc + r.dropped) 0 t.rings
+let recorded t = Array.fold_left (fun acc r -> acc + Ring.recorded r) 0 t.rings
+let dropped t ~core = Ring.dropped t.rings.(core)
+let pushed t ~core = Ring.recorded t.rings.(core) + Ring.dropped t.rings.(core)
+
+let dropped_total t =
+  Array.fold_left (fun acc r -> acc + Ring.dropped r) 0 t.rings
 
 let events t : Event.t list =
   let all =
-    Array.fold_left (fun acc r -> List.rev_append (ring_list r) acc) [] t.rings
+    Array.fold_left
+      (fun acc r -> List.rev_append (Ring.to_list r) acc)
+      [] t.rings
   in
   List.sort (fun (a : Event.t) b -> compare a.Event.seq b.Event.seq) all

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Run each binary with one bad flag value — an unknown app, back-end or
-# fabric name, or a count below its minimum — and print the command, its
-# stderr and its exit code.  Every case must exit 2 (input error) with
-# cmdliner's message format; cli_errors.expected pins the lot.
+# Run each binary with one bad flag value — an unknown app, back-end,
+# fabric or program name, or a count below its minimum — and print the
+# command, its stderr and its exit code.  Every such case must exit 2
+# (input error) with one message format; cli_errors.expected pins the
+# lot.  A few selections that must be honoured print stdout as well.
 #
 #   sh cli_errors.sh BIN/pmc_demo.exe   (the other binaries sit beside it)
 set -u
@@ -13,6 +14,14 @@ run() {
   shift
   echo "\$ $exe $*"
   "$bin/$exe.exe" "$@" 2>&1 >/dev/null
+  echo "exit $?"
+}
+
+run_out() {
+  exe=$1
+  shift
+  echo "\$ $exe $*"
+  "$bin/$exe.exe" "$@" 2>&1
   echo "exit $?"
 }
 
@@ -32,4 +41,7 @@ run pmc_serve submit bench --app nope --local
 run pmc_serve submit crash --window 0 --local
 run pmc_serve daemon --jobs=-1
 run litmus_run --jobs=-1
+run litmus_run --figures -p nope
+run litmus_run --dot -p nope
+run_out litmus_run --drf -p sb
 run pmc_check --jobs=-1

@@ -459,9 +459,9 @@ let test_check_suite_shape () =
   match Pmc_bench.Spec.suite "check" with
   | None -> Alcotest.fail "check suite missing"
   | Some spec ->
-      Alcotest.(check (list string)) "three cases, historic ids kept"
+      Alcotest.(check (list string)) "four cases, historic ids kept"
         [ "check/replay/c4/s200000"; "check/enum/corpus/s1";
-          "check/replay-wide/c4/s20000" ]
+          "check/replay-wide/c4/s20000"; "check/crash/mailbox/s4" ]
         (List.map Pmc_bench.Spec.case_id spec.Pmc_bench.Spec.cases);
       Alcotest.(check (list int)) "replay geometries" [ 8; 512 ]
         (List.filter_map
@@ -474,7 +474,7 @@ let test_check_suite_shape () =
       | None -> Alcotest.fail "ci suite missing"
       | Some ci ->
           Alcotest.(check int) "ci = smoke + check"
-            (List.length Pmc_bench.Spec.smoke_cases + 3)
+            (List.length Pmc_bench.Spec.smoke_cases + 4)
             (List.length ci.Pmc_bench.Spec.cases))
 
 let suite =

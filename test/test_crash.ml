@@ -1,8 +1,9 @@
 (* Crash-consistency tests for the far-memory tier: the persistence
    domain's durability semantics (visible implies durable), redo-log
-   recovery and its idempotence, and the crash checker's contract — a
+   recovery and its idempotence, the crash checker's contract — a
    logged [exit_x] never tears, and the deliberately tearable no-log
-   mode is caught. *)
+   mode is caught — and the one-pass checker against [Crash_oracle],
+   the run-to-the-cut reference, down to every cycle of a window. *)
 
 open Pmc_sim
 
@@ -159,6 +160,103 @@ let prop_verdict_reproducible =
       && r1.Pmc_apps.Crash.cut = r2.Pmc_apps.Crash.cut
       && r1.Pmc_apps.Crash.wall = r2.Pmc_apps.Crash.wall)
 
+(* ---------------- one pass against the oracle ---------------- *)
+
+let farmem = Pmc.Backends.Farmem
+
+let learned_window app ~scale =
+  let cfg = { Config.default with Config.cores = 4 } in
+  let r = Pmc_apps.Runner.run ~cfg app ~backend:farmem ~scale in
+  max 1 r.Pmc_apps.Runner.wall
+
+(* [judge_cuts] over several seeds from one run must give, cut for cut,
+   the report of a run stopped by that seed's own cut closure and judged
+   on a full durable image. *)
+let one_pass_matches_oracle ?(log = true) ?capacity ?(backend = farmem)
+    ~window app ~scale seeds =
+  let cuts =
+    List.map
+      (fun seed -> (seed, Fault.power_cut_cycle ~fault_seed:seed ~window))
+      seeds
+  in
+  let fast =
+    Pmc_apps.Crash.judge_cuts ~log ?capacity app ~backend ~cores:4 ~scale
+      ~window cuts
+  in
+  let slow =
+    List.map
+      (fun seed ->
+        Crash_oracle.crash_one ~log ~window ?capacity app ~backend ~cores:4
+          ~scale ~seed)
+      seeds
+  in
+  List.for_all2
+    (fun (f : Pmc_apps.Crash.report) s ->
+      f = s
+      || QCheck.Test.fail_reportf "seed %d: one pass %a, oracle %a"
+           f.Pmc_apps.Crash.seed Pmc_apps.Crash.pp_report f
+           Pmc_apps.Crash.pp_report s)
+    fast slow
+
+let prop_one_pass_equals_oracle =
+  let apps =
+    [ ("histogram", 8); ("mailbox", 2); ("reduce", 6); ("stencil", 4) ]
+  in
+  QCheck.Test.make ~count:12
+    ~name:"one-pass cuts equal the run-to-the-cut oracle"
+    QCheck.(
+      triple (make ~print:fst (Gen.oneofl apps)) (int_range 1 10_000) bool)
+    (fun ((name, scale), seed, log) ->
+      let app = find_app name in
+      one_pass_matches_oracle ~log ~window:(learned_window app ~scale) app
+        ~scale
+        [ seed; seed + 1; seed + 2; seed + 3 ])
+
+let test_one_pass_edges () =
+  let app = find_app "histogram" in
+  let window = learned_window app ~scale:8 in
+  let check what ok = Alcotest.(check bool) what true ok in
+  (* cuts past the wall complete, as they do in a cut run *)
+  check "cuts past the wall"
+    (one_pass_matches_oracle ~window:(3 * window) app ~scale:8
+       (List.init 8 (fun i -> i + 1)));
+  (* a ring a cut run would overflow is an error with the same counts *)
+  check "ring overflow"
+    (one_pass_matches_oracle ~capacity:64 ~window app ~scale:8 [ 1; 2; 3 ]);
+  check "no far-memory tier"
+    (one_pass_matches_oracle ~backend:Pmc.Backends.Dsm ~window app ~scale:8
+       [ 1; 2 ])
+
+(* Every cycle of the window from one run: the exhaustive crash-state
+   check.  With the redo log every state must recover; without it some
+   cut must land mid-publication and be caught. *)
+let test_every_cut () =
+  let app = find_app "mailbox" in
+  let scale = 2 in
+  let window = learned_window app ~scale in
+  let every = List.init window (fun i -> (0, i + 1)) in
+  let judge ?model_check log =
+    Pmc_apps.Crash.judge_cuts ~log ?model_check app ~backend:farmem ~cores:4
+      ~scale ~window every
+  in
+  List.iter
+    (fun (r : Pmc_apps.Crash.report) ->
+      if not (Pmc_apps.Crash.acceptable r.Pmc_apps.Crash.verdict) then
+        Alcotest.failf "logged cut: %a" Pmc_apps.Crash.pp_report r)
+    (judge true);
+  let torn =
+    List.length
+      (List.filter
+         (fun (r : Pmc_apps.Crash.report) ->
+           match r.Pmc_apps.Crash.verdict with
+           | Pmc_apps.Crash.Torn _ -> true
+           | _ -> false)
+         (judge ~model_check:false false))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "no-log torn at %d of %d cuts" torn window)
+    true (torn >= 1)
+
 (* ---------------- the checker's contract ---------------- *)
 
 let test_logged_exit_never_tears () =
@@ -276,6 +374,10 @@ let suite =
         test_cut_cycle_pure;
       QCheck_alcotest.to_alcotest prop_recovery_idempotent;
       QCheck_alcotest.to_alcotest prop_verdict_reproducible;
+      QCheck_alcotest.to_alcotest prop_one_pass_equals_oracle;
+      Alcotest.test_case "one pass: completed, overflow, no tier" `Quick
+        test_one_pass_edges;
+      Alcotest.test_case "every cut of a window" `Slow test_every_cut;
       Alcotest.test_case "logged exit_x never tears" `Slow
         test_logged_exit_never_tears;
       Alcotest.test_case "unlogged exit_x is caught" `Slow

@@ -67,6 +67,61 @@ let test_recorder_drops () =
   Alcotest.(check bool) "rings bounded" true
     (Pmc_trace.Recorder.recorded rec_ <= 8 * Pmc_trace.Recorder.cores rec_)
 
+(* The preallocated ring the recorder used before its rings grew on
+   demand: the reference a growing ring must match push for push. *)
+module Ref_ring = struct
+  type t = {
+    buf : Pmc_trace.Event.t array;
+    mutable len : int;
+    mutable head : int;
+    mutable dropped : int;
+  }
+
+  let create capacity e0 =
+    { buf = Array.make capacity e0; len = 0; head = 0; dropped = 0 }
+
+  let push r e =
+    let cap = Array.length r.buf in
+    r.buf.(r.head) <- e;
+    r.head <- (r.head + 1) mod cap;
+    if r.len < cap then r.len <- r.len + 1 else r.dropped <- r.dropped + 1
+
+  let to_list r =
+    let cap = Array.length r.buf in
+    let start = (r.head - r.len + cap) mod cap in
+    List.init r.len (fun i -> r.buf.((start + i) mod cap))
+end
+
+let prop_ring_grows_like_preallocated =
+  QCheck.Test.make ~count:300 ~name:"growing ring = preallocated ring"
+    QCheck.(pair (int_range 1 300) (int_range 0 1_000))
+    (fun (capacity, pushes) ->
+      let ev i : Pmc_trace.Event.t =
+        { seq = i; time = 3 * i; core = 0;
+          kind = Pmc_trace.Event.Task { op = Pmc_trace.Event.Spawn } }
+      in
+      let ring = Pmc_trace.Recorder.Ring.create capacity in
+      let reference = Ref_ring.create capacity (ev (-1)) in
+      let same_counts () =
+        Pmc_trace.Recorder.Ring.recorded ring = reference.Ref_ring.len
+        && Pmc_trace.Recorder.Ring.dropped ring = reference.Ref_ring.dropped
+      in
+      let same_contents () =
+        Pmc_trace.Recorder.Ring.to_list ring = Ref_ring.to_list reference
+      in
+      let ok = ref (same_counts () && same_contents ()) in
+      for i = 1 to pushes do
+        Pmc_trace.Recorder.Ring.push ring (ev i);
+        Ref_ring.push reference (ev i);
+        (* contents around every doubling, and at the end *)
+        let boundary = i land (i - 1) = 0 || (i - 1) land (i - 2) = 0 in
+        ok :=
+          !ok && same_counts ()
+          && ((not (boundary || i = capacity || i = pushes))
+             || same_contents ())
+      done;
+      !ok)
+
 let test_recorder_detach () =
   let rec_ = record_pair annotated_prog in
   let n = Pmc_trace.Recorder.recorded rec_ in
@@ -294,6 +349,7 @@ let suite =
       Alcotest.test_case "recorder basic" `Quick test_recorder_basic;
       Alcotest.test_case "recorder drops" `Quick test_recorder_drops;
       Alcotest.test_case "recorder detach" `Quick test_recorder_detach;
+      QCheck_alcotest.to_alcotest prop_ring_grows_like_preallocated;
       Alcotest.test_case "race reported" `Quick test_race_reported;
       Alcotest.test_case "annotated clean" `Quick test_annotated_clean;
       QCheck_alcotest.to_alcotest prop_drf_never_flagged;
