@@ -38,13 +38,24 @@ let eval cmd =
 
 (* ---------------- checked converters ---------------- *)
 
-let int_at_least lo =
+(* Counts land in jobs and budgets, whose JSON carries an int exactly
+   only below 1e15 in magnitude ({!Pmc_bench.Codec.int}): a larger one
+   would change on the wire, and with it the verdict-cache key. *)
+let checked_int ~lo what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= lo -> Ok n
-    | _ -> Error (Printf.sprintf "%S is not an integer >= %d" s lo)
+    | Some n when n >= lo && Root.Pmc_bench.Codec.int_fits n -> Ok n
+    | Some n when n >= lo ->
+        Error
+          (Printf.sprintf
+             "%S is out of range: a job carries integers of magnitude < 1e15"
+             s)
+    | _ -> Error (Printf.sprintf "%S is not %s" s what)
   in
   Arg.conv' (parse, Format.pp_print_int)
+
+let int_at_least lo = checked_int ~lo (Printf.sprintf "an integer >= %d" lo)
+let wire_int = checked_int ~lo:min_int "an integer"
 
 (* A converter over one of the library's name lookups. *)
 let named what ~find ~name names =
@@ -142,7 +153,7 @@ let topology cores =
 
 let seed =
   Arg.(
-    value & opt int 1
+    value & opt wire_int 1
     & info [ "seed" ] ~docv:"S"
         ~doc:"Seed of the fault or power-cut schedule.")
 
@@ -168,11 +179,28 @@ let smoke =
 let smoke_apps =
   List.map (parsed app_conv) [ "histogram"; "reduce"; "stencil" ]
 
+(* A job records a float to six significant digits: a value with more
+   would run as one number here and as another wherever the job is
+   decoded, so it is refused rather than silently rounded. *)
 let intensity =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x
+      when Float.is_finite x
+           && float_of_string (Root.Pmc_bench.Json.num_to_string x) = x ->
+        Ok x
+    | _ ->
+        Error
+          (Printf.sprintf
+             "%S is not a finite number of at most six significant digits" s)
+  in
   Arg.(
-    value & opt float 1.0
+    value
+    & opt (conv' (parse, Format.pp_print_float)) 1.0
     & info [ "intensity" ] ~docv:"X"
-        ~doc:"Fault probability multiplier (1.0 = the standard mix).")
+        ~doc:
+          "Fault probability multiplier (1.0 = the standard mix), at most \
+           six significant digits.")
 
 let no_model_check =
   Arg.(
@@ -183,7 +211,7 @@ let no_model_check =
 let replay_budget =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some wire_int) None
     & info [ "replay-budget" ] ~docv:"N"
         ~doc:
           (Printf.sprintf

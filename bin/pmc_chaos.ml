@@ -53,6 +53,11 @@ let apps_of app smoke =
   | None -> if smoke then Cli.smoke_apps else Pmc_apps.Registry.all
 
 let soak_cmd app smoke chaos seeds seed_base jobs quiet =
+  if not (Pmc_bench.Codec.int_fits (seed_base + seeds - 1)) then begin
+    Fmt.epr "pmc_chaos: the last seed, %d + %d - 1, is not below 1e15@."
+      seed_base seeds;
+    exit 2
+  end;
   let seeds = List.init seeds (fun i -> seed_base + i) in
   (* the wall of seeds as one job batch: apps outer, seeds inner — the
      same run order (and therefore the same bytes) as always *)
@@ -105,17 +110,23 @@ let run_cmd job =
    or an inclusive range A..B. *)
 let parse_seed_list ~seed_base s =
   let fail () =
-    Fmt.epr "bad --seeds %S: expected a count N or a range A..B@." s;
+    Fmt.epr
+      "bad --seeds %S: expected a count N or a range A..B of seeds below \
+       1e15@."
+      s;
     exit 2
   in
+  let fits = Pmc_bench.Codec.int_fits in
   match String.split_on_char '.' s with
   | [ n ] -> (
       match int_of_string_opt n with
-      | Some n when n >= 1 -> List.init n (fun i -> seed_base + i)
+      | Some n when n >= 1 && fits n && fits (seed_base + n - 1) ->
+          List.init n (fun i -> seed_base + i)
       | _ -> fail ())
   | [ a; ""; b ] -> (
       match (int_of_string_opt a, int_of_string_opt b) with
-      | Some a, Some b when b >= a -> List.init (b - a + 1) (fun i -> a + i)
+      | Some a, Some b when b >= a && fits a && fits b ->
+          List.init (b - a + 1) (fun i -> a + i)
       | _ -> fail ())
   | _ -> fail ()
 
@@ -286,7 +297,7 @@ let seeds_t =
 
 let seed_base_t =
   Arg.(
-    value & opt int 1
+    value & opt Cli.wire_int 1
     & info [ "seed-base" ] ~docv:"S" ~doc:"First fault seed of the wall.")
 
 let quiet_t =

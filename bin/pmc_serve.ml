@@ -49,14 +49,14 @@ let socket_t =
 let max_cycles_t =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Cli.wire_int) None
     & info [ "max-cycles" ] ~docv:"N"
         ~doc:"Per-request simulated-cycle budget (tightens the watchdog).")
 
 let max_states_t =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Cli.wire_int) None
     & info [ "max-states" ] ~docv:"N"
         ~doc:"Per-request state budget for litmus enumeration.")
 
@@ -292,7 +292,7 @@ let litmus_job =
   in
   let limit_t =
     Arg.(
-      value & opt (some int) None
+      value & opt (some Cli.wire_int) None
       & info [ "limit" ] ~docv:"N" ~doc:"State-space enumeration limit.")
   in
   Term.(

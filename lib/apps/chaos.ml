@@ -222,43 +222,16 @@ let summarize (reports : report list) : soak =
   }
 
 let soak ?(intensity = 1.0) ?(model_check = true) ?replay_budget ?capacity
-    ?progress ?pool ?topology ~apps ~backend ~cores ~scale ~seeds () : soak =
-  let one (a : Runner.app) seed =
-    run_one ?capacity ?replay_budget ?topology ~intensity ~model_check a
-      ~backend ~cores ~scale ~seed
-  in
-  let reports =
-    match pool with
-    | Some pool when Pmc_par.Pool.jobs pool > 1 ->
-        (* Each (app, seed) run is a fresh machine with a deterministic
-           fault schedule, so the wall fans out over the pool.  Verdict
-           order — and therefore the printed soak — is the sequential
-           order; progress fires once the whole wall has drained, since
-           the workers must not interleave writes to the caller's
-           formatter. *)
-        let wall =
-          List.concat_map
-            (fun (a : Runner.app) -> List.map (fun seed -> (a, seed)) seeds)
-            apps
-        in
-        let reports =
-          Pmc_par.Pool.map_list_ordered pool wall ~f:(fun (a, seed) ->
-              one a seed)
-        in
-        List.iter (fun r -> Option.iter (fun f -> f r) progress) reports;
-        reports
-    | _ ->
-        List.concat_map
-          (fun (a : Runner.app) ->
-            List.map
-              (fun seed ->
-                let r = one a seed in
-                Option.iter (fun f -> f r) progress;
-                r)
-              seeds)
-          apps
-  in
-  summarize reports
+    ?topology ~apps ~backend ~cores ~scale ~seeds () : soak =
+  summarize
+    (List.concat_map
+       (fun (a : Runner.app) ->
+         List.map
+           (fun seed ->
+             run_one ?capacity ?replay_budget ?topology ~intensity
+               ~model_check a ~backend ~cores ~scale ~seed)
+           seeds)
+       apps)
 
 let ok s = s.failed = 0
 

@@ -85,17 +85,12 @@ type soak = {
 
 val soak :
   ?intensity:float -> ?model_check:bool -> ?replay_budget:int ->
-  ?capacity:int -> ?progress:(report -> unit) -> ?pool:Pmc_par.Pool.t ->
-  ?topology:Pmc_sim.Topology.t ->
+  ?capacity:int -> ?topology:Pmc_sim.Topology.t ->
   apps:Runner.app list -> backend:Pmc.Backends.kind -> cores:int ->
   scale:int -> seeds:int list -> unit -> soak
-(** The wall of seeds: every app × every seed.  With a [pool] wider than
-    one domain the wall fans out in parallel; every verdict, the report
-    order and the counters are identical to the sequential soak (each
-    run is an independent deterministic universe), and [progress] is
-    then called in report order after the wall drains instead of live.
-    Without a pool (or at width 1) [progress] fires after each run, as
-    before. *)
+(** The wall of seeds, run in order: every app × every seed.  A parallel
+    soak is a batch of chaos jobs through [Pmc_jobs.Run.run_all ~pool],
+    as [pmc_chaos soak] runs it. *)
 
 val ok : soak -> bool
 (** No unacceptable verdicts. *)

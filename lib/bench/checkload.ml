@@ -25,6 +25,10 @@ let digest_string h s =
 (* the FNV-1a offset basis, truncated to OCaml's 63-bit int *)
 let digest_seed = 0x4bf29ce484222325
 
+(* Reports carry ints exactly only below 1e15 ({!Codec.int}), so the
+   stored digest keeps the low 49 bits, as {!Pmc_apps.Service} does. *)
+let digest_mask h = h land 0x1_FFFF_FFFF_FFFF
+
 (* A synthetic PMC-consistent trace: every access is a locked
    acquire/write/read/release quad, so the checker takes its full
    locked-discipline path on every event.  The LCG is fixed-seed —
@@ -64,7 +68,7 @@ let replay ~procs ~locs ~events =
       (digest_int digest_seed work)
       r.History.violations
   in
-  { work; ok = History.ok r; digest }
+  { work; ok = History.ok r; digest = digest_mask digest }
 
 (* The whole standard corpus under every semantics — the workload
    [litmus_run] users actually pay for.  States are memoized per cell,
@@ -88,7 +92,7 @@ let enum () =
         (fun o -> digest := digest_string !digest o)
         r.Litmus.outcomes)
     cells;
-  { work = !work; ok = !work > 0; digest = !digest }
+  { work = !work; ok = !work > 0; digest = digest_mask !digest }
 
 (* A one-pass crash sweep of one app on the far-memory tier over eight
    fixed seeds: [work] counts the cuts judged, [digest] pins each
@@ -113,4 +117,5 @@ let crash ~app ~cores ~scale =
         digest_int (digest_int h r.wall) r.events)
       digest_seed s.Pmc_apps.Crash.reports
   in
-  { work = s.Pmc_apps.Crash.total; ok = Pmc_apps.Crash.ok s; digest }
+  { work = s.Pmc_apps.Crash.total; ok = Pmc_apps.Crash.ok s;
+    digest = digest_mask digest }

@@ -12,7 +12,9 @@
 type outcome = {
   work : int;    (** events replayed / distinct states enumerated *)
   ok : bool;     (** the verdict sanity check passed *)
-  digest : int;  (** portable FNV-1a digest pinning the verdict content *)
+  digest : int;
+      (** portable FNV-1a digest pinning the verdict content, masked to
+          49 bits so a report carries it exactly *)
 }
 
 val synth_events :

@@ -66,15 +66,22 @@ let default_tolerances =
     ("noc_flits", 0.02);
     ("flushes", 0.02);
     ("lock_transfers", 0.10);
+    ("lat_digest", 0.0);
   ]
 
-let judge ~tol ~base ~cur =
+(* A digest has no direction: any change of the latency stream or of a
+   check case's verdict content is a regression, whatever the
+   tolerance. *)
+let exact = [ "lat_digest" ]
+
+let judge ~metric ~tol ~base ~cur =
   let delta =
     if base = 0.0 then (if cur = 0.0 then 0.0 else infinity)
     else (cur -. base) /. base
   in
   let verdict =
-    if delta > tol then Regressed
+    if List.mem metric exact then (if cur = base then Within else Regressed)
+    else if delta > tol then Regressed
     else if delta < -.tol then Improved
     else Within
   in
@@ -120,7 +127,7 @@ let run ?(tolerances = default_tolerances) ?(gate_rate = true)
               (fun (metric, tol) ->
                 let bv = Measure.metric b.Measure.metrics metric in
                 let cv = Measure.metric c.Measure.metrics metric in
-                let delta, verdict = judge ~tol ~base:bv ~cur:cv in
+                let delta, verdict = judge ~metric ~tol ~base:bv ~cur:cv in
                 { case_id = id; metric; base = bv; cur = cv; delta; tol;
                   verdict })
               tolerances)
@@ -171,11 +178,12 @@ let pp_verdict ppf = function
   | Regressed -> Fmt.string ppf "REGRESSED"
 
 let pp ppf (o : outcome) =
-  Fmt.pf ppf "%-26s %-14s %12s %12s %8s %6s  %s@." "case" "metric" "base"
+  (* 15 digits: a 49-bit digest prints in full *)
+  Fmt.pf ppf "%-26s %-14s %15s %15s %8s %6s  %s@." "case" "metric" "base"
     "current" "delta" "tol" "verdict";
   List.iter
     (fun r ->
-      Fmt.pf ppf "%-26s %-14s %12.0f %12.0f %+7.1f%% %5.1f%%  %a@." r.case_id
+      Fmt.pf ppf "%-26s %-14s %15.0f %15.0f %+7.1f%% %5.1f%%  %a@." r.case_id
         r.metric r.base r.cur (100.0 *. r.delta) (100.0 *. r.tol) pp_verdict
         r.verdict)
     o.rows;

@@ -54,7 +54,9 @@ val host_rate_floor : float
 val default_tolerances : (string * float) list
 (** [cycles]/[noc_flits]/[flushes] at 2%, [lock_transfers] at 10% —
     drift absorption for benign scheduling shifts, not measurement
-    noise (the simulator is deterministic). *)
+    noise (the simulator is deterministic) — and [lat_digest], which is
+    gated exactly: any difference, in either direction and whatever its
+    tolerance, is a regression. *)
 
 val run :
   ?tolerances:(string * float) list ->

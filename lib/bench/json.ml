@@ -12,7 +12,6 @@ type t =
   | Obj of (string * t) list
 
 let int n = Num (float_of_int n)
-let float f = Num f
 
 (* ---------------- printing ---------------- *)
 
@@ -276,20 +275,11 @@ let parse (s : string) : t =
   if !pos <> n then fail "trailing garbage";
   v
 
-(* ---------------- accessors ---------------- *)
+(* ---------------- accessors ----------------
 
-let member k = function
-  | Obj kvs -> List.assoc_opt k kvs
-  | _ -> None
+   The wire and report records decode through {!Codec}; these two serve
+   callers that read a few members of a free-form document. *)
 
-let to_num = function Num f -> Some f | _ -> None
-let to_int v = Option.map int_of_float (to_num v)
-let to_str = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
-let to_list = function List l -> Some l | _ -> None
-
-let get_str k v = Option.bind (member k v) to_str
-let get_int k v = Option.bind (member k v) to_int
-let get_num k v = Option.bind (member k v) to_num
-let get_bool k v = Option.bind (member k v) to_bool
-let get_list k v = Option.bind (member k v) to_list
+let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
+let get_str k v = match member k v with Some (Str s) -> Some s | _ -> None
+let get_list k v = match member k v with Some (List l) -> Some l | _ -> None

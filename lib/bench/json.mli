@@ -14,7 +14,10 @@ type t =
   | Obj of (string * t) list
 
 val int : int -> t
-val float : float -> t
+
+val num_to_string : float -> string
+(** Integral values below 1e15 in magnitude print in full ([%.0f]);
+    every other number prints with six significant digits ([%.6g]). *)
 
 val to_string : t -> string
 (** Two-space indented, trailing newline — committed baselines diff
@@ -30,16 +33,8 @@ exception Parse_error of string
 val parse : string -> t
 (** @raise Parse_error on malformed input. *)
 
-(** {1 Accessors} — all return [None] on shape mismatch. *)
+(** {1 Accessors} — [None] on shape mismatch.  Records decode through
+    {!Codec} instead. *)
 
-val member : string -> t -> t option
-val to_num : t -> float option
-val to_int : t -> int option
-val to_str : t -> string option
-val to_bool : t -> bool option
-val to_list : t -> t list option
 val get_str : string -> t -> string option
-val get_int : string -> t -> int option
-val get_num : string -> t -> float option
-val get_bool : string -> t -> bool option
 val get_list : string -> t -> t list option

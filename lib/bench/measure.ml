@@ -215,139 +215,95 @@ let run_case ?max_cycles ~unbatched ~warmup ~repeat (c : Spec.case) :
 
 let schema_version = 5
 
-let work_to_string = function
-  | Spec.Sim -> "sim"
-  | Spec.Check_replay -> "check_replay"
-  | Spec.Check_enum -> "check_enum"
-  | Spec.Check_crash -> "check_crash"
+let metrics_obj =
+  Codec.(
+    record
+      (fun cycles noc_flits noc_writes flushes lock_acquires lock_transfers
+           dcache_misses instructions utilization requests p50 p99 p999
+           lat_digest throughput ->
+        { cycles; noc_flits; noc_writes; flushes; lock_acquires;
+          lock_transfers; dcache_misses; instructions; utilization;
+          requests; p50; p99; p999; lat_digest; throughput })
+      [
+        field "cycles" int (fun m -> m.cycles);
+        field "noc_flits" int (fun m -> m.noc_flits);
+        field "noc_writes" int (fun m -> m.noc_writes);
+        field "flushes" int (fun m -> m.flushes);
+        field "lock_acquires" int (fun m -> m.lock_acquires);
+        field "lock_transfers" int (fun m -> m.lock_transfers);
+        field "dcache_misses" int (fun m -> m.dcache_misses);
+        field "instructions" int (fun m -> m.instructions);
+        field "utilization" float (fun m -> m.utilization);
+        field "requests" int (fun m -> m.requests);
+        field "p50" int (fun m -> m.p50);
+        field "p99" int (fun m -> m.p99);
+        field "p999" int (fun m -> m.p999);
+        field "lat_digest" int (fun m -> m.lat_digest);
+        field "throughput" float (fun m -> m.throughput);
+      ])
 
-let work_of_string = function
-  | "sim" -> Some Spec.Sim
-  | "check_replay" -> Some Spec.Check_replay
-  | "check_enum" -> Some Spec.Check_enum
-  | "check_crash" -> Some Spec.Check_crash
-  | _ -> None
+let metrics_codec = Codec.obj metrics_obj
 
-let metrics_to_json (m : metrics) : Json.t =
-  Json.Obj
-    [
-      ("cycles", Json.int m.cycles);
-      ("noc_flits", Json.int m.noc_flits);
-      ("noc_writes", Json.int m.noc_writes);
-      ("flushes", Json.int m.flushes);
-      ("lock_acquires", Json.int m.lock_acquires);
-      ("lock_transfers", Json.int m.lock_transfers);
-      ("dcache_misses", Json.int m.dcache_misses);
-      ("instructions", Json.int m.instructions);
-      ("utilization", Json.float m.utilization);
-      ("requests", Json.int m.requests);
-      ("p50", Json.int m.p50);
-      ("p99", Json.int m.p99);
-      ("p999", Json.int m.p999);
-      ("lat_digest", Json.int m.lat_digest);
-      ("throughput", Json.float m.throughput);
-    ]
-
-let sample_to_json (s : sample) : Json.t =
-  Json.Obj
-    [
-      ("app", Json.Str s.case.Spec.app);
-      ("work", Json.Str (work_to_string s.case.Spec.work));
-      ("backend", Json.Str (Pmc.Backends.to_string s.case.Spec.backend));
-      ("topology", Json.Str (Topology.to_string s.case.Spec.topology));
-      ("cores", Json.int s.case.Spec.cores);
-      ("scale", Json.int s.case.Spec.scale);
-      ("ok", Json.Bool s.ok);
-      ("deterministic", Json.Bool s.deterministic);
-      ("repeats", Json.int s.repeats);
-      ("metrics", metrics_to_json s.metrics);
-      ("host_s", Json.float s.host_s);
-      ("host_cycles_per_s", Json.float s.host_cycles_per_s);
-      ("minor_words", Json.float s.minor_words);
-    ]
-
-let fail msg = failwith ("Pmc_bench.Measure: malformed bench JSON: " ^ msg)
-let req what = function Some v -> v | None -> fail ("missing " ^ what)
-
-let metrics_of_json (j : Json.t) : metrics =
-  let i key = req key (Json.get_int key j) in
-  let f key = req key (Json.get_num key j) in
-  {
-    cycles = i "cycles";
-    noc_flits = i "noc_flits";
-    noc_writes = i "noc_writes";
-    flushes = i "flushes";
-    lock_acquires = i "lock_acquires";
-    lock_transfers = i "lock_transfers";
-    dcache_misses = i "dcache_misses";
-    instructions = i "instructions";
-    utilization = f "utilization";
-    requests = i "requests";
-    p50 = i "p50";
-    p99 = i "p99";
-    p999 = i "p999";
-    lat_digest = i "lat_digest";
-    throughput = f "throughput";
-  }
-
-let sample_of_json (j : Json.t) : sample =
-  let str key = req key (Json.get_str key j) in
-  let backend =
-    let s = str "backend" in
-    match Pmc.Backends.of_string s with
-    | Some b -> b
-    | None -> fail ("unknown backend " ^ s)
+(* The sample's case is spliced into the sample object; its fabric
+   resolves against its core count, so it is checked once both are
+   read. *)
+let case_obj =
+  let work_name = function
+    | Spec.Sim -> "sim"
+    | Spec.Check_replay -> "check_replay"
+    | Spec.Check_enum -> "check_enum"
+    | Spec.Check_crash -> "check_crash"
   in
-  let cores = req "cores" (Json.get_int "cores" j) in
-  let topology =
-    match Topology.resolve (str "topology") ~cores with
-    | Ok t -> t
-    | Error e -> fail e
-  in
-  let work =
-    let s = str "work" in
-    match work_of_string s with
-    | Some w -> w
-    | None -> fail ("unknown work kind " ^ s)
-  in
-  {
-    case =
-      {
-        Spec.app = str "app";
-        backend;
-        topology;
-        cores;
-        scale = req "scale" (Json.get_int "scale" j);
-        work;
-      };
-    ok = req "ok" (Json.get_bool "ok" j);
-    deterministic = req "deterministic" (Json.get_bool "deterministic" j);
-    repeats = req "repeats" (Json.get_int "repeats" j);
-    metrics = metrics_of_json (req "metrics" (Json.member "metrics" j));
-    host_s = req "host_s" (Json.get_num "host_s" j);
-    host_cycles_per_s =
-      req "host_cycles_per_s" (Json.get_num "host_cycles_per_s" j);
-    minor_words = req "minor_words" (Json.get_num "minor_words" j);
-  }
+  Codec.(
+    record
+      (fun app work backend topology cores scale ->
+        match Topology.resolve topology ~cores with
+        | Ok topology -> { Spec.app; work; backend; topology; cores; scale }
+        | Error e -> fail "topology" ("does not resolve: " ^ e))
+      [
+        field "app" string (fun c -> c.Spec.app);
+        field "work"
+          (enum work_name
+             [ Spec.Sim; Spec.Check_replay; Spec.Check_enum;
+               Spec.Check_crash ])
+          (fun c -> c.Spec.work);
+        field "backend" (enum Pmc.Backends.to_string Pmc.Backends.all)
+          (fun c -> c.Spec.backend);
+        field "topology" string (fun c -> Topology.to_string c.Spec.topology);
+        field "cores" int (fun c -> c.Spec.cores);
+        field "scale" int (fun c -> c.Spec.scale);
+      ])
 
-(* The numeric metrics a {!Compare} run can gate on, with accessors. *)
-let metric_names =
-  [ "cycles"; "noc_flits"; "noc_writes"; "flushes"; "lock_acquires";
-    "lock_transfers"; "dcache_misses"; "instructions"; "requests";
-    "p50"; "p99"; "p999"; "lat_digest" ]
+let sample_codec =
+  Codec.(
+    obj
+      (record
+         (fun case ok deterministic repeats metrics host_s host_cycles_per_s
+              minor_words ->
+           { case; ok; deterministic; repeats; metrics; host_s;
+             host_cycles_per_s; minor_words })
+         [
+           inline case_obj (fun s -> s.case);
+           field "ok" bool (fun s -> s.ok);
+           field "deterministic" bool (fun s -> s.deterministic);
+           field "repeats" int (fun s -> s.repeats);
+           field "metrics" metrics_codec (fun s -> s.metrics);
+           field "host_s" float (fun s -> s.host_s);
+           field "host_cycles_per_s" float (fun s -> s.host_cycles_per_s);
+           field "minor_words" float (fun s -> s.minor_words);
+         ]))
 
-let metric (m : metrics) = function
-  | "cycles" -> float_of_int m.cycles
-  | "noc_flits" -> float_of_int m.noc_flits
-  | "noc_writes" -> float_of_int m.noc_writes
-  | "flushes" -> float_of_int m.flushes
-  | "lock_acquires" -> float_of_int m.lock_acquires
-  | "lock_transfers" -> float_of_int m.lock_transfers
-  | "dcache_misses" -> float_of_int m.dcache_misses
-  | "instructions" -> float_of_int m.instructions
-  | "requests" -> float_of_int m.requests
-  | "p50" -> float_of_int m.p50
-  | "p99" -> float_of_int m.p99
-  | "p999" -> float_of_int m.p999
-  | "lat_digest" -> float_of_int m.lat_digest
-  | other -> invalid_arg ("Measure.metric: unknown metric " ^ other)
+let malformed = "Pmc_bench.Measure: malformed bench JSON"
+let metrics_to_json = Codec.encode metrics_codec
+let metrics_of_json = Codec.decode_exn ~what:malformed metrics_codec
+let sample_to_json = Codec.encode sample_codec
+let sample_of_json = Codec.decode_exn ~what:malformed sample_codec
+
+(* The numeric metrics a {!Compare} run can gate on: the integer
+   fields, in wire order. *)
+let metric_names = Codec.keys ~only:Codec.int metrics_obj
+
+let metric (m : metrics) name =
+  match List.assoc_opt name (Codec.fields metrics_obj m) with
+  | Some (Json.Num f) when List.mem name metric_names -> f
+  | _ -> invalid_arg ("Measure.metric: unknown metric " ^ name)

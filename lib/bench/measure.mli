@@ -65,6 +65,16 @@ val trimmed_mean : float list -> float
 val schema_version : int
 (** 5 — the only schema written and read. *)
 
+val metrics_codec : metrics Codec.t
+(** The fifteen metric fields in declaration order — the one
+    declaration behind {!metrics_to_json}, {!metrics_of_json},
+    {!metric_names} and {!metric}, also nested in the
+    [Pmc_jobs.Result] bench result. *)
+
+val sample_codec : sample Codec.t
+(** The case (app, work, back-end, topology, cores, scale), then the
+    sample's own fields. *)
+
 val metrics_to_json : metrics -> Json.t
 (** Canonical: the fifteen fields in declaration order.  Shared by the
     bench report and the [Pmc_jobs.Result] bench result. *)
@@ -78,7 +88,8 @@ val sample_of_json : Json.t -> sample
     input. *)
 
 val metric_names : string list
-(** The numeric metrics a {!Compare} run can gate on. *)
+(** The numeric metrics a {!Compare} run can gate on: the integer
+    fields of {!metrics_codec}, in wire order. *)
 
 val metric : metrics -> string -> float
 (** @raise Invalid_argument on names outside {!metric_names}. *)

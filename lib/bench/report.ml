@@ -38,40 +38,34 @@ let run ?pool (spec : Spec.t) : t =
       make ~jobs:(Pmc_par.Pool.jobs pool) ~spec
         (Pmc_par.Pool.map_list_ordered pool spec.Spec.cases ~f:measure)
 
-let to_json (t : t) : Json.t =
-  Json.Obj
-    [
-      ("schema", Json.int t.schema);
-      ("label", Json.Str t.label);
-      ("suite", Json.Str t.suite);
-      ("unbatched", Json.Bool t.unbatched);
-      ("jobs", Json.int t.jobs);
-      ("results", Json.List (List.map Measure.sample_to_json t.samples));
-    ]
-
-let fail msg = failwith ("Pmc_bench.Report: " ^ msg)
-
 (* Reads schema 5 only: every report in use was written by it. *)
-let of_json (j : Json.t) : t =
-  let req what = function
-    | Some v -> v
-    | None -> fail ("missing " ^ what ^ " field")
+let codec =
+  let schema =
+    Codec.conv Fun.id
+      (fun n ->
+        if n = Measure.schema_version then Ok n
+        else
+          Error
+            (Printf.sprintf "%d not supported (this build reads %d)" n
+               Measure.schema_version))
+      Codec.int
   in
-  let schema = req "schema" (Json.get_int "schema" j) in
-  if schema <> Measure.schema_version then
-    fail
-      (Printf.sprintf "schema %d not supported (this build reads %d)" schema
-         Measure.schema_version);
-  {
-    schema;
-    label = req "label" (Json.get_str "label" j);
-    suite = req "suite" (Json.get_str "suite" j);
-    unbatched = req "unbatched" (Json.get_bool "unbatched" j);
-    jobs = req "jobs" (Json.get_int "jobs" j);
-    samples =
-      List.map Measure.sample_of_json
-        (req "results" (Json.get_list "results" j));
-  }
+  Codec.(
+    obj
+      (record
+         (fun schema label suite unbatched jobs samples ->
+           { schema; label; suite; unbatched; jobs; samples })
+         [
+           field "schema" schema (fun t -> t.schema);
+           field "label" string (fun t -> t.label);
+           field "suite" string (fun t -> t.suite);
+           field "unbatched" bool (fun t -> t.unbatched);
+           field "jobs" int (fun t -> t.jobs);
+           field "results" (list Measure.sample_codec) (fun t -> t.samples);
+         ]))
+
+let to_json = Codec.encode codec
+let of_json = Codec.decode_exn ~what:"Pmc_bench.Report" codec
 
 let save path (t : t) =
   let oc = open_out path in

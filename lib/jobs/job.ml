@@ -78,144 +78,95 @@ let kind_name = function
 
 (* ---------------- JSON ----------------
 
-   Field order is fixed by construction, so [to_json] is canonical: the
-   compact rendering of equal jobs is equal, which is what the verdict
-   cache keys on. *)
+   Field order is fixed by the declaration, so the encoding is
+   canonical: the compact rendering of equal jobs is equal, which is
+   what the verdict cache keys on.  Every int travels exactly
+   ({!Pmc_bench.Codec.int}), so a job decodes to itself. *)
 
-let opt_int = function None -> Json.Null | Some n -> Json.int n
+let codec =
+  let open Pmc_bench.Codec in
+  let budget = nullable int in
+  variant "kind"
+    [
+      case "litmus"
+        (record
+           (fun program models limit -> { program; models; limit })
+           [
+             field "program" string (fun l -> l.program);
+             field ~default:[] "models" (list string) (fun l -> l.models);
+             field ~default:None "limit" budget (fun l -> l.limit);
+           ])
+        (fun l -> Litmus l) (function Litmus l -> Some l | _ -> None);
+      case "check"
+        (record
+           (fun name source -> { name; source })
+           [
+             field "name" string (fun c -> c.name);
+             field "source" string (fun c -> c.source);
+           ])
+        (fun c -> Check c) (function Check c -> Some c | _ -> None);
+      case "bench"
+        (record
+           (fun app backend topology cores scale unbatched warmup repeat ->
+             { app; backend; topology; cores; scale; unbatched; warmup;
+               repeat })
+           [
+             field "app" string (fun b -> b.app);
+             field "backend" string (fun b -> b.backend);
+             field "topology" string (fun b -> b.topology);
+             field "cores" int (fun b -> b.cores);
+             field "scale" int (fun b -> b.scale);
+             field "unbatched" bool (fun b -> b.unbatched);
+             field "warmup" int (fun b -> b.warmup);
+             field "repeat" int (fun b -> b.repeat);
+           ])
+        (fun b -> Bench b) (function Bench b -> Some b | _ -> None);
+      case "chaos"
+        (record
+           (fun c_app c_backend c_topology c_cores c_scale seed intensity
+                model_check replay_budget ->
+             { c_app; c_backend; c_topology; c_cores; c_scale; seed;
+               intensity; model_check; replay_budget })
+           [
+             field "app" string (fun c -> c.c_app);
+             field "backend" string (fun c -> c.c_backend);
+             field "topology" string (fun c -> c.c_topology);
+             field "cores" int (fun c -> c.c_cores);
+             field "scale" int (fun c -> c.c_scale);
+             field "seed" int (fun c -> c.seed);
+             field "intensity" float (fun c -> c.intensity);
+             field "model_check" bool (fun c -> c.model_check);
+             field ~default:None "replay_budget" budget (fun c ->
+                 c.replay_budget);
+           ])
+        (fun c -> Chaos c) (function Chaos c -> Some c | _ -> None);
+      case "chaos-crash"
+        (record
+           (fun x_app x_backend x_topology x_cores x_scale x_seed x_window
+                x_log x_model_check x_replay_budget ->
+             { x_app; x_backend; x_topology; x_cores; x_scale; x_seed;
+               x_window; x_log; x_model_check; x_replay_budget })
+           [
+             field "app" string (fun c -> c.x_app);
+             field "backend" string (fun c -> c.x_backend);
+             field "topology" string (fun c -> c.x_topology);
+             field "cores" int (fun c -> c.x_cores);
+             field "scale" int (fun c -> c.x_scale);
+             field "seed" int (fun c -> c.x_seed);
+             field "window" int (fun c -> c.x_window);
+             field "log" bool (fun c -> c.x_log);
+             field "model_check" bool (fun c -> c.x_model_check);
+             field ~default:None "replay_budget" budget (fun c ->
+                 c.x_replay_budget);
+           ])
+        (fun c -> Crash c) (function Crash c -> Some c | _ -> None);
+    ]
+  |> obj
 
-let to_json (t : t) : Json.t =
-  match t with
-  | Litmus l ->
-      Json.Obj
-        [
-          ("kind", Json.Str "litmus");
-          ("program", Json.Str l.program);
-          ("models", Json.List (List.map (fun m -> Json.Str m) l.models));
-          ("limit", opt_int l.limit);
-        ]
-  | Check c ->
-      Json.Obj
-        [
-          ("kind", Json.Str "check");
-          ("name", Json.Str c.name);
-          ("source", Json.Str c.source);
-        ]
-  | Bench b ->
-      Json.Obj
-        [
-          ("kind", Json.Str "bench");
-          ("app", Json.Str b.app);
-          ("backend", Json.Str b.backend);
-          ("topology", Json.Str b.topology);
-          ("cores", Json.int b.cores);
-          ("scale", Json.int b.scale);
-          ("unbatched", Json.Bool b.unbatched);
-          ("warmup", Json.int b.warmup);
-          ("repeat", Json.int b.repeat);
-        ]
-  | Chaos c ->
-      Json.Obj
-        [
-          ("kind", Json.Str "chaos");
-          ("app", Json.Str c.c_app);
-          ("backend", Json.Str c.c_backend);
-          ("topology", Json.Str c.c_topology);
-          ("cores", Json.int c.c_cores);
-          ("scale", Json.int c.c_scale);
-          ("seed", Json.int c.seed);
-          ("intensity", Json.float c.intensity);
-          ("model_check", Json.Bool c.model_check);
-          ("replay_budget", opt_int c.replay_budget);
-        ]
-  | Crash c ->
-      Json.Obj
-        [
-          ("kind", Json.Str "chaos-crash");
-          ("app", Json.Str c.x_app);
-          ("backend", Json.Str c.x_backend);
-          ("topology", Json.Str c.x_topology);
-          ("cores", Json.int c.x_cores);
-          ("scale", Json.int c.x_scale);
-          ("seed", Json.int c.x_seed);
-          ("window", Json.int c.x_window);
-          ("log", Json.Bool c.x_log);
-          ("model_check", Json.Bool c.x_model_check);
-          ("replay_budget", opt_int c.x_replay_budget);
-        ]
+let to_json = Pmc_bench.Codec.encode codec
 
-let fail msg = failwith ("Pmc_jobs.Job: malformed job: " ^ msg)
-let req what = function Some v -> v | None -> fail ("missing " ^ what)
-
-let get_opt_int key j =
-  match Json.member key j with
-  | None | Some Json.Null -> None
-  | Some v -> (
-      match Json.to_int v with
-      | Some n -> Some n
-      | None -> fail (key ^ " must be an integer or null"))
-
-let of_json (j : Json.t) : t =
-  match req "kind" (Json.get_str "kind" j) with
-  | "litmus" ->
-      let models =
-        match Json.get_list "models" j with
-        | None -> []
-        | Some l ->
-            List.map (fun m -> req "model name" (Json.to_str m)) l
-      in
-      Litmus
-        {
-          program = req "program" (Json.get_str "program" j);
-          models;
-          limit = get_opt_int "limit" j;
-        }
-  | "check" ->
-      Check
-        {
-          name = req "name" (Json.get_str "name" j);
-          source = req "source" (Json.get_str "source" j);
-        }
-  | "bench" ->
-      Bench
-        {
-          app = req "app" (Json.get_str "app" j);
-          backend = req "backend" (Json.get_str "backend" j);
-          topology = req "topology" (Json.get_str "topology" j);
-          cores = req "cores" (Json.get_int "cores" j);
-          scale = req "scale" (Json.get_int "scale" j);
-          unbatched = req "unbatched" (Json.get_bool "unbatched" j);
-          warmup = req "warmup" (Json.get_int "warmup" j);
-          repeat = req "repeat" (Json.get_int "repeat" j);
-        }
-  | "chaos" ->
-      Chaos
-        {
-          c_app = req "app" (Json.get_str "app" j);
-          c_backend = req "backend" (Json.get_str "backend" j);
-          c_topology = req "topology" (Json.get_str "topology" j);
-          c_cores = req "cores" (Json.get_int "cores" j);
-          c_scale = req "scale" (Json.get_int "scale" j);
-          seed = req "seed" (Json.get_int "seed" j);
-          intensity = req "intensity" (Json.get_num "intensity" j);
-          model_check = req "model_check" (Json.get_bool "model_check" j);
-          replay_budget = get_opt_int "replay_budget" j;
-        }
-  | "chaos-crash" ->
-      Crash
-        {
-          x_app = req "app" (Json.get_str "app" j);
-          x_backend = req "backend" (Json.get_str "backend" j);
-          x_topology = req "topology" (Json.get_str "topology" j);
-          x_cores = req "cores" (Json.get_int "cores" j);
-          x_scale = req "scale" (Json.get_int "scale" j);
-          x_seed = req "seed" (Json.get_int "seed" j);
-          x_window = req "window" (Json.get_int "window" j);
-          x_log = req "log" (Json.get_bool "log" j);
-          x_model_check = req "model_check" (Json.get_bool "model_check" j);
-          x_replay_budget = get_opt_int "replay_budget" j;
-        }
-  | k -> fail ("unknown kind " ^ k)
+let of_json =
+  Pmc_bench.Codec.decode_exn ~what:"Pmc_jobs.Job: malformed job" codec
 
 let key t = Json.to_compact (to_json t)
 

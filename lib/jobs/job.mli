@@ -67,11 +67,21 @@ type t =
 
 val kind_name : t -> string
 
+val codec : t Pmc_bench.Codec.t
+(** The tag ["kind"] (["litmus"], ["check"], ["bench"], ["chaos"],
+    ["chaos-crash"]), then the job's fields in declaration order.
+    Absent litmus [models] mean [[]]; an absent [limit] or
+    [replay_budget] means none. *)
+
 val to_json : t -> Pmc_bench.Json.t
-(** Canonical: field order is fixed, so equal jobs encode equally. *)
+(** Canonical: field order is fixed, so equal jobs encode equally, and
+    every value is carried exactly, so [of_json (to_json t) = t].
+    @raise Invalid_argument on an int of magnitude >= 1e15
+    ({!Pmc_bench.Codec.int}). *)
 
 val of_json : Pmc_bench.Json.t -> t
-(** @raise Failure on malformed input. *)
+(** @raise Failure on malformed input, naming the first offending
+    field. *)
 
 val key : t -> string
 (** [Json.to_compact (to_json t)] — the verdict-cache key material. *)

@@ -93,359 +93,231 @@ let error_kind_name = function
   | Budget_exceeded -> "budget-exceeded"
   | Runtime_error -> "runtime-error"
 
-let error_kind_of_name = function
-  | "bad-request" -> Some Bad_request
-  | "budget-exceeded" -> Some Budget_exceeded
-  | "runtime-error" -> Some Runtime_error
-  | _ -> None
+module Chaos = Pmc_apps.Chaos
+module Crash = Pmc_apps.Crash
+module Fault = Pmc_sim.Fault
+module Farmem = Pmc_sim.Farmem
 
-let fail msg = failwith ("Pmc_jobs.Result: malformed result: " ^ msg)
-let req what = function Some v -> v | None -> fail ("missing " ^ what)
-
-let str_list key j =
-  List.map
-    (fun v -> req (key ^ " element") (Json.to_str v))
-    (req key (Json.get_list key j))
-
-let row_to_json (r : litmus_row) =
-  Json.Obj
+let codec =
+  let open Pmc_bench.Codec in
+  let row =
+    record
+      (fun program model outcomes states stuck ->
+        { program; model; outcomes; states; stuck })
+      [
+        field "program" string (fun r -> r.program);
+        field "model" string (fun r -> r.model);
+        field "outcomes" (list string) (fun r -> r.outcomes);
+        field "states" int (fun r -> r.states);
+        field "stuck" int (fun r -> r.stuck);
+      ]
+  in
+  (* Checksums are full-range int64s; a JSON number (double) would lose
+     the low bits, so they travel as decimal strings. *)
+  let int64 =
+    conv Int64.to_string
+      (fun s ->
+        Option.to_result (Int64.of_string_opt s)
+          ~none:("mistyped: expected a decimal int64 string, got " ^ s))
+      string
+  in
+  let verdict =
+    variant "v"
+      [
+        const "completed" Chaos.Completed;
+        case "typed-error"
+          (record Fun.id [ field "detail" string Fun.id ])
+          (fun d -> Chaos.Typed_error d)
+          (function Chaos.Typed_error d -> Some d | _ -> None);
+        case "wrong-result"
+          (record
+             (fun checksum reference -> (checksum, reference))
+             [ field "checksum" int64 fst; field "reference" int64 snd ])
+          (fun (checksum, reference) ->
+            Chaos.Wrong_result { checksum; reference })
+          (function
+            | Chaos.Wrong_result { checksum; reference } ->
+                Some (checksum, reference)
+            | _ -> None);
+        case "inconsistent"
+          (record Fun.id [ field "violations" int Fun.id ])
+          (fun n -> Chaos.Inconsistent n)
+          (function Chaos.Inconsistent n -> Some n | _ -> None);
+      ]
+  in
+  let crash_verdict =
+    variant "v"
+      [
+        const "completed" Crash.Completed;
+        const "recovered" Crash.Recovered;
+        case "torn"
+          (record
+             (fun objects words -> (objects, words))
+             [ field "objects" int fst; field "words" int snd ])
+          (fun (objects, words) -> Crash.Torn { objects; words })
+          (function
+            | Crash.Torn { objects; words } -> Some (objects, words)
+            | _ -> None);
+        case "inconsistent"
+          (record Fun.id [ field "violations" int Fun.id ])
+          (fun n -> Crash.Prefix_inconsistent n)
+          (function Crash.Prefix_inconsistent n -> Some n | _ -> None);
+        case "error"
+          (record Fun.id [ field "detail" string Fun.id ])
+          (fun d -> Crash.Check_error d)
+          (function Crash.Check_error d -> Some d | _ -> None);
+      ]
+  in
+  let obj_check =
+    record
+      (fun obj_name words committed published in_flight torn_words ->
+        { Crash.obj_name; words; committed; published; in_flight; torn_words })
+      [
+        field "name" string (fun o -> o.Crash.obj_name);
+        field "words" int (fun o -> o.Crash.words);
+        field "committed" int (fun o -> o.Crash.committed);
+        field "published" int (fun o -> o.Crash.published);
+        field "in_flight" bool (fun o -> o.Crash.in_flight);
+        field "torn_words" int (fun o -> o.Crash.torn_words);
+      ]
+  in
+  let recovery =
+    record
+      (fun committed records words_applied ->
+        { Farmem.committed; records; words_applied })
+      [
+        field "committed" bool (fun r -> r.Farmem.committed);
+        field "records" int (fun r -> r.Farmem.records);
+        field "words_applied" int (fun r -> r.Farmem.words_applied);
+      ]
+  in
+  let counts =
+    record
+      (fun noc_drops noc_corrupts noc_delays noc_retries links_dead
+           relay_deliveries sdram_retries tile_stalls stall_cycles lock_timeouts
+           noc_draws sdram_draws stall_draws power_cut_draws power_cuts ->
+        { Fault.noc_drops; noc_corrupts; noc_delays; noc_retries; links_dead;
+          relay_deliveries; sdram_retries; tile_stalls; stall_cycles;
+          lock_timeouts; noc_draws; sdram_draws; stall_draws; power_cut_draws;
+          power_cuts })
+      [
+        field "noc_drops" int (fun c -> c.Fault.noc_drops);
+        field "noc_corrupts" int (fun c -> c.Fault.noc_corrupts);
+        field "noc_delays" int (fun c -> c.Fault.noc_delays);
+        field "noc_retries" int (fun c -> c.Fault.noc_retries);
+        field "links_dead" int (fun c -> c.Fault.links_dead);
+        field "relay_deliveries" int (fun c -> c.Fault.relay_deliveries);
+        field "sdram_retries" int (fun c -> c.Fault.sdram_retries);
+        field "tile_stalls" int (fun c -> c.Fault.tile_stalls);
+        field "stall_cycles" int (fun c -> c.Fault.stall_cycles);
+        field "lock_timeouts" int (fun c -> c.Fault.lock_timeouts);
+        field "noc_draws" int (fun c -> c.Fault.noc_draws);
+        field "sdram_draws" int (fun c -> c.Fault.sdram_draws);
+        field "stall_draws" int (fun c -> c.Fault.stall_draws);
+        field "power_cut_draws" int (fun c -> c.Fault.power_cut_draws);
+        field "power_cuts" int (fun c -> c.Fault.power_cuts);
+      ]
+  in
+  let backend = enum Pmc.Backends.to_string Pmc.Backends.all in
+  variant "kind"
     [
-      ("program", Json.Str r.program);
-      ("model", Json.Str r.model);
-      ("outcomes", Json.List (List.map (fun o -> Json.Str o) r.outcomes));
-      ("states", Json.int r.states);
-      ("stuck", Json.int r.stuck);
+      case "litmus"
+        (record Fun.id [ field "rows" (list (obj row)) Fun.id ])
+        (fun rows -> Litmus_outcomes rows)
+        (function Litmus_outcomes rows -> Some rows | _ -> None);
+      case "check"
+        (record
+           (fun name ok errors warnings text ->
+             { name; ok; errors; warnings; text })
+           [
+             field "name" string (fun r -> r.name);
+             field "ok" bool (fun r -> r.ok);
+             field "errors" (list string) (fun r -> r.errors);
+             field "warnings" (list string) (fun r -> r.warnings);
+             field "text" string (fun r -> r.text);
+           ])
+        (fun r -> Check_checked r)
+        (function Check_checked r -> Some r | _ -> None);
+      case "bench"
+        (record
+           (fun id b_ok deterministic repeats metrics ->
+             { id; b_ok; deterministic; repeats; metrics })
+           [
+             field "id" string (fun s -> s.id);
+             field "ok" bool (fun s -> s.b_ok);
+             field "deterministic" bool (fun s -> s.deterministic);
+             field "repeats" int (fun s -> s.repeats);
+             field "metrics" Measure.metrics_codec (fun s -> s.metrics);
+           ])
+        (fun s -> Bench_measured s)
+        (function Bench_measured s -> Some s | _ -> None);
+      case "chaos"
+        (record
+           (fun app backend cores scale seed intensity verdict wall faults
+                events dropped replayed ->
+             { Chaos.app; backend; cores; scale; seed; intensity; verdict;
+               wall; faults; events; dropped; replayed })
+           [
+             field "app" string (fun r -> r.Chaos.app);
+             field "backend" backend (fun r -> r.Chaos.backend);
+             field "cores" int (fun r -> r.Chaos.cores);
+             field "scale" int (fun r -> r.Chaos.scale);
+             field "seed" int (fun r -> r.Chaos.seed);
+             field "intensity" float (fun r -> r.Chaos.intensity);
+             field "verdict" (obj verdict) (fun r -> r.Chaos.verdict);
+             field "wall" int (fun r -> r.Chaos.wall);
+             field "faults" (obj counts) (fun r -> r.Chaos.faults);
+             field "events" int (fun r -> r.Chaos.events);
+             field "dropped" int (fun r -> r.Chaos.dropped);
+             field "replayed" bool (fun r -> r.Chaos.replayed);
+           ])
+        (fun r -> Chaos_soaked r)
+        (function Chaos_soaked r -> Some r | _ -> None);
+      case "chaos-crash"
+        (record
+           (fun app backend cores scale seed window cut log verdict wall
+                objects recovery events dropped replayed ->
+             { Crash.app; backend; cores; scale; seed; window; cut; log;
+               verdict; wall; objects; recovery; events; dropped; replayed })
+           [
+             field "app" string (fun r -> r.Crash.app);
+             field "backend" backend (fun r -> r.Crash.backend);
+             field "cores" int (fun r -> r.Crash.cores);
+             field "scale" int (fun r -> r.Crash.scale);
+             field "seed" int (fun r -> r.Crash.seed);
+             field "window" int (fun r -> r.Crash.window);
+             field ~default:None "cut" (nullable int) (fun r -> r.Crash.cut);
+             field "log" bool (fun r -> r.Crash.log);
+             field "verdict" (obj crash_verdict) (fun r -> r.Crash.verdict);
+             field "wall" int (fun r -> r.Crash.wall);
+             field "objects" (list (obj obj_check)) (fun r -> r.Crash.objects);
+             field ~default:None "recovery" (nullable (obj recovery)) (fun r ->
+                 r.Crash.recovery);
+             field "events" int (fun r -> r.Crash.events);
+             field "dropped" int (fun r -> r.Crash.dropped);
+             field "replayed" bool (fun r -> r.Crash.replayed);
+           ])
+        (fun r -> Crash_checked r)
+        (function Crash_checked r -> Some r | _ -> None);
+      case "error"
+        (record
+           (fun kind detail -> { kind; detail })
+           [
+             field "error"
+               (enum error_kind_name
+                  [ Bad_request; Budget_exceeded; Runtime_error ])
+               (fun e -> e.kind);
+             field "detail" string (fun e -> e.detail);
+           ])
+        (fun e -> Error e) (function Error e -> Some e | _ -> None);
     ]
+  |> obj
 
-let row_of_json j =
-  {
-    program = req "program" (Json.get_str "program" j);
-    model = req "model" (Json.get_str "model" j);
-    outcomes = str_list "outcomes" j;
-    states = req "states" (Json.get_int "states" j);
-    stuck = req "stuck" (Json.get_int "stuck" j);
-  }
+let to_json = Pmc_bench.Codec.encode codec
 
-(* Checksums are full-range int64s; a JSON number (double) would lose
-   the low bits, so they travel as decimal strings. *)
-let int64_str v = Json.Str (Int64.to_string v)
-
-let int64_of key j =
-  match Int64.of_string_opt (req key (Json.get_str key j)) with
-  | Some v -> v
-  | None -> fail (key ^ " must be a decimal int64 string")
-
-let verdict_to_json (v : Pmc_apps.Chaos.verdict) =
-  match v with
-  | Pmc_apps.Chaos.Completed -> Json.Obj [ ("v", Json.Str "completed") ]
-  | Pmc_apps.Chaos.Typed_error detail ->
-      Json.Obj [ ("v", Json.Str "typed-error"); ("detail", Json.Str detail) ]
-  | Pmc_apps.Chaos.Wrong_result { checksum; reference } ->
-      Json.Obj
-        [
-          ("v", Json.Str "wrong-result");
-          ("checksum", int64_str checksum);
-          ("reference", int64_str reference);
-        ]
-  | Pmc_apps.Chaos.Inconsistent n ->
-      Json.Obj [ ("v", Json.Str "inconsistent"); ("violations", Json.int n) ]
-
-let verdict_of_json j : Pmc_apps.Chaos.verdict =
-  match req "v" (Json.get_str "v" j) with
-  | "completed" -> Pmc_apps.Chaos.Completed
-  | "typed-error" ->
-      Pmc_apps.Chaos.Typed_error (req "detail" (Json.get_str "detail" j))
-  | "wrong-result" ->
-      Pmc_apps.Chaos.Wrong_result
-        { checksum = int64_of "checksum" j; reference = int64_of "reference" j }
-  | "inconsistent" ->
-      Pmc_apps.Chaos.Inconsistent
-        (req "violations" (Json.get_int "violations" j))
-  | v -> fail ("unknown verdict " ^ v)
-
-let crash_verdict_to_json (v : Pmc_apps.Crash.verdict) =
-  match v with
-  | Pmc_apps.Crash.Completed -> Json.Obj [ ("v", Json.Str "completed") ]
-  | Pmc_apps.Crash.Recovered -> Json.Obj [ ("v", Json.Str "recovered") ]
-  | Pmc_apps.Crash.Torn { objects; words } ->
-      Json.Obj
-        [
-          ("v", Json.Str "torn");
-          ("objects", Json.int objects);
-          ("words", Json.int words);
-        ]
-  | Pmc_apps.Crash.Prefix_inconsistent n ->
-      Json.Obj [ ("v", Json.Str "inconsistent"); ("violations", Json.int n) ]
-  | Pmc_apps.Crash.Check_error detail ->
-      Json.Obj [ ("v", Json.Str "error"); ("detail", Json.Str detail) ]
-
-let crash_verdict_of_json j : Pmc_apps.Crash.verdict =
-  match req "v" (Json.get_str "v" j) with
-  | "completed" -> Pmc_apps.Crash.Completed
-  | "recovered" -> Pmc_apps.Crash.Recovered
-  | "torn" ->
-      Pmc_apps.Crash.Torn
-        {
-          objects = req "objects" (Json.get_int "objects" j);
-          words = req "words" (Json.get_int "words" j);
-        }
-  | "inconsistent" ->
-      Pmc_apps.Crash.Prefix_inconsistent
-        (req "violations" (Json.get_int "violations" j))
-  | "error" ->
-      Pmc_apps.Crash.Check_error (req "detail" (Json.get_str "detail" j))
-  | v -> fail ("unknown crash verdict " ^ v)
-
-let obj_check_to_json (o : Pmc_apps.Crash.obj_check) =
-  Json.Obj
-    [
-      ("name", Json.Str o.Pmc_apps.Crash.obj_name);
-      ("words", Json.int o.Pmc_apps.Crash.words);
-      ("committed", Json.int o.Pmc_apps.Crash.committed);
-      ("published", Json.int o.Pmc_apps.Crash.published);
-      ("in_flight", Json.Bool o.Pmc_apps.Crash.in_flight);
-      ("torn_words", Json.int o.Pmc_apps.Crash.torn_words);
-    ]
-
-let obj_check_of_json j : Pmc_apps.Crash.obj_check =
-  {
-    Pmc_apps.Crash.obj_name = req "name" (Json.get_str "name" j);
-    words = req "words" (Json.get_int "words" j);
-    committed = req "committed" (Json.get_int "committed" j);
-    published = req "published" (Json.get_int "published" j);
-    in_flight = req "in_flight" (Json.get_bool "in_flight" j);
-    torn_words = req "torn_words" (Json.get_int "torn_words" j);
-  }
-
-let recovery_to_json = function
-  | None -> Json.Null
-  | Some (r : Pmc_sim.Farmem.recovery) ->
-      Json.Obj
-        [
-          ("committed", Json.Bool r.Pmc_sim.Farmem.committed);
-          ("records", Json.int r.Pmc_sim.Farmem.records);
-          ("words_applied", Json.int r.Pmc_sim.Farmem.words_applied);
-        ]
-
-let recovery_of_json j : Pmc_sim.Farmem.recovery option =
-  match j with
-  | None | Some Json.Null -> None
-  | Some r ->
-      Some
-        {
-          Pmc_sim.Farmem.committed = req "committed" (Json.get_bool "committed" r);
-          records = req "records" (Json.get_int "records" r);
-          words_applied = req "words_applied" (Json.get_int "words_applied" r);
-        }
-
-let counts_to_json (c : Pmc_sim.Fault.counts) =
-  Json.Obj
-    [
-      ("noc_drops", Json.int c.Pmc_sim.Fault.noc_drops);
-      ("noc_corrupts", Json.int c.Pmc_sim.Fault.noc_corrupts);
-      ("noc_delays", Json.int c.Pmc_sim.Fault.noc_delays);
-      ("noc_retries", Json.int c.Pmc_sim.Fault.noc_retries);
-      ("links_dead", Json.int c.Pmc_sim.Fault.links_dead);
-      ("relay_deliveries", Json.int c.Pmc_sim.Fault.relay_deliveries);
-      ("sdram_retries", Json.int c.Pmc_sim.Fault.sdram_retries);
-      ("tile_stalls", Json.int c.Pmc_sim.Fault.tile_stalls);
-      ("stall_cycles", Json.int c.Pmc_sim.Fault.stall_cycles);
-      ("lock_timeouts", Json.int c.Pmc_sim.Fault.lock_timeouts);
-      ("noc_draws", Json.int c.Pmc_sim.Fault.noc_draws);
-      ("sdram_draws", Json.int c.Pmc_sim.Fault.sdram_draws);
-      ("stall_draws", Json.int c.Pmc_sim.Fault.stall_draws);
-      ("power_cut_draws", Json.int c.Pmc_sim.Fault.power_cut_draws);
-      ("power_cuts", Json.int c.Pmc_sim.Fault.power_cuts);
-    ]
-
-let counts_of_json j : Pmc_sim.Fault.counts =
-  let i key = req key (Json.get_int key j) in
-  {
-    Pmc_sim.Fault.noc_drops = i "noc_drops";
-    noc_corrupts = i "noc_corrupts";
-    noc_delays = i "noc_delays";
-    noc_retries = i "noc_retries";
-    links_dead = i "links_dead";
-    relay_deliveries = i "relay_deliveries";
-    sdram_retries = i "sdram_retries";
-    tile_stalls = i "tile_stalls";
-    stall_cycles = i "stall_cycles";
-    lock_timeouts = i "lock_timeouts";
-    noc_draws = i "noc_draws";
-    sdram_draws = i "sdram_draws";
-    stall_draws = i "stall_draws";
-    power_cut_draws = i "power_cut_draws";
-    power_cuts = i "power_cuts";
-  }
-
-let to_json (t : t) : Json.t =
-  match t with
-  | Litmus_outcomes rows ->
-      Json.Obj
-        [
-          ("kind", Json.Str "litmus");
-          ("rows", Json.List (List.map row_to_json rows));
-        ]
-  | Check_checked r ->
-      Json.Obj
-        [
-          ("kind", Json.Str "check");
-          ("name", Json.Str r.name);
-          ("ok", Json.Bool r.ok);
-          ("errors", Json.List (List.map (fun e -> Json.Str e) r.errors));
-          ("warnings", Json.List (List.map (fun w -> Json.Str w) r.warnings));
-          ("text", Json.Str r.text);
-        ]
-  | Bench_measured s ->
-      Json.Obj
-        [
-          ("kind", Json.Str "bench");
-          ("id", Json.Str s.id);
-          ("ok", Json.Bool s.b_ok);
-          ("deterministic", Json.Bool s.deterministic);
-          ("repeats", Json.int s.repeats);
-          ("metrics", Measure.metrics_to_json s.metrics);
-        ]
-  | Chaos_soaked r ->
-      Json.Obj
-        [
-          ("kind", Json.Str "chaos");
-          ("app", Json.Str r.Pmc_apps.Chaos.app);
-          ( "backend",
-            Json.Str (Pmc.Backends.to_string r.Pmc_apps.Chaos.backend) );
-          ("cores", Json.int r.Pmc_apps.Chaos.cores);
-          ("scale", Json.int r.Pmc_apps.Chaos.scale);
-          ("seed", Json.int r.Pmc_apps.Chaos.seed);
-          ("intensity", Json.float r.Pmc_apps.Chaos.intensity);
-          ("verdict", verdict_to_json r.Pmc_apps.Chaos.verdict);
-          ("wall", Json.int r.Pmc_apps.Chaos.wall);
-          ("faults", counts_to_json r.Pmc_apps.Chaos.faults);
-          ("events", Json.int r.Pmc_apps.Chaos.events);
-          ("dropped", Json.int r.Pmc_apps.Chaos.dropped);
-          ("replayed", Json.Bool r.Pmc_apps.Chaos.replayed);
-        ]
-  | Crash_checked r ->
-      Json.Obj
-        [
-          ("kind", Json.Str "chaos-crash");
-          ("app", Json.Str r.Pmc_apps.Crash.app);
-          ( "backend",
-            Json.Str (Pmc.Backends.to_string r.Pmc_apps.Crash.backend) );
-          ("cores", Json.int r.Pmc_apps.Crash.cores);
-          ("scale", Json.int r.Pmc_apps.Crash.scale);
-          ("seed", Json.int r.Pmc_apps.Crash.seed);
-          ("window", Json.int r.Pmc_apps.Crash.window);
-          ( "cut",
-            match r.Pmc_apps.Crash.cut with
-            | None -> Json.Null
-            | Some c -> Json.int c );
-          ("log", Json.Bool r.Pmc_apps.Crash.log);
-          ("verdict", crash_verdict_to_json r.Pmc_apps.Crash.verdict);
-          ("wall", Json.int r.Pmc_apps.Crash.wall);
-          ( "objects",
-            Json.List (List.map obj_check_to_json r.Pmc_apps.Crash.objects) );
-          ("recovery", recovery_to_json r.Pmc_apps.Crash.recovery);
-          ("events", Json.int r.Pmc_apps.Crash.events);
-          ("dropped", Json.int r.Pmc_apps.Crash.dropped);
-          ("replayed", Json.Bool r.Pmc_apps.Crash.replayed);
-        ]
-  | Error e ->
-      Json.Obj
-        [
-          ("kind", Json.Str "error");
-          ("error", Json.Str (error_kind_name e.kind));
-          ("detail", Json.Str e.detail);
-        ]
-
-let of_json (j : Json.t) : t =
-  match req "kind" (Json.get_str "kind" j) with
-  | "litmus" ->
-      Litmus_outcomes
-        (List.map row_of_json (req "rows" (Json.get_list "rows" j)))
-  | "check" ->
-      Check_checked
-        {
-          name = req "name" (Json.get_str "name" j);
-          ok = req "ok" (Json.get_bool "ok" j);
-          errors = str_list "errors" j;
-          warnings = str_list "warnings" j;
-          text = req "text" (Json.get_str "text" j);
-        }
-  | "bench" ->
-      Bench_measured
-        {
-          id = req "id" (Json.get_str "id" j);
-          b_ok = req "ok" (Json.get_bool "ok" j);
-          deterministic = req "deterministic" (Json.get_bool "deterministic" j);
-          repeats = req "repeats" (Json.get_int "repeats" j);
-          metrics =
-            Measure.metrics_of_json (req "metrics" (Json.member "metrics" j));
-        }
-  | "chaos" ->
-      let backend_s = req "backend" (Json.get_str "backend" j) in
-      let backend =
-        match Pmc.Backends.of_string backend_s with
-        | Some b -> b
-        | None -> fail ("unknown backend " ^ backend_s)
-      in
-      Chaos_soaked
-        {
-          Pmc_apps.Chaos.app = req "app" (Json.get_str "app" j);
-          backend;
-          cores = req "cores" (Json.get_int "cores" j);
-          scale = req "scale" (Json.get_int "scale" j);
-          seed = req "seed" (Json.get_int "seed" j);
-          intensity = req "intensity" (Json.get_num "intensity" j);
-          verdict = verdict_of_json (req "verdict" (Json.member "verdict" j));
-          wall = req "wall" (Json.get_int "wall" j);
-          faults = counts_of_json (req "faults" (Json.member "faults" j));
-          events = req "events" (Json.get_int "events" j);
-          dropped = req "dropped" (Json.get_int "dropped" j);
-          replayed = req "replayed" (Json.get_bool "replayed" j);
-        }
-  | "chaos-crash" ->
-      let backend_s = req "backend" (Json.get_str "backend" j) in
-      let backend =
-        match Pmc.Backends.of_string backend_s with
-        | Some b -> b
-        | None -> fail ("unknown backend " ^ backend_s)
-      in
-      Crash_checked
-        {
-          Pmc_apps.Crash.app = req "app" (Json.get_str "app" j);
-          backend;
-          cores = req "cores" (Json.get_int "cores" j);
-          scale = req "scale" (Json.get_int "scale" j);
-          seed = req "seed" (Json.get_int "seed" j);
-          window = req "window" (Json.get_int "window" j);
-          cut =
-            (match Json.member "cut" j with
-            | None | Some Json.Null -> None
-            | Some v -> (
-                match Json.to_int v with
-                | Some c -> Some c
-                | None -> fail "cut must be an integer or null"));
-          log = req "log" (Json.get_bool "log" j);
-          verdict =
-            crash_verdict_of_json (req "verdict" (Json.member "verdict" j));
-          wall = req "wall" (Json.get_int "wall" j);
-          objects =
-            List.map obj_check_of_json
-              (req "objects" (Json.get_list "objects" j));
-          recovery = recovery_of_json (Json.member "recovery" j);
-          events = req "events" (Json.get_int "events" j);
-          dropped = req "dropped" (Json.get_int "dropped" j);
-          replayed = req "replayed" (Json.get_bool "replayed" j);
-        }
-  | "error" ->
-      let kind_s = req "error" (Json.get_str "error" j) in
-      let kind =
-        match error_kind_of_name kind_s with
-        | Some k -> k
-        | None -> fail ("unknown error kind " ^ kind_s)
-      in
-      Error { kind; detail = req "detail" (Json.get_str "detail" j) }
-  | k -> fail ("unknown kind " ^ k)
+let of_json =
+  Pmc_bench.Codec.decode_exn ~what:"Pmc_jobs.Result: malformed result"
+    codec
 
 (* ---------------- rendering ----------------
 
@@ -476,9 +348,11 @@ let pp ppf (t : t) =
         s.repeats;
       (* every gated metric, then utilization and throughput, four to
          a line, each value as the result JSON writes it *)
-      let json = Measure.metrics_to_json s.metrics in
-      let field name =
-        name ^ " " ^ Json.to_compact (Option.get (Json.member name json))
+      let gated, rates =
+        match Measure.metrics_to_json s.metrics with
+        | Json.Obj kvs ->
+            List.partition (fun (k, _) -> List.mem k Measure.metric_names) kvs
+        | _ -> ([], [])
       in
       let rec lines = function
         | a :: b :: c :: d :: rest -> [ a; b; c; d ] :: lines rest
@@ -488,8 +362,9 @@ let pp ppf (t : t) =
       List.iter
         (fun line -> Fmt.pf ppf "  %s@." (String.concat "  " line))
         (lines
-           (List.map field
-              (Measure.metric_names @ [ "utilization"; "throughput" ])))
+           (List.map
+              (fun (k, v) -> k ^ " " ^ Json.to_compact v)
+              (gated @ rates)))
   | Chaos_soaked r ->
       (* identical to pmc_chaos run's report *)
       Fmt.pf ppf "%a@.%a@.trace: %d events captured, %d dropped@."

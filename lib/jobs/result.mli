@@ -64,12 +64,18 @@ val ok : t -> bool
 
 val error_kind_name : error_kind -> string
 
+val codec : t Pmc_bench.Codec.t
+(** The tag ["kind"], then the result's fields in declaration order;
+    verdicts are tagged by ["v"].  A crash report's [cut] and
+    [recovery] may be absent (none). *)
+
 val to_json : t -> Pmc_bench.Json.t
 (** Canonical (fixed field order); int64 checksums travel as decimal
     strings so no bits are lost to JSON doubles. *)
 
 val of_json : Pmc_bench.Json.t -> t
-(** @raise Failure on malformed input. *)
+(** @raise Failure on malformed input, naming the first offending
+    field. *)
 
 val pp : Format.formatter -> t -> unit
 (** Renders exactly the bytes the corresponding one-shot CLI prints:

@@ -23,18 +23,24 @@ let tighter a b =
     max_states = opt_min a.max_states b.max_states;
   }
 
-let budget_to_json (b : budget) : Pmc_bench.Json.t =
-  let opt = function None -> Pmc_bench.Json.Null | Some n -> Pmc_bench.Json.int n in
-  Pmc_bench.Json.Obj
-    [ ("max_cycles", opt b.max_cycles); ("max_states", opt b.max_states) ]
+(* Either bound may be absent or null: no bound. *)
+let budget_codec =
+  Pmc_bench.Codec.(
+    obj
+      (record
+         (fun max_cycles max_states -> { max_cycles; max_states })
+         [
+           field ~default:None "max_cycles" (nullable int) (fun b ->
+               b.max_cycles);
+           field ~default:None "max_states" (nullable int) (fun b ->
+               b.max_states);
+         ]))
 
-let budget_of_json (j : Pmc_bench.Json.t) : budget =
-  let opt key =
-    match Pmc_bench.Json.member key j with
-    | None | Some Pmc_bench.Json.Null -> None
-    | Some v -> Pmc_bench.Json.to_int v
-  in
-  { max_cycles = opt "max_cycles"; max_states = opt "max_states" }
+let budget_to_json = Pmc_bench.Codec.encode budget_codec
+
+let budget_of_json =
+  Pmc_bench.Codec.decode_exn ~what:"Pmc_jobs.Run: malformed budget"
+    budget_codec
 
 (* ---------------- name resolution ---------------- *)
 

@@ -19,8 +19,13 @@ val tighter : budget -> budget -> budget
 (** Pointwise minimum — how a server-wide budget combines with a
     per-request one. *)
 
+val budget_codec : budget Pmc_bench.Codec.t
+(** Both bounds may be absent or [null] (no bound). *)
+
 val budget_to_json : budget -> Pmc_bench.Json.t
+
 val budget_of_json : Pmc_bench.Json.t -> budget
+(** @raise Failure on a mistyped bound. *)
 
 val run : ?budget:budget -> Job.t -> Result.t
 (** Execute one job.  Total: unknown names, parse failures, budget

@@ -47,188 +47,131 @@ type response =
   | Shutdown_started of { pending : int }
   | Protocol_error of { reason : string }
 
-(* ---------------- encoding ---------------- *)
-
-let request_to_json (r : request) : Json.t =
-  match r with
-  | Submit { job; budget; wait } ->
-      Json.Obj
-        [
-          ("op", Json.Str "submit");
-          ("job", Job.to_json job);
-          ("budget", Run.budget_to_json budget);
-          ("wait", Json.Bool wait);
-        ]
-  | Status { id } ->
-      Json.Obj [ ("op", Json.Str "status"); ("id", Json.int id) ]
-  | Result_of { id; wait } ->
-      Json.Obj
-        [
-          ("op", Json.Str "result");
-          ("id", Json.int id);
-          ("wait", Json.Bool wait);
-        ]
-  | Stats -> Json.Obj [ ("op", Json.Str "stats") ]
-  | Shutdown -> Json.Obj [ ("op", Json.Str "shutdown") ]
+(* ---------------- JSON ---------------- *)
 
 exception Malformed of string
 
-let fail fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
-let req what = function Some v -> v | None -> fail "missing %s" what
+module C = Pmc_bench.Codec
 
-let request_of_json (j : Json.t) : request =
-  match req "op" (Json.get_str "op" j) with
-  | "submit" ->
-      let job =
-        match Json.member "job" j with
-        | None -> fail "missing job"
-        | Some jj -> (
-            try Job.of_json jj with Failure m -> fail "%s" m)
-      in
-      let budget =
-        match Json.member "budget" j with
-        | None | Some Json.Null -> Run.no_budget
-        | Some b -> Run.budget_of_json b
-      in
-      let wait = Option.value ~default:false (Json.get_bool "wait" j) in
-      Submit { job; budget; wait }
-  | "status" -> Status { id = req "id" (Json.get_int "id" j) }
-  | "result" ->
-      Result_of
-        {
-          id = req "id" (Json.get_int "id" j);
-          wait = Option.value ~default:false (Json.get_bool "wait" j);
-        }
-  | "stats" -> Stats
-  | "shutdown" -> Shutdown
-  | op -> fail "unknown op %S" op
-
-let stats_to_json (s : stats) : Json.t =
-  Json.Obj
+let request_codec =
+  let open C in
+  let id get = field "id" int get in
+  let wait get = field ~default:false "wait" bool get in
+  variant "op"
     [
-      ("width", Json.int s.width);
-      ("queue_depth", Json.int s.queue_depth);
-      ("running", Json.int s.running);
-      ("submitted", Json.int s.submitted);
-      ("completed", Json.int s.completed);
-      ("rejected", Json.int s.rejected);
-      ("cache_hits", Json.int s.cache_hits);
-      ("cache_misses", Json.int s.cache_misses);
-      ("cache_entries", Json.int s.cache_entries);
-      ("draining", Json.Bool s.draining);
+      case "submit"
+        (record
+           (fun job budget wait ->
+             (* absent or null: no per-request budget *)
+             (job, Option.value ~default:Run.no_budget budget, wait))
+           [
+             field "job" Job.codec (fun (j, _, _) -> j);
+             field ~default:None "budget" (nullable Run.budget_codec)
+               (fun (_, b, _) -> Some b);
+             wait (fun (_, _, w) -> w);
+           ])
+        (fun (job, budget, wait) -> Submit { job; budget; wait })
+        (function
+          | Submit { job; budget; wait } -> Some (job, budget, wait)
+          | _ -> None);
+      case "status" (record Fun.id [ id Fun.id ])
+        (fun id -> Status { id })
+        (function Status { id } -> Some id | _ -> None);
+      case "result"
+        (record
+           (fun id wait -> (id, wait))
+           [ id fst; wait snd ])
+        (fun (id, wait) -> Result_of { id; wait })
+        (function Result_of { id; wait } -> Some (id, wait) | _ -> None);
+      const "stats" Stats;
+      const "shutdown" Shutdown;
     ]
+  |> obj
 
-let stats_of_json j : stats =
-  let i key = req key (Json.get_int key j) in
-  {
-    width = i "width";
-    queue_depth = i "queue_depth";
-    running = i "running";
-    submitted = i "submitted";
-    completed = i "completed";
-    rejected = i "rejected";
-    cache_hits = i "cache_hits";
-    cache_misses = i "cache_misses";
-    cache_entries = i "cache_entries";
-    draining = req "draining" (Json.get_bool "draining" j);
-  }
+let stats_codec =
+  C.(
+    obj
+      (record
+         (fun width queue_depth running submitted completed rejected
+              cache_hits cache_misses cache_entries draining ->
+           { width; queue_depth; running; submitted; completed; rejected;
+             cache_hits; cache_misses; cache_entries; draining })
+         [
+           field "width" int (fun s -> s.width);
+           field "queue_depth" int (fun s -> s.queue_depth);
+           field "running" int (fun s -> s.running);
+           field "submitted" int (fun s -> s.submitted);
+           field "completed" int (fun s -> s.completed);
+           field "rejected" int (fun s -> s.rejected);
+           field "cache_hits" int (fun s -> s.cache_hits);
+           field "cache_misses" int (fun s -> s.cache_misses);
+           field "cache_entries" int (fun s -> s.cache_entries);
+           field "draining" bool (fun s -> s.draining);
+         ]))
 
-let response_to_json (r : response) : Json.t =
-  match r with
-  | Submitted { id; cached } ->
-      Json.Obj
-        [
-          ("ok", Json.Bool true);
-          ("resp", Json.Str "submitted");
-          ("id", Json.int id);
-          ("cached", Json.Bool cached);
-        ]
-  | Rejected { reason } ->
-      Json.Obj
-        [
-          ("ok", Json.Bool false);
-          ("resp", Json.Str "rejected");
-          ("reason", Json.Str reason);
-        ]
-  | Job_status { id; state } ->
-      Json.Obj
-        [
-          ("ok", Json.Bool true);
-          ("resp", Json.Str "status");
-          ("id", Json.int id);
-          ("state", Json.Str state);
-        ]
-  | Job_result { id; result } ->
-      Json.Obj
-        [
-          ("ok", Json.Bool true);
-          ("resp", Json.Str "result");
-          ("id", Json.int id);
-          ("result", Result_.to_json result);
-        ]
-  | Pending { id } ->
-      Json.Obj
-        [
-          ("ok", Json.Bool true);
-          ("resp", Json.Str "pending");
-          ("id", Json.int id);
-        ]
-  | Stats_reply s ->
-      Json.Obj
-        [
-          ("ok", Json.Bool true);
-          ("resp", Json.Str "stats");
-          ("stats", stats_to_json s);
-        ]
-  | Shutdown_started { pending } ->
-      Json.Obj
-        [
-          ("ok", Json.Bool true);
-          ("resp", Json.Str "shutdown");
-          ("pending", Json.int pending);
-        ]
-  | Protocol_error { reason } ->
-      Json.Obj
-        [
-          ("ok", Json.Bool false);
-          ("resp", Json.Str "error");
-          ("reason", Json.Str reason);
-        ]
+(* [ok] precedes the tag: false for refusals, true otherwise.  It is
+   derived from the response, so a decoded [ok] must agree with it. *)
+let ok_of = function Rejected _ | Protocol_error _ -> false | _ -> true
 
-let response_of_json (j : Json.t) : response =
-  match req "resp" (Json.get_str "resp" j) with
-  | "submitted" ->
-      Submitted
-        {
-          id = req "id" (Json.get_int "id" j);
-          cached = req "cached" (Json.get_bool "cached" j);
-        }
-  | "rejected" -> Rejected { reason = req "reason" (Json.get_str "reason" j) }
-  | "status" ->
-      Job_status
-        {
-          id = req "id" (Json.get_int "id" j);
-          state = req "state" (Json.get_str "state" j);
-        }
-  | "result" ->
-      let result =
-        match Json.member "result" j with
-        | None -> fail "missing result"
-        | Some rj -> (
-            try Result_.of_json rj with Failure m -> fail "%s" m)
-      in
-      Job_result { id = req "id" (Json.get_int "id" j); result }
-  | "pending" -> Pending { id = req "id" (Json.get_int "id" j) }
-  | "stats" ->
-      Stats_reply
-        (match Json.member "stats" j with
-        | None -> fail "missing stats"
-        | Some sj -> stats_of_json sj)
-  | "shutdown" ->
-      Shutdown_started { pending = req "pending" (Json.get_int "pending" j) }
-  | "error" ->
-      Protocol_error { reason = req "reason" (Json.get_str "reason" j) }
-  | r -> fail "unknown resp %S" r
+let response_codec =
+  let open C in
+  let id get = field "id" int get in
+  let reason = record Fun.id [ field "reason" string Fun.id ] in
+  let body =
+    variant "resp"
+      [
+        case "submitted"
+          (record (fun id cached -> (id, cached))
+             [ id fst; field "cached" bool snd ])
+          (fun (id, cached) -> Submitted { id; cached })
+          (function Submitted { id; cached } -> Some (id, cached) | _ -> None);
+        case "rejected" reason
+          (fun reason -> Rejected { reason })
+          (function Rejected { reason } -> Some reason | _ -> None);
+        case "status"
+          (record (fun id state -> (id, state))
+             [ id fst; field "state" string snd ])
+          (fun (id, state) -> Job_status { id; state })
+          (function Job_status { id; state } -> Some (id, state) | _ -> None);
+        case "result"
+          (record (fun id result -> (id, result))
+             [ id fst; field "result" Result_.codec snd ])
+          (fun (id, result) -> Job_result { id; result })
+          (function
+            | Job_result { id; result } -> Some (id, result) | _ -> None);
+        case "pending" (record Fun.id [ id Fun.id ])
+          (fun id -> Pending { id })
+          (function Pending { id } -> Some id | _ -> None);
+        case "stats"
+          (record Fun.id [ field "stats" stats_codec Fun.id ])
+          (fun s -> Stats_reply s)
+          (function Stats_reply s -> Some s | _ -> None);
+        case "shutdown"
+          (record Fun.id [ field "pending" int Fun.id ])
+          (fun pending -> Shutdown_started { pending })
+          (function Shutdown_started { pending } -> Some pending | _ -> None);
+        case "error" reason
+          (fun reason -> Protocol_error { reason })
+          (function Protocol_error { reason } -> Some reason | _ -> None);
+      ]
+  in
+  record
+    (fun ok r ->
+      if ok <> ok_of r then
+        fail "ok" (Printf.sprintf "mistyped: expected %b, got %b" (ok_of r) ok)
+      else r)
+    [ field "ok" bool ok_of; inline body Fun.id ]
+  |> obj
+
+let decode c j =
+  match C.decode c j with Ok v -> v | Error m -> raise (Malformed m)
+
+let request_to_json = C.encode request_codec
+let request_of_json = decode request_codec
+let response_to_json = C.encode response_codec
+let response_of_json = decode response_codec
+let stats_to_json = C.encode stats_codec
+let stats_of_json = decode stats_codec
 
 (* ---------------- framing ---------------- *)
 

@@ -45,3 +45,17 @@ run litmus_run --figures -p nope
 run litmus_run --dot -p nope
 run_out litmus_run --drf -p sb
 run pmc_check --jobs=-1
+# Every int that lands in a job or a budget is carried exactly only
+# below 1e15 in magnitude, and a float only to six significant digits:
+# larger ints and longer floats are refused where they enter.
+run pmc_chaos run --seed 1234567890123456
+run pmc_chaos run --cores 1000000000000000
+run pmc_chaos run --intensity 1.23456789
+run pmc_chaos soak --seed-base 999999999999999 --seeds 2
+run pmc_chaos crash --seeds 999999999999999..1000000000000000
+run pmc_serve submit crash --window 1000000000000000 --local
+run pmc_serve submit chaos --replay-budget=-1000000000000000 --local
+run pmc_serve submit litmus --program sb --max-states 1000000000000000 --local
+run pmc_serve submit bench --max-cycles 1000000000000000 --local
+run pmc_serve submit litmus --program sb --limit 1000000000000000 --local
+run pmc_bench run --cores 1000000000000000

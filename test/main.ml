@@ -26,4 +26,5 @@ let () =
       Test_crash.suite;
       Test_par.suite;
       Test_serve.suite;
+      Test_codec.suite;
     ]

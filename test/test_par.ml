@@ -109,12 +109,31 @@ let test_ids_are_domain_local_and_resettable () =
         "every run allocates from 0, on every domain"
         (Array.make 9 0) ids)
 
-(* ---------------- parallel == sequential: chaos soak ---------------- *)
+(* ---------------- parallel == sequential: chaos soak ----------------
 
-let soak_with pool ~seeds =
-  let apps = List.filter_map Pmc_apps.Registry.find [ "histogram" ] in
-  Pmc_apps.Chaos.soak ~model_check:false ?pool ~apps
-    ~backend:Pmc.Backends.Dsm ~cores:4 ~scale:6 ~seeds ()
+   A parallel soak is a batch of chaos jobs through [Run.run_all ~pool]
+   (what [pmc_chaos soak --jobs N] runs); the sequential
+   [Pmc_apps.Chaos.soak] is the reference it must reproduce, report for
+   report. *)
+
+let parallel_soak pool ~model_check ~apps ~scale ~seeds =
+  let job app seed =
+    Pmc_jobs.Job.Chaos
+      { Pmc_jobs.Job.c_app = app; c_backend = "dsm"; c_topology = "star";
+        c_cores = 4; c_scale = scale; seed; intensity = 1.0; model_check;
+        replay_budget = None }
+  in
+  Pmc_jobs.Run.run_all ~pool
+    (List.concat_map (fun app -> List.map (job app) seeds) apps)
+  |> List.map (function
+       | Pmc_jobs.Result.Chaos_soaked r -> r
+       | r -> Alcotest.failf "not a chaos report: %a" Pmc_jobs.Result.pp r)
+  |> Pmc_apps.Chaos.summarize
+
+let sequential_soak ~model_check ~apps ~scale ~seeds =
+  Pmc_apps.Chaos.soak ~model_check
+    ~apps:(List.filter_map Pmc_apps.Registry.find apps)
+    ~backend:Pmc.Backends.Dsm ~cores:4 ~scale ~seeds ()
 
 let soak_equal (a : Pmc_apps.Chaos.soak) (b : Pmc_apps.Chaos.soak) =
   a.Pmc_apps.Chaos.reports = b.Pmc_apps.Chaos.reports
@@ -130,25 +149,23 @@ let prop_parallel_soak_equals_sequential =
     QCheck.(int_range 1 10_000)
     (fun seed_base ->
       let seeds = [ seed_base; seed_base + 1; seed_base + 2 ] in
-      let seq = soak_with None ~seeds in
+      let soak f = f ~model_check:false ~apps:[ "histogram" ] ~scale:6 ~seeds in
+      let seq = soak sequential_soak in
       Pool.with_pool ~jobs:3 (fun pool ->
-          soak_equal seq (soak_with (Some pool) ~seeds)))
+          soak_equal seq (soak (parallel_soak pool))))
 
 let test_parallel_soak_with_replay_identical () =
   (* with the model replay on, too: the recorder/replay path is the part
      with the most per-run state *)
-  let apps =
-    List.filter_map Pmc_apps.Registry.find [ "histogram"; "reduce" ]
+  let soak f =
+    f ~model_check:true ~apps:[ "histogram"; "reduce" ] ~scale:4
+      ~seeds:[ 1; 2; 3 ]
   in
-  let soak pool =
-    Pmc_apps.Chaos.soak ?pool ~apps ~backend:Pmc.Backends.Dsm ~cores:4
-      ~scale:4 ~seeds:[ 1; 2; 3 ] ()
-  in
-  let seq = soak None in
+  let seq = soak sequential_soak in
   Pool.with_pool ~jobs:2 (fun pool ->
       Alcotest.(check bool)
         "replay-on soak identical at jobs=2" true
-        (soak_equal seq (soak (Some pool))))
+        (soak_equal seq (soak (parallel_soak pool))))
 
 (* ---------------- parallel == sequential: litmus ---------------- *)
 
