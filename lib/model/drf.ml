@@ -21,25 +21,25 @@ let pp_race ppf r =
 exception Too_many_traces of int
 
 (* Enumerate every SC trace of [p] (depth-first over interleavings, each
-   step taken by [Models.Sc.step]) and detect races on each.  Returns the
-   first race found, or None.  Traces are exponential in program size;
-   litmus programs are small enough, and past [limit] traces the walk
-   raises rather than answer for a program it has not finished. *)
+   step taken in place by [Models.Sc.step], its event read just before)
+   and detect races on each.  Returns the first race found, or None.
+   Traces are exponential in program size; litmus programs are small
+   enough, and past [limit] traces the walk raises rather than answer for
+   a program it has not finished. *)
 let find_race ?(limit = 200_000) (p : Lprog.t) : race option =
   let n = Lprog.n_threads p in
+  let st = Models.Sc.create p in
   let traces_seen = ref 0 in
   let exception Found of race in
-  let rec go st (events : History.event list) =
+  let rec go (events : History.event list) =
     let stepped = ref false in
     for t = 0 to n - 1 do
-      match Models.Sc.step p st t with
-      | None -> ()
-      | Some st' ->
-          stepped := true;
-          go st'
-            (match Models.Sc.event p st t with
-            | Some e -> e :: events
-            | None -> events)
+      let events' =
+        match Models.Sc.event st t with
+        | Some e -> e :: events
+        | None -> events
+      in
+      if Models.Sc.step st t (fun () -> go events') then stepped := true
     done;
     if not !stepped then begin
       incr traces_seen;
@@ -83,7 +83,7 @@ let find_race ?(limit = 200_000) (p : Lprog.t) : race option =
     in
     pairs !accesses
   in
-  match go (Models.Sc.init p) [] with
+  match go [] with
   | () -> None
   | exception Found r -> Some r
 

@@ -14,95 +14,212 @@ type result = {
 
 exception State_space_too_large of int
 
-(* The memo table: an open-addressing set of key strings.  [Hashtbl]
-   costs two hash+probe passes per membership-then-add and allocates a
-   bucket cell per insert; this set does one hash, one probe run, and
-   stores the key string directly.  Keys are never empty (every state
-   packs at least one program counter byte), so [""] marks a free
-   slot. *)
+(* The memo table, which is also the BFS queue: keys are stored back to
+   back in one byte arena, in insertion order, and an open-addressing
+   table of key indexes finds them.  BFS queues exactly the keys [add]
+   inserts, in the same order, so the queue is a cursor over the arena.
+   Each key starts on a word boundary and is zero-padded to a whole
+   word, as [Models.Key.pad] pads the probe buffer, so a probe hashes
+   and compares whole words.  An edge to a known state allocates
+   nothing, and a new state costs a copy into the arena rather than a
+   heap block of its own. *)
 module Seen : sig
   type t
 
-  val create : unit -> t
-  val add : t -> string -> bool
-  (** [add t k] — insert; [true] iff [k] was not already present. *)
+  val create : int -> t
+
+  val add : t -> Models.Key.t -> bool
+  (** [add t k] — insert the key in [k]'s buffer; [true] iff it was not
+      already present. *)
 
   val cardinal : t -> int
+
+  val pop : t -> int
+  (** The arena offset of the oldest key not popped yet, or -1. *)
+
+  val arena : t -> Bytes.t
+  (** Valid until the next [add]. *)
 end = struct
   type t = {
-    mutable slots : string array;  (* "" = empty *)
-    mutable mask : int;            (* capacity - 1, capacity a power of 2 *)
+    mutable slots : int array;
+        (* 0 = free, else the key's index + 1 in the low bits and the
+           high bits of its hash above them, so a probe skips a key of
+           another hash without leaving the table *)
+    mutable mask : int;  (* capacity - 1, capacity a power of 2 *)
+    mutable arena : Bytes.t;
+    mutable used : int;  (* arena bytes in use, a multiple of 8 *)
+    mutable offs : int array;  (* key [j] starts at [arena.[offs.(j)]] *)
+    mutable lens : int array;  (* and is [lens.(j)] bytes long *)
+    mutable hashes : int array;  (* for [rehash] *)
     mutable count : int;
+    mutable next : int;  (* the queue's head *)
   }
 
-  let create () = { slots = Array.make 4096 ""; mask = 4095; count = 0 }
+  let create hint =
+    let cap = ref 16 in
+    while !cap < 2 * hint do
+      cap := 2 * !cap
+    done;
+    {
+      slots = Array.make !cap 0;
+      mask = !cap - 1;
+      arena = Bytes.create (16 * !cap);
+      used = 0;
+      offs = Array.make (!cap / 2) 0;
+      lens = Array.make (!cap / 2) 0;
+      hashes = Array.make (!cap / 2) 0;
+      count = 0;
+      next = 0;
+    }
 
-  let rec insert slots mask k =
-    (* linear probing from the key's hash *)
-    let i = ref (Hashtbl.hash k land mask) in
-    let result = ref true in
-    (try
-       while String.length (Array.unsafe_get slots !i) > 0 do
-         if String.equal (Array.unsafe_get slots !i) k then begin
-           result := false;
-           raise Exit
-         end;
-         i := (!i + 1) land mask
-       done;
-       Array.unsafe_set slots !i k
-     with Exit -> ());
-    !result
+  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-  and grow t =
-    let slots = Array.make (2 * Array.length t.slots) "" in
-    let mask = (2 * Array.length t.slots) - 1 in
-    Array.iter
-      (fun k -> if String.length k > 0 then ignore (insert slots mask k))
-      t.slots;
+  let words len = (len + 7) lsr 3
+
+  (* Over whole words: the tail of the last one is zero. *)
+  let hash buf len =
+    let h = ref len in
+    for w = 0 to words len - 1 do
+      h := (!h lxor Int64.to_int (get64 buf (w lsl 3))) * 0x2127599bf4325c37;
+      h := !h lxor (!h lsr 29)
+    done;
+    !h land max_int
+
+  let index_bits = 31
+  let slot h j = ((h lsr index_bits) lsl index_bits) lor (j + 1)
+
+  (* Is key [j] the [len] bytes of [buf]? *)
+  let equal t j buf len =
+    t.lens.(j) = len
+    &&
+    let a = t.arena and at = t.offs.(j) in
+    let w = ref 0 and n = words len in
+    while !w < n && get64 a (at + (!w lsl 3)) = get64 buf (!w lsl 3) do
+      incr w
+    done;
+    !w = n
+
+  let rehash t =
+    let cap = 2 * Array.length t.slots in
+    let slots = Array.make cap 0 in
+    let mask = cap - 1 in
+    for j = 0 to t.count - 1 do
+      let h = t.hashes.(j) in
+      let i = ref (h land mask) in
+      while slots.(!i) <> 0 do
+        i := (!i + 1) land mask
+      done;
+      slots.(!i) <- slot h j
+    done;
     t.slots <- slots;
-    t.mask <- mask
+    t.mask <- mask;
+    let grow a =
+      let b = Array.make (cap / 2) 0 in
+      Array.blit a 0 b 0 t.count;
+      b
+    in
+    t.offs <- grow t.offs;
+    t.lens <- grow t.lens;
+    t.hashes <- grow t.hashes
 
-  let add t k =
-    let added = insert t.slots t.mask k in
-    if added then begin
-      t.count <- t.count + 1;
-      (* keep load factor under 1/2 *)
-      if 2 * t.count > Array.length t.slots then grow t
+  (* Copy the key, with its zero padding, to the end of the arena. *)
+  let append t buf len =
+    let size = words len lsl 3 in
+    if t.used + size > Bytes.length t.arena then begin
+      let a = Bytes.create (max (t.used + size) (2 * Bytes.length t.arena)) in
+      Bytes.blit t.arena 0 a 0 t.used;
+      t.arena <- a
     end;
-    added
+    Bytes.blit buf 0 t.arena t.used size;
+    t.used <- t.used + size
+
+  let add t (k : Models.Key.t) =
+    Models.Key.pad k;
+    let buf = k.Models.Key.buf and len = k.Models.Key.pos in
+    let h = hash buf len in
+    let tag = h lsr index_bits in
+    let i = ref (h land t.mask) and found = ref false in
+    while (not !found) && t.slots.(!i) <> 0 do
+      let s = t.slots.(!i) in
+      if
+        s lsr index_bits = tag
+        && equal t ((s land ((1 lsl index_bits) - 1)) - 1) buf len
+      then found := true
+      else i := (!i + 1) land t.mask
+    done;
+    (not !found)
+    && begin
+         (* load factor stays below 1/2, so the per-key arrays have
+            room *)
+         let j = t.count in
+         t.offs.(j) <- t.used;
+         t.lens.(j) <- len;
+         t.hashes.(j) <- h;
+         append t buf len;
+         t.slots.(!i) <- slot h j;
+         t.count <- j + 1;
+         if 2 * t.count >= Array.length t.slots then rehash t;
+         true
+       end
 
   let cardinal t = t.count
+
+  let pop t =
+    if t.next < t.count then begin
+      t.next <- t.next + 1;
+      t.offs.(t.next - 1)
+    end
+    else -1
+
+  let arena t = t.arena
 end
 
-(* Breadth-first exploration with memoization on packed state keys.  The
-   litmus programs are tiny, but [limit] guards against writing one whose
-   stream interleavings explode.  Parallelism lives one level up, across
-   the independent (program, model) cells of {!enumerate_matrix}. *)
+let outcome_string (p : Lprog.t) (regs : int array) =
+  Lprog.outcome_to_string
+    (Array.init (Lprog.n_threads p) (fun t -> Array.sub regs (t * p.regs) p.regs))
+
+(* Breadth-first exploration with memoization on packed state keys.  One
+   scratch state is moved in place: each popped key is unpacked into it,
+   and each move packs its successor's key into one reused buffer for the
+   memo probe.  The visit order — and with it which exception a limit or
+   a stray release raises first — is that of a queue of successor
+   states.  The litmus programs are tiny, but [limit] guards against
+   writing one whose stream interleavings explode.  Parallelism lives
+   one level up, across the independent (program, model) cells of
+   {!enumerate_matrix}. *)
 let enumerate ?(limit = 2_000_000) (module M : Models.SEM) (p : Lprog.t) :
     result =
-  let seen = Seen.create () in
-  let outcomes = ref Lprog.Outcome_set.empty in
-  let queue = Queue.create () in
-  let push st =
-    if Seen.add seen (M.key st) then begin
-      if Seen.cardinal seen > limit then
-        raise (State_space_too_large (Seen.cardinal seen));
-      Queue.add st queue
-    end
+  let st = M.create p in
+  let key = Models.Key.create () in
+  let seen = Seen.create 256 in
+  let push () =
+    if Seen.add seen key && Seen.cardinal seen > limit then
+      raise (State_space_too_large limit)
   in
-  push (M.init p);
+  let visit () =
+    Models.Key.reset key;
+    M.pack st key;
+    push ()
+  in
+  visit ();
+  (* an outcome string is built once per distinct final register file *)
+  let finals = Seen.create 16 in
+  let regs_key = Models.Key.create () in
+  let outcomes = ref Lprog.Outcome_set.empty in
   let stuck = ref 0 in
-  while not (Queue.is_empty queue) do
-    let st = Queue.pop queue in
-    let final = M.is_final p st in
-    if final then
-      outcomes :=
-        Lprog.Outcome_set.add
-          (Lprog.outcome_to_string (M.outcome p st))
-          !outcomes;
-    let succs = M.successors p st in
-    if succs = [] && not final then incr stuck;
-    List.iter push succs
+  let at = ref (Seen.pop seen) in
+  while !at >= 0 do
+    M.unpack st (Seen.arena seen) !at;
+    let final = M.is_final st in
+    if final then begin
+      Models.Key.reset regs_key;
+      Models.Key.add_row regs_key (M.regs st);
+      if Seen.add finals regs_key then
+        outcomes :=
+          Lprog.Outcome_set.add (outcome_string p (M.regs st)) !outcomes
+    end;
+    if M.moves st visit = 0 && not final then incr stuck;
+    at := Seen.pop seen
   done;
   {
     program = p;

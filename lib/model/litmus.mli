@@ -13,14 +13,17 @@ type result = {
 }
 
 exception State_space_too_large of int
+(** More than this many distinct states: the [limit] that was passed. *)
 
 val enumerate :
   ?limit:int -> (module Models.SEM) -> Lprog.t -> result
-(** Breadth-first exploration with memoization on packed state keys
-    (the [key] function of {!module-type:Models.SEM}); raises
-    {!State_space_too_large} past [limit]
-    distinct states (default 2M).  One enumeration runs on one domain;
-    {!enumerate_matrix} fans independent enumerations out over a pool. *)
+(** Breadth-first exploration of one mutable state moved in place
+    ([Models.SEM.moves]), with memoization on packed state keys
+    ([Models.SEM.pack]); raises {!State_space_too_large} [limit] past
+    [limit] distinct states (default 2M), and [Failure] when a visited
+    state releases a lock its thread does not hold.  One enumeration
+    runs on one domain; {!enumerate_matrix} fans independent
+    enumerations out over a pool. *)
 
 val outcomes_list : result -> string list
 (** The outcome set as sorted strings ({!Lprog.outcome_to_string}). *)

@@ -19,38 +19,70 @@
       unfenced acquires of other locations may execute early, the
       relaxation that makes PMC strictly weaker than EC (Sec. IV-E). *)
 
+(** Packed state keys: each semantics appends an injective, decodable
+    key of its state to a reused buffer — one byte per int in
+    [-1, 253], an escape byte and a native 8-byte word otherwise, and a
+    length prefix before every variable-shape component. *)
+module Key : sig
+  type t = private { mutable buf : Bytes.t; mutable pos : int }
+  (** The key is [buf.[0 .. pos-1]]. *)
+
+  val create : unit -> t
+  val reset : t -> unit
+
+  val add_row : t -> int array -> unit
+  (** Append every int of the row. *)
+
+  val pad : t -> unit
+  (** Zero the 8 bytes after [pos] (growing the buffer if needed), so
+      the key can be read a word at a time. *)
+end
+
 module type SEM = sig
   val name : string
 
   type state
+  (** One mutable machine state: an enumeration allocates one and moves
+      it in place. *)
 
-  val init : Lprog.t -> state
-  val successors : Lprog.t -> state -> state list
-  val is_final : Lprog.t -> state -> bool
-  val outcome : Lprog.t -> state -> Lprog.outcome
-  val key : state -> string
-  (** Injective serialization for memoized state-space exploration:
-      equal keys if and only if structurally equal states.  Every
-      semantics hand-packs its state — fixed-shape components as one
-      byte per small int, variable-shape ones length-prefixed — which
-      is roughly an order of magnitude cheaper than [Marshal] and
-      stable across OCaml versions. *)
+  val create : Lprog.t -> state
+  (** The program's initial state. *)
+
+  val pack : state -> Key.t -> unit
+  (** Append the state's key: equal keys if and only if structurally
+      equal states. *)
+
+  val unpack : state -> Bytes.t -> int -> unit
+  (** [unpack st src at] — overwrite [st] with the state whose [pack]ed
+      key starts at [src.[at]]. *)
+
+  val is_final : state -> bool
+
+  val regs : state -> int array
+  (** The register file, thread-major ([Lprog.regs] per thread) — live,
+      not a copy. *)
+
+  val moves : state -> (unit -> unit) -> int
+  (** [moves st k] — for each successor, in a fixed order: move [st] to
+      it in place, call [k ()], and move it back.  Returns the number
+      of successors.  A state with a thread at a release of a lock it
+      does not hold (under {!Pc}, once that thread's store buffer has
+      drained) is refused with [Failure] before the first move.  If [k]
+      raises, [st] is left mid-move. *)
 end
-
-val clone2 : int array array -> int array array
-(** Deep copy of a 2-D state component (shared by the semantics). *)
 
 module Sc : sig
   include SEM
 
-  val step : Lprog.t -> state -> int -> state option
-  (** [step p st t] — the state after thread [t] executes its next
-      instruction, or [None] when [t] has finished or waits.  It waits on
-      an unmet [Wait_eq], on a lock held elsewhere, and on a release of a
-      lock it does not hold — which [successors] refuses with [Failure]
-      instead.  {!Drf} walks the SC interleavings with it. *)
+  val step : state -> int -> (unit -> unit) -> bool
+  (** [step st t k] — thread [t] executes its next instruction in
+      place, [k ()] runs, and the instruction is undone; [false] (and no
+      call) when [t] has finished or waits.  It waits on an unmet
+      [Wait_eq], on a lock held elsewhere, and on a release of a lock it
+      does not hold — which [moves] refuses with [Failure] instead.
+      {!Drf} walks the SC interleavings with it. *)
 
-  val event : Lprog.t -> state -> int -> History.event option
+  val event : state -> int -> History.event option
   (** The event thread [t]'s next instruction performs from [st] (none
       for a flush or a finished thread); meaningful when {!step} moves
       [t]. *)

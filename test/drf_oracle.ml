@@ -24,7 +24,7 @@ let find_race ?(limit = 200_000) (p : Lprog.t) : Drf.race option =
         match th.(pc.(t)) with
         | Lprog.Ld { loc; reg } ->
             stepped := true;
-            let regs' = Models.clone2 regs in
+            let regs' = Models_oracle.clone2 regs in
             regs'.(t).(reg) <- mem.(loc);
             go adv regs' mem locks
               (History.E_read { proc = t; loc; value = mem.(loc) } :: events)

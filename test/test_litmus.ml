@@ -248,8 +248,9 @@ let prop_pmc_contains_sc =
    interpreter it replaced is kept as [Drf_oracle].  Both must name the
    same first race, or none, on well-formed synchronized programs: 2-3
    threads of at most 4 instructions each, built from plain accesses,
-   fences, [Wait_eq] polls and lock-wrapped blocks. *)
-let gen_sync_prog =
+   fences, [Wait_eq] polls and lock-wrapped blocks.  With [~stray] a
+   block may also be a lone release, of a lock the thread may not hold. *)
+let gen_sync_prog_with ~stray =
   let open QCheck.Gen in
   let loc = int_range 0 1 in
   let access =
@@ -279,7 +280,8 @@ let gen_sync_prog =
          (1, map2 (fun l v -> [ Lprog.Wait_eq { loc = l; v } ]) loc
                (int_range 0 2));
        ]
-      @ if budget >= 3 then [ (4, locked budget) ] else [])
+      @ (if budget >= 3 then [ (4, locked budget) ] else [])
+      @ if stray then [ (1, map (fun l -> [ Lprog.Rel l ]) loc) ] else [])
   in
   let rec thread budget =
     block budget >>= fun b ->
@@ -291,6 +293,8 @@ let gen_sync_prog =
   map
     (fun threads -> Lprog.make ~name:"rand-sync" ~locs:2 ~regs:2 threads)
     (list_repeat n (thread 4))
+
+let gen_sync_prog = gen_sync_prog_with ~stray:false
 
 let print_prog (p : Lprog.t) =
   let instr = function
@@ -334,21 +338,12 @@ let test_drf_matches_oracle =
 
 (* ---------------- enumeration-engine equivalences ----------------
 
-   The BFS memoizes on hand-packed keys and can fan a level out over a
-   domain pool; both are pure optimizations, so every observable result
-   field must match (a) the same semantics memoized on [marshal_key] —
-   the previous key implementation, retained as the reference — and
-   (b) the sequential exploration, at any pool width. *)
-
-(* The previous implementation of [SEM.key]: [Marshal] the state. *)
-let marshal_key (st : 'a) = Marshal.to_string st []
-
-let with_marshal_key (module M : Models.SEM) : (module Models.SEM) =
-  (module struct
-    include M
-
-    let key st = marshal_key st
-  end)
+   The BFS moves one state in place and memoizes on hand-packed keys;
+   both are pure optimizations.  Every observable result — outcome set,
+   states explored, stuck states, or the exception raised — must match
+   [Models_oracle], the persistent semantics it replaced, enumerated by
+   a queue of materialized states.  The oracle's own packed keys are in
+   turn pinned against [Marshal]-the-state keys. *)
 
 let result_sig (r : Litmus.result) =
   ( Lprog.Outcome_set.elements r.Litmus.outcomes,
@@ -356,20 +351,218 @@ let result_sig (r : Litmus.result) =
 
 let result_sig_t = Alcotest.(pair (list string) (pair int int))
 
-let each_cell f =
+(* A result, or the exception that ended the enumeration. *)
+let attempt f =
+  match f () with
+  | r -> Ok (result_sig r)
+  | exception Litmus.State_space_too_large n -> Error (Printf.sprintf "limit %d" n)
+  | exception Failure m -> Error m
+
+let attempt_t = Alcotest.(result result_sig_t string)
+
+(* The library semantics paired with their oracles, in [Models.all]
+   order. *)
+let model_pairs = List.combine Models.all Models_oracle.all
+
+(* Does every model agree with its oracle on [p]?  [tally] counts each
+   enumeration's ending: finished, over the limit, or refused. *)
+let same_as_oracle ?limit ?(tally = fun _ -> ()) p =
+  List.for_all
+    (fun (m, o) ->
+      let got = attempt (fun () -> Litmus.enumerate ?limit m p) in
+      tally got;
+      got = attempt (fun () -> Models_oracle.enumerate ?limit o p))
+    model_pairs
+
+let test_matches_oracle_corpus () =
   List.iter
     (fun (p : Lprog.t) ->
       List.iter
-        (fun ((module M : Models.SEM) as m) -> f p m M.name)
-        Models.all)
+        (fun (((module M : Models.SEM) as m), o) ->
+          Alcotest.check attempt_t
+            (p.Lprog.name ^ " / " ^ M.name)
+            (attempt (fun () -> Models_oracle.enumerate o p))
+            (attempt (fun () -> Litmus.enumerate m p)))
+        model_pairs)
     Lprog.all_standard
 
+(* Drawn programs under a drawn budget of 1..500 states, half of the
+   draws at most 20, so the limit exception is exercised as often as a
+   finished enumeration — and, with stray releases drawn, its race
+   against the refusal.  The endings are printed with the verdict, and
+   each one expected of the generator must occur. *)
+let prop_matches_oracle ?(refusals = false) name gen =
+  let finished = ref 0 and limited = ref 0 and refused = ref 0 in
+  let tally = function
+    | Ok _ -> incr finished
+    | Error m when String.starts_with ~prefix:"limit" m -> incr limited
+    | Error _ -> incr refused
+  in
+  let prop =
+    QCheck.Test.make ~count:150
+      ~name:("Litmus.enumerate == Models_oracle on " ^ name)
+      (QCheck.make
+         ~print:(fun (p, limit) ->
+           Printf.sprintf "limit %d: %s" limit (print_prog p))
+         QCheck.Gen.(pair gen (oneof [ int_range 1 20; int_range 1 500 ])))
+      (fun (p, limit) -> same_as_oracle ~limit ~tally p)
+  in
+  let name, speed, run = QCheck_alcotest.to_alcotest prop in
+  ( name,
+    speed,
+    fun () ->
+      run ();
+      Printf.printf "endings: %d finished, %d over the limit, %d refused\n"
+        !finished !limited !refused;
+      Alcotest.(check bool) "finished and limited both drawn" true
+        (!finished > 0 && !limited > 0);
+      Alcotest.(check bool) "refusals drawn iff stray releases are" refusals
+        (!refused > 0) )
+
+(* The BFS shape: per visited state, in visit order, whether it is
+   final, how many successors it has and how many of them are new.  The
+   in-place moves keep the persistent [successors] order, so the shapes
+   agree step for step; a reordered move list changes the visit order
+   and shows here even where no limit or refusal makes it observable.
+   At most [cap] states are visited. *)
+let bfs_shape ~cap ~start ~expand =
+  let seen = Hashtbl.create 64 and queue = Queue.create () in
+  let push (k, st) =
+    (not (Hashtbl.mem seen k))
+    && begin
+         Hashtbl.add seen k ();
+         Queue.add st queue;
+         true
+       end
+  in
+  ignore (push start);
+  let shape = ref [] and visited = ref 0 in
+  while (not (Queue.is_empty queue)) && !visited < cap do
+    incr visited;
+    let final, succs = expand (Queue.pop queue) in
+    shape :=
+      (final, List.length succs, List.length (List.filter push succs))
+      :: !shape
+  done;
+  List.rev !shape
+
+let lib_shape ~cap (module M : Models.SEM) p =
+  let st = M.create p in
+  let key () =
+    let k = Models.Key.create () in
+    M.pack st k;
+    Bytes.sub_string k.Models.Key.buf 0 k.Models.Key.pos
+  in
+  let k0 = key () in
+  bfs_shape ~cap ~start:(k0, k0) ~expand:(fun k ->
+      M.unpack st (Bytes.of_string k) 0;
+      let succs = ref [] in
+      ignore (M.moves st (fun () -> let k = key () in succs := (k, k) :: !succs));
+      (M.is_final st, List.rev !succs))
+
+let oracle_shape ~cap (module M : Models_oracle.SEM) p =
+  let s0 = M.init p in
+  bfs_shape ~cap ~start:(M.key s0, s0) ~expand:(fun st ->
+      (M.is_final p st, List.map (fun s -> (M.key s, s)) (M.successors p st)))
+
+let same_shape ?(cap = max_int) p =
+  List.for_all
+    (fun (m, o) -> lib_shape ~cap m p = oracle_shape ~cap o p)
+    model_pairs
+
+let test_shape_matches_oracle_corpus () =
+  List.iter
+    (fun (p : Lprog.t) ->
+      Alcotest.(check bool) (p.Lprog.name ^ ": same BFS shape") true
+        (same_shape p))
+    Lprog.all_standard
+
+let prop_shape_matches_oracle name gen =
+  QCheck.Test.make ~count:100
+    ~name:("moves keep the successor order on " ^ name)
+    (QCheck.make ~print:print_prog gen)
+    (same_shape ~cap:300)
+
+(* A refused state raises before any of its successors is queued: with
+   a budget of one state, the initial state's stray release — not the
+   new state its first move finds — ends the enumeration, under every
+   model. *)
+let refused_at_start =
+  Lprog.make ~name:"refused at start" ~locs:1 ~regs:1
+    [ [ Lprog.St { loc = 0; v = Lprog.Const 1 } ]; [ Lprog.Rel 0 ] ]
+
+let test_refusal_before_moves () =
+  List.iter
+    (fun (((module M : Models.SEM) as m), o) ->
+      let expected =
+        attempt (fun () -> Models_oracle.enumerate ~limit:1 o refused_at_start)
+      in
+      Alcotest.(check bool) (M.name ^ ": the oracle refuses") true
+        (match expected with
+        | Error m -> not (String.starts_with ~prefix:"limit" m)
+        | Ok _ -> false);
+      Alcotest.check attempt_t M.name expected
+        (attempt (fun () -> Litmus.enumerate ~limit:1 m refused_at_start)))
+    model_pairs
+
+(* The exception carries the limit it exceeded, as [Drf.Too_many_traces]
+   does. *)
+let test_limit_is_the_budget () =
+  Alcotest.check_raises "limit 10" (Litmus.State_space_too_large 10)
+    (fun () -> ignore (Litmus.enumerate ~limit:10 (module Models.Slow) Lprog.iriw));
+  Alcotest.check_raises "limit 0" (Litmus.State_space_too_large 0)
+    (fun () -> ignore (Litmus.enumerate ~limit:0 (module Models.Sc) Lprog.sb));
+  let sb = Litmus.enumerate (module Models.Sc) Lprog.sb in
+  Alcotest.(check int) "a budget of exactly the state count suffices"
+    sb.Litmus.states_explored
+    (Litmus.enumerate ~limit:sb.Litmus.states_explored (module Models.Sc) Lprog.sb)
+      .Litmus.states_explored
+
+(* Enumeration moves one state in place and allocates a string per new
+   state, an outcome string per distinct final register file, and its
+   tables: the whole corpus under every model stays within 60 minor
+   words per explored state (the queue of materialized states spent
+   ~350). *)
+let test_enumeration_allocation () =
+  let cells =
+    List.concat_map (fun p -> List.map (fun m -> (p, m)) Models.all) Lprog.all_standard
+  in
+  let before = Gc.minor_words () in
+  let states =
+    List.fold_left
+      (fun acc (p, m) -> acc + (Litmus.enumerate m p).Litmus.states_explored)
+      0 cells
+  in
+  let words = Gc.minor_words () -. before in
+  let per_state = words /. float_of_int states in
+  Printf.printf "corpus: %d states, %.0f minor words, %.1f per state\n" states
+    words per_state;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per state <= 60" per_state)
+    true (per_state <= 60.0)
+
+(* The oracle's [key] replaced [Marshal]-ing the state. *)
+let marshal_key (st : 'a) = Marshal.to_string st []
+
+let with_marshal_key (module M : Models_oracle.SEM) : (module Models_oracle.SEM)
+    =
+  (module struct
+    include M
+
+    let key st = marshal_key st
+  end)
+
 let test_packed_key_matches_marshal () =
-  each_cell (fun p m name ->
-      Alcotest.check result_sig_t
-        (p.Lprog.name ^ " / " ^ name)
-        (result_sig (Litmus.enumerate (with_marshal_key m) p))
-        (result_sig (Litmus.enumerate m p)))
+  List.iter
+    (fun (p : Lprog.t) ->
+      List.iter
+        (fun ((module M : Models_oracle.SEM) as m) ->
+          Alcotest.check result_sig_t
+            (p.Lprog.name ^ " / " ^ M.name)
+            (result_sig (Models_oracle.enumerate (with_marshal_key m) p))
+            (result_sig (Models_oracle.enumerate m p)))
+        Models_oracle.all)
+    Lprog.all_standard
 
 let suite =
   ( "litmus",
@@ -397,6 +590,24 @@ let suite =
         test_no_spurious_stuck;
       Alcotest.test_case "packed keys == marshal keys (corpus)" `Slow
         test_packed_key_matches_marshal;
+      Alcotest.test_case "enumerate == oracle (corpus)" `Quick
+        test_matches_oracle_corpus;
+      Alcotest.test_case "moves keep the successor order (corpus)" `Quick
+        test_shape_matches_oracle_corpus;
+      QCheck_alcotest.to_alcotest
+        (prop_shape_matches_oracle "synchronized programs" gen_sync_prog);
+      QCheck_alcotest.to_alcotest
+        (prop_shape_matches_oracle "uniform programs" gen_uniform_prog);
+      Alcotest.test_case "a refusal comes before the moves" `Quick
+        test_refusal_before_moves;
+      Alcotest.test_case "state limit carries the budget" `Quick
+        test_limit_is_the_budget;
+      Alcotest.test_case "enumeration allocation per state" `Quick
+        test_enumeration_allocation;
+      prop_matches_oracle "synchronized programs" gen_sync_prog;
+      prop_matches_oracle "uniform programs" gen_uniform_prog;
+      prop_matches_oracle ~refusals:true "programs with stray releases"
+        (gen_sync_prog_with ~stray:true);
       QCheck_alcotest.to_alcotest prop_chain;
       QCheck_alcotest.to_alcotest prop_pmc_contains_sc;
     ] )

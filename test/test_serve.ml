@@ -305,6 +305,14 @@ let test_budget_exceeded_rejection () =
       | Jresult.Error { kind = Jresult.Budget_exceeded; _ } -> ()
       | r -> Alcotest.failf "expected budget error, got %s" (result_line r))
 
+(* The refusal names the budget that was set: [pmc_serve submit litmus
+   -p iriw --limit 10] prints exactly this, locally and from the daemon. *)
+let test_budget_text_names_the_limit () =
+  let job = Job.Litmus { Job.program = "iriw"; models = []; limit = Some 10 } in
+  Alcotest.(check string) "submit text"
+    "error (budget-exceeded): state space exceeded the 10-state budget\n"
+    (Fmt.str "%a" Jresult.pp (Run.run job))
+
 let test_admission_control () =
   Pmc_par.Pool.with_pool ~jobs:1 (fun pool ->
       (* width 1 and no steps: submitted jobs stay queued, so the
@@ -460,6 +468,8 @@ let suite =
         test_concurrent_determinism_jobs2;
       Alcotest.test_case "budget exceeded is a typed error" `Quick
         test_budget_exceeded_rejection;
+      Alcotest.test_case "budget text names the limit" `Quick
+        test_budget_text_names_the_limit;
       Alcotest.test_case "admission control rejects over max-queue" `Quick
         test_admission_control;
       Alcotest.test_case "socket round trip + verdict cache" `Quick
