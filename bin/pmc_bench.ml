@@ -219,6 +219,48 @@ let compare_info =
                 disappeared, or a current sample is broken.";
          ])
 
+(* ---------------- paper ---------------- *)
+
+(* The named sections run in print order, each once; none names all. *)
+let paper_cmd chosen =
+  let module P = Pmc_bench.Paper in
+  let names = List.map P.section_name chosen in
+  exit
+    (P.run Fmt.stdout
+       (List.filter
+          (fun s -> chosen = [] || List.mem (P.section_name s) names)
+          P.sections))
+
+let sections_t =
+  let module P = Pmc_bench.Paper in
+  Arg.(
+    value
+    & pos_all
+        (Cli.named "section" ~find:P.find ~name:P.section_name P.section_names)
+        []
+    & info [] ~docv:"SECTION"
+        ~doc:
+          (Printf.sprintf
+             "Figure to run, one of %s; every figure when none is named."
+             (String.concat ", " P.section_names)))
+
+let paper_info =
+  Cmd.info "paper"
+    ~doc:"Regenerate the paper's figures and check their shape claims"
+    ~exits:
+      (Cli.exits ~input:", or an unknown section"
+         [ Cmd.Exit.info 3 ~doc:"a shape claim of a figure failed." ])
+    ~man:
+      [
+        `S Manpage.s_description;
+        `P
+          "Measures Fig. 1, Table II, Figs. 8-10, the scaling sweep and the \
+           ablations on the simulator, prints each figure's table, then \
+           one $(b,ok) or $(b,FAIL) line per shape claim (who wins, where \
+           a crossover falls).  The simulator is deterministic: the \
+           output reruns byte for byte.";
+      ]
+
 (* ---------------- group ---------------- *)
 
 let cmd =
@@ -230,7 +272,9 @@ let cmd =
             [
               Cmd.Exit.info 1 ~doc:"$(b,compare) found a regression.";
               Cmd.Exit.info 3
-                ~doc:"$(b,run) saw a checksum or determinism failure.";
+                ~doc:
+                  "$(b,run) saw a checksum or determinism failure, or a \
+                   $(b,paper) shape claim failed.";
             ])
        ~man:
          [
@@ -243,6 +287,10 @@ let cmd =
               reports against per-metric tolerances so CI can reject \
               performance regressions.";
          ])
-    [ Cmd.v run_info run_term; Cmd.v compare_info compare_term ]
+    [
+      Cmd.v run_info run_term;
+      Cmd.v compare_info compare_term;
+      Cmd.v paper_info Term.(const paper_cmd $ sections_t);
+    ]
 
 let () = Cli.eval cmd

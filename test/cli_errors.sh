@@ -34,6 +34,7 @@ run pmc_bench run --suite nope
 run pmc_bench run --app nope
 run pmc_bench run --cores 0
 run pmc_bench run --repeat 0
+run pmc_bench paper nope
 run pmc_chaos run --backend nope
 run pmc_chaos soak --topology torus:3x3
 run pmc_chaos crash --cores 0

@@ -1,8 +1,9 @@
 (* Application integration tests: every workload runs on every back-end
    and must produce the sequential reference checksum — the portability
    claim of the paper, checked end to end.  Also: determinism across
-   repeated runs, scaling of core counts, and the performance relations
-   the case studies report. *)
+   repeated runs, scaling of core counts, and DSM's streaming advantage.
+   The Fig. 8 and Fig. 10 relations are shape claims of [Pmc_bench.Paper],
+   checked at the paper's scales by the [paper_figures] runtest rule. *)
 
 open Pmc_sim
 
@@ -63,61 +64,6 @@ let test_core_count_invariance () =
         true (Pmc_apps.Runner.ok r))
     [ 1; 2; 4; 16; 32 ]
 
-(* The Fig. 8 relation: SWCC beats no-CC on all three SPLASH-2-like
-   kernels, utilization rises, and flush overhead stays small. *)
-let test_fig8_relation () =
-  let cfg32 = Config.default in
-  List.iter
-    (fun ((a : Pmc_apps.Runner.app), scale) ->
-      let nocc = Pmc_apps.Runner.run ~cfg:cfg32 a ~backend:Pmc.Backends.Nocc ~scale in
-      let swcc = Pmc_apps.Runner.run ~cfg:cfg32 a ~backend:Pmc.Backends.Swcc ~scale in
-      Alcotest.(check bool)
-        (a.Pmc_apps.Runner.name ^ ": both correct")
-        true
-        (Pmc_apps.Runner.ok nocc && Pmc_apps.Runner.ok swcc);
-      Alcotest.(check bool)
-        (a.Pmc_apps.Runner.name ^ ": SWCC improves execution time")
-        true
-        (swcc.Pmc_apps.Runner.wall < nocc.Pmc_apps.Runner.wall);
-      Alcotest.(check bool)
-        (a.Pmc_apps.Runner.name ^ ": SWCC improves utilization")
-        true
-        (Stats.utilization swcc.Pmc_apps.Runner.summary
-        > Stats.utilization nocc.Pmc_apps.Runner.summary);
-      Alcotest.(check bool)
-        (a.Pmc_apps.Runner.name ^ ": flush overhead small (< 6%)")
-        true
-        (Stats.fraction swcc.Pmc_apps.Runner.summary Stats.Flush_overhead
-        < 0.06))
-    [
-      (Pmc_apps.Radiosity_like.app, 256);
-      (Pmc_apps.Raytrace_like.app, 64);
-      (Pmc_apps.Volrend_like.app, 64);
-    ]
-
-(* The Fig. 10 relation: on a small-cache tile, SPM beats SWCC beats
-   no-CC for motion estimation. *)
-let test_fig10_relation () =
-  let cfg =
-    { Config.default with dcache_sets = 64; dcache_ways = 2; line_bytes = 8 }
-  in
-  let run backend =
-    Pmc_apps.Runner.run ~cfg Pmc_apps.Motion_est.app ~backend ~scale:4
-  in
-  let nocc = run Pmc.Backends.Nocc in
-  let swcc = run Pmc.Backends.Swcc in
-  let spm = run Pmc.Backends.Spm in
-  Alcotest.(check bool) "all correct" true
-    (Pmc_apps.Runner.ok nocc && Pmc_apps.Runner.ok swcc
-    && Pmc_apps.Runner.ok spm);
-  Alcotest.(check bool)
-    (Printf.sprintf "SPM (%d) beats SWCC (%d)" spm.Pmc_apps.Runner.wall
-       swcc.Pmc_apps.Runner.wall)
-    true
-    (spm.Pmc_apps.Runner.wall < swcc.Pmc_apps.Runner.wall);
-  Alcotest.(check bool) "SWCC beats no-CC" true
-    (swcc.Pmc_apps.Runner.wall < nocc.Pmc_apps.Runner.wall)
-
 (* The Sec. VI-B context: the FIFO pipeline runs fastest on DSM, where
    polling stays in local memories. *)
 let test_streaming_dsm_advantage () =
@@ -143,8 +89,6 @@ let suite =
       Alcotest.test_case "determinism" `Quick test_determinism;
       Alcotest.test_case "core-count invariance" `Slow
         test_core_count_invariance;
-      Alcotest.test_case "Fig. 8 relation" `Slow test_fig8_relation;
-      Alcotest.test_case "Fig. 10 relation" `Slow test_fig10_relation;
       Alcotest.test_case "streaming on DSM" `Slow
         test_streaming_dsm_advantage;
     ] )

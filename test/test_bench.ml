@@ -477,6 +477,29 @@ let test_check_suite_shape () =
             (List.length Pmc_bench.Spec.smoke_cases + 4)
             (List.length ci.Pmc_bench.Spec.cases))
 
+(* ---------------- paper claims ---------------- *)
+
+(* A figure's claims judge the rows they are given: Fig. 10 rows in the
+   measured order pass, and the same rows with SWCC faster than SPM fail
+   "SPM < SWCC < noCC" and turn the exit code to 3. *)
+let test_paper_claim_fails () =
+  let module P = Pmc_bench.Paper in
+  let rows spm swcc =
+    List.map
+      (fun (backend, wall) -> { P.backend; wall; ok = true })
+      [ (Pmc.Backends.Nocc, 648878); (Pmc.Backends.Swcc, swcc);
+        (Pmc.Backends.Spm, spm) ]
+  in
+  let measured = P.verdicts P.fig10 (rows 32328 45826) in
+  Alcotest.(check int) "measured rows: exit 0" 0 (P.exit_code measured);
+  let doctored = P.verdicts P.fig10 (rows 45826 32328) in
+  Alcotest.(check (list (pair string bool)))
+    "doctored rows: the order claim fails"
+    [ ("fig10: the found motion vectors equal the planted ones", true);
+      ("fig10: SPM < SWCC < noCC", false) ]
+    doctored;
+  Alcotest.(check int) "doctored rows: exit 3" 3 (P.exit_code doctored)
+
 let suite =
   ( "bench",
     [
@@ -510,4 +533,6 @@ let suite =
       Alcotest.test_case "check case measured" `Quick
         test_check_case_measured;
       Alcotest.test_case "check suite shape" `Quick test_check_suite_shape;
+      Alcotest.test_case "paper claim fails on doctored rows" `Quick
+        test_paper_claim_fails;
     ] )
