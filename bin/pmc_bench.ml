@@ -4,12 +4,14 @@
    warmup, repeats and outlier trimming, and writes a schema-versioned
    JSON report; `compare` diffs two reports against per-metric
    tolerances and exits non-zero on regression — the CI gate against the
-   committed BENCH_BASELINE.json.
+   committed BENCH_BASELINE.json; `paper` prints the paper's figures and
+   checks their shape claims ({!Pmc_bench.Paper}).
 
      pmc_bench run --suite smoke --label pr -o BENCH_pr.json
      pmc_bench run --suite smoke --unbatched -o BENCH_unbatched.json
      pmc_bench compare BENCH_BASELINE.json BENCH_pr.json
-     pmc_bench compare base.json pr.json --tolerance cycles=0.05 *)
+     pmc_bench compare base.json pr.json --tolerance cycles=0.05
+     pmc_bench paper fig8 fig10 *)
 
 open Cmdliner
 module Pmc_bench = Root.Pmc_bench
@@ -221,45 +223,28 @@ let compare_info =
 
 (* ---------------- paper ---------------- *)
 
-(* The named sections run in print order, each once; none names all. *)
-let paper_cmd chosen =
+(* The named sections run once each, in print order; none names all. *)
+let paper_cmd names =
   let module P = Pmc_bench.Paper in
-  let names = List.map P.section_name chosen in
-  exit
-    (P.run Fmt.stdout
-       (List.filter
-          (fun s -> chosen = [] || List.mem (P.section_name s) names)
-          P.sections))
+  let chosen s = names = [] || List.mem (P.section_name s) names in
+  exit (P.run Fmt.stdout (List.filter chosen P.sections))
 
 let sections_t =
-  let module P = Pmc_bench.Paper in
+  let names = Pmc_bench.Paper.section_names in
+  let find s = List.find_opt (String.equal s) names in
   Arg.(
     value
-    & pos_all
-        (Cli.named "section" ~find:P.find ~name:P.section_name P.section_names)
-        []
+    & pos_all (Cli.named "section" ~find ~name:Fun.id names) []
     & info [] ~docv:"SECTION"
-        ~doc:
-          (Printf.sprintf
-             "Figure to run, one of %s; every figure when none is named."
-             (String.concat ", " P.section_names)))
+        ~doc:("A figure to run: " ^ String.concat ", " names ^ ".  Every \
+               figure runs when none is named."))
 
 let paper_info =
   Cmd.info "paper"
     ~doc:"Regenerate the paper's figures and check their shape claims"
     ~exits:
       (Cli.exits ~input:", or an unknown section"
-         [ Cmd.Exit.info 3 ~doc:"a shape claim of a figure failed." ])
-    ~man:
-      [
-        `S Manpage.s_description;
-        `P
-          "Measures Fig. 1, Table II, Figs. 8-10, the scaling sweep and the \
-           ablations on the simulator, prints each figure's table, then \
-           one $(b,ok) or $(b,FAIL) line per shape claim (who wins, where \
-           a crossover falls).  The simulator is deterministic: the \
-           output reruns byte for byte.";
-      ]
+         [ Cmd.Exit.info 3 ~doc:"a shape claim failed." ])
 
 (* ---------------- group ---------------- *)
 
