@@ -27,4 +27,5 @@ let () =
       Test_par.suite;
       Test_serve.suite;
       Test_codec.suite;
+      Test_boundary.suite;
     ]
