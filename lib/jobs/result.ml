@@ -325,7 +325,6 @@ let of_json =
    structured result so the daemon's answers diff clean against them. *)
 
 let pp_row ppf (r : litmus_row) =
-  (* identical to {!Pmc_model.Litmus.pp_result} *)
   Fmt.pf ppf "%-28s %-24s {%a} (%d states%s)" r.program r.model
     Fmt.(list ~sep:(any "; ") string)
     r.outcomes r.states

@@ -84,4 +84,5 @@ val pp : Format.formatter -> t -> unit
     against the CLIs. *)
 
 val pp_row : Format.formatter -> litmus_row -> unit
-(** One litmus row, identical to {!Pmc_model.Litmus.pp_result}. *)
+(** One litmus row: program, model, outcome set, states and stuck
+    count, as [litmus_run] prints it. *)

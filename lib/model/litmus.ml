@@ -237,14 +237,6 @@ let allows r outcome_str = Lprog.Outcome_set.mem outcome_str r.outcomes
    observable under r2's — i.e. model 1 is at least as strong. *)
 let subset_of r1 r2 = Lprog.Outcome_set.subset r1.outcomes r2.outcomes
 
-let pp_result ppf r =
-  Fmt.pf ppf "%-28s %-24s {%a} (%d states%s)" r.program.Lprog.name r.model
-    Fmt.(list ~sep:(any "; ") string)
-    (outcomes_list r) r.states_explored
-    (if r.stuck_states > 0 then
-       Printf.sprintf ", %d STUCK" r.stuck_states
-     else "")
-
 (* Enumerate [programs × models], optionally fanning the independent
    explorations out over a domain pool.  Each enumeration owns all its
    state (memo table, queue), so the pool only changes wall-clock time;
@@ -278,12 +270,6 @@ let enumerate_matrix ?limit ?pool ?(models = Models.all)
         row :: regroup rest
   in
   regroup flat
-
-(* Run one program under every model. *)
-let compare_models ?limit ?pool (p : Lprog.t) : result list =
-  match enumerate_matrix ?limit ?pool [ p ] with
-  | [ row ] -> row
-  | _ -> assert false
 
 (* The ordering-strength claims of Section IV-E, as checkable predicates
    over a set of *uniform* (read/write-only) programs:

@@ -35,8 +35,6 @@ val subset_of : result -> result -> bool
 (** [subset_of r1 r2] — model 1 is at least as strong as model 2 on this
     program: every outcome of r1 is an outcome of r2. *)
 
-val pp_result : Format.formatter -> result -> unit
-
 val enumerate_matrix :
   ?limit:int -> ?pool:Pmc_par.Pool.t -> ?models:(module Models.SEM) list ->
   Lprog.t list -> result list list
@@ -45,9 +43,6 @@ val enumerate_matrix :
     enumeration is independent, so with a [pool] the matrix fans out
     over its domains; the results — outcome sets, state counts — are
     identical to the sequential run at any width. *)
-
-val compare_models : ?limit:int -> ?pool:Pmc_par.Pool.t -> Lprog.t -> result list
-(** One result per model in {!Models.all}. *)
 
 val strength_chain_holds :
   ?limit:int -> ?pool:Pmc_par.Pool.t -> Lprog.t list -> bool

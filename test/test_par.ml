@@ -179,10 +179,11 @@ let test_parallel_litmus_equals_sequential () =
   Pool.with_pool ~jobs:4 (fun pool ->
       List.iter
         (fun p ->
-          let seq = List.map result_key (Pmc_model.Litmus.compare_models p) in
-          let par =
-            List.map result_key (Pmc_model.Litmus.compare_models ~pool p)
+          let row ?pool () =
+            List.concat (Pmc_model.Litmus.enumerate_matrix ?pool [ p ])
+            |> List.map result_key
           in
+          let seq = row () and par = row ~pool () in
           Alcotest.(check bool)
             (p.Pmc_model.Lprog.name ^ ": same outcome sets and state counts")
             true (seq = par))
