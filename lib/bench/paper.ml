@@ -254,7 +254,6 @@ let fifo_cost kind ~readers =
 
 let fig9 =
   let cost (k : Backends.kind) (_, cells) = fst (List.assoc k cells) in
-  let every p = List.for_all p in
   { name = "fig9";
     title = "Fig. 9 — MR/MW FIFO: cycles per element (depth 8, 16 B)";
     measure = (fun () ->
@@ -271,15 +270,16 @@ let fig9 =
               the pointers are polled only from local memory." ]);
     claims =
       [ ("every reader pops every value in order on every back-end",
-         every (fun (_, cells) -> List.for_all (fun (_, (_, ok)) -> ok) cells));
+         List.for_all (fun (_, cells) ->
+             List.for_all (fun (_, (_, ok)) -> ok) cells));
         ("DSM is the cheapest back-end but the seqcst reference",
-         every (fun row ->
+         List.for_all (fun row ->
              List.for_all
                (fun k -> Backends.(k = Seqcst || k = Dsm)
                          || cost Dsm row < cost k row)
                Backends.all));
         ("DSM is at least 2.5x cheaper than SWCC",
-         every (fun row -> 5 * cost Dsm row <= 2 * cost Swcc row));
+         List.for_all (fun row -> 5 * cost Dsm row <= 2 * cost Swcc row));
         ("DSM is nearly flat in readers (< 10% growth)",
          fun rows ->
            let c = List.map (cost Dsm) rows in
@@ -480,7 +480,8 @@ let ablate =
         Line ""; Line "-- distributed lock [15] vs uncached spinlock --";
         table [ -8; 12; 12 ] [ "cores"; "dlock(cyc)"; "spinlock(cyc)" ]
           (List.map (fun (c, dl, sp) -> [ d c; d dl; d sp ]) locks);
-        Line ""; Line "-- entry_ro atomic fast path (FIFO on SWCC, 1 reader) --";
+        Line "";
+        Line "-- entry_ro atomic fast path (FIFO on SWCC, 1 reader) --";
         Line (Printf.sprintf
                 "word-atomic polls: %d cycles;  lock-every-entry_ro: %d \
                  cycles (%.2fx slower)" fast locked (ratio locked fast));

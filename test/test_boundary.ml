@@ -34,7 +34,9 @@ let edit ~alphabet s =
 let mutated ~alphabet gen =
   let* s = gen in
   let* edits = int_range 1 3 in
-  let rec go k s = if k = 0 then return s else edit ~alphabet s >>= go (k - 1) in
+  let rec go k s =
+    if k = 0 then return s else edit ~alphabet s >>= go (k - 1)
+  in
   go edits s
 
 let arbitrary = string_size ~gen:char (int_bound 64)
@@ -90,7 +92,9 @@ let pmc_props =
 
 let test_pmc_extremes () =
   let header = "program p\nobj o 4\nthread\n" in
-  let loops = header ^ repeat deep "loop 2\n" ^ "read o\n" ^ repeat deep "end\n" in
+  let loops =
+    header ^ repeat deep "loop 2\n" ^ "read o\n" ^ repeat deep "end\n"
+  in
   Alcotest.(check bool) "100k nested loops parse" true
     (Result.is_ok (Parse.parse loops));
   Alcotest.(check bool) "100k unclosed loops are an error" true
