@@ -32,8 +32,8 @@ val atomic_threshold : unit -> int
 (** Objects of at most this many bytes are atomic for entry_ro (no
     locking).  4 = the platform word (default); 1 = the paper's
     conservative byte rule; 0 = always lock.  Domain-local: a setting
-    applies only to runs in the calling domain.  See DESIGN.md and the
-    [ablate] bench. *)
+    applies only to runs in the calling domain.  See DESIGN.md and
+    [pmc_bench paper ablate]. *)
 
 val set_atomic_threshold : int -> unit
 (** Set the calling domain's {!atomic_threshold}. *)
