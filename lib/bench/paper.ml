@@ -421,9 +421,12 @@ let ro_rule () =
     Engine.wall_time (Machine.engine m)
   in
   let fast = fifo_wall () in
+  let word = Pmc.Shared.atomic_threshold () in
   Pmc.Shared.set_atomic_threshold 0;
-  let locked = fifo_wall () in
-  Pmc.Shared.set_atomic_threshold 4;
+  let locked =
+    Fun.protect fifo_wall ~finally:(fun () ->
+        Pmc.Shared.set_atomic_threshold word)
+  in
   (fast, locked)
 
 (* Lazy vs eager release on DSM: two cores ping-pong a 64-byte object
@@ -496,7 +499,8 @@ let ablate =
       [ ("SPM wins on every tile with a 1-cycle scratch-pad and loses with \
           a 2-cycle one",
          fun (g, _, _, _) ->
-           List.for_all (fun (_, lat, swcc, spm) -> spm < swcc = (lat = 1)) g);
+           List.for_all
+             (fun (_, lat, swcc, spm) -> (spm < swcc) = (lat = 1)) g);
         ("the distributed lock beats the spinlock at every core count",
          fun (_, l, _, _) -> List.for_all (fun (_, dl, sp) -> dl < sp) l);
         ("word-atomic polls beat locking every entry_ro",
