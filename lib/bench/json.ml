@@ -208,7 +208,8 @@ let parse (s : string) : t =
     done;
     let str = String.sub s start (!pos - start) in
     match float_of_string_opt str with
-    | Some f -> Num f
+    | Some f when Float.is_finite f -> Num f
+    | Some _ -> fail ("number out of range " ^ str)
     | None -> fail ("bad number " ^ str)
   in
   let rec parse_value () =

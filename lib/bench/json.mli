@@ -31,7 +31,8 @@ val to_compact : t -> string
 exception Parse_error of string
 
 val parse : string -> t
-(** @raise Parse_error on malformed input. *)
+(** @raise Parse_error on malformed input, including a number that
+    overflows to an infinity (JSON has no text for it). *)
 
 (** {1 Accessors} — [None] on shape mismatch.  Records decode through
     {!Codec} instead. *)

@@ -67,12 +67,16 @@ let mk ?(topology = Pmc_sim.Topology.Star) ~cores backends apps =
    bound, halo-exchange bound, reduction bound) on every software
    coherency back-end and on far memory, whose long lock queues keep the
    engine's gang-scheduled polls under the host-rate gate, at the
-   paper's 32-core geometry. *)
+   paper's 32-core geometry.  One served-traffic case on the 1024-tile
+   hierarchy puts a routed fabric, a latency digest and a large
+   machine's set-up under the same gate. *)
 let smoke_cases =
   mk ~cores:32
     [ Pmc.Backends.Nocc; Pmc.Backends.Swcc; Pmc.Backends.Dsm;
       Pmc.Backends.Spm; Pmc.Backends.Farmem ]
     [ ("streaming", 32); ("stencil", 8); ("histogram", 64) ]
+  @ mk ~topology:(Pmc_sim.Topology.Hier { clusters = 32; size = 32 })
+      ~cores:1024 [ Pmc.Backends.Swcc ] [ ("kv_store", 2) ]
 
 (* Everything in the registry, still at one geometry. *)
 let full_cases =

@@ -50,7 +50,8 @@ val case_id : case -> string
 
 val smoke_cases : case list
 (** The CI gate: three kernels with distinct traffic shapes on every
-    software coherency back-end at the 32-core geometry. *)
+    software coherency back-end at the 32-core geometry, plus kv_store
+    on swcc on the 1024-tile [hier:32x32] fabric. *)
 
 val full_cases : case list
 (** Every registered application at the 32-core geometry. *)

@@ -59,7 +59,8 @@ let parse (text : string) : (Ir.program, error list) Result.t =
     in
     let int_of lnum s =
       match int_of_string_opt s with
-      | Some n -> n
+      | Some n when n >= 0 -> n
+      | Some _ -> fail lnum "expected a count of zero or more, got %S" s
       | None -> fail lnum "expected a number, got %S" s
     in
     (* parse a statement list until a terminator ('end' for loops, 'thread'
@@ -92,8 +93,9 @@ let parse (text : string) : (Ir.program, error list) Result.t =
           | [ "compute"; n ] ->
               stmts (Ir.Compute (int_of lnum n) :: acc) ~in_loop rest
           | [ "loop"; n ] ->
+              let n = int_of lnum n in
               let body, rest' = stmts [] ~in_loop:true rest in
-              stmts (Ir.Loop (int_of lnum n, body) :: acc) ~in_loop rest'
+              stmts (Ir.Loop (n, body) :: acc) ~in_loop rest'
           | w :: _ -> fail lnum "unknown or malformed directive %S" w
           | [] -> assert false)
     in

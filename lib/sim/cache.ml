@@ -42,8 +42,9 @@ let[@inline] refilled oc = oc land o_refilled <> 0
 let[@inline] wrote_back oc = oc land o_wrote_back <> 0
 let[@inline] last t = t.last
 
-let create ~sets ~ways ~line_bytes ~backing_read ~backing_write =
-  if sets <= 0 || ways <= 0 then invalid_arg "Cache.create";
+let create ~sets ~ways ~line_bytes ~data ~backing_read ~backing_write =
+  if sets <= 0 || ways <= 0 || Mem.length data < sets * ways * line_bytes
+  then invalid_arg "Cache.create";
   {
     sets;
     ways;
@@ -51,7 +52,7 @@ let create ~sets ~ways ~line_bytes ~backing_read ~backing_write =
     tags = Array.make (sets * ways) (-1);
     dirty_ = Array.make (sets * ways) false;
     lru = Array.make (sets * ways) 0;
-    data = Mem.create (sets * ways * line_bytes);
+    data;
     tick = 0;
     last = 0;
     backing_read;

@@ -29,11 +29,18 @@ val create :
   sets:int ->
   ways:int ->
   line_bytes:int ->
+  data:Mem.t ->
   backing_read:(int -> Mem.t -> int -> unit) ->
   backing_write:(int -> Mem.t -> int -> unit) ->
   t
-(** The backing callbacks transfer whole aligned lines between the
-    backing store and [line_bytes] bytes of a [Mem.t] at a position. *)
+(** [data] is the line store, at least [sets * ways * line_bytes]
+    bytes, which the cache owns from then on; a machine cuts all its
+    D-caches' stores from one mapping ({!Mem.create_views}).  Its
+    contents are never read before a refill overwrites them.  The
+    backing callbacks transfer whole aligned lines between the backing
+    store and [line_bytes] bytes of a [Mem.t] at a position.
+    @raise Invalid_argument if [sets] or [ways] is not positive or
+    [data] is too small. *)
 
 val line_addr : t -> int -> int
 (** The aligned base address of the line containing an address. *)

@@ -17,11 +17,17 @@
    deterministic and single-threaded while cores interleave at every
    consume point.
 
-   All memories are flat [Mem.t] stores and the timed access paths below
-   decode addresses inline (no [place] construction), read cache
-   outcomes as int bitmasks, and stage NoC payloads into reusable
-   buffers — a steady-state access allocates nothing but the boxed
-   [int32] a load returns. *)
+   All memories are flat [Mem.t] stores.  The tile memories are views of
+   one zero-on-demand mapping, as are the D-cache line stores: one GC
+   charge per memory kind instead of one per tile, each of which asked
+   for a major slice (a 1024-tile [create] took twice as long).  Adjacent
+   tiles are adjacent in the mapping, so the bounds checks below
+   ([decode], [check_local]) are what keeps an access inside its tile.
+
+   The timed access paths decode addresses inline (no [place]
+   construction), read cache outcomes as int bitmasks, and stage NoC
+   payloads into reusable buffers — a steady-state access allocates
+   nothing but the boxed [int32] a load returns. *)
 
 type code_state = {
   mutable pc : int;
@@ -73,10 +79,15 @@ let create (cfg : Config.t) : t =
       ~word_occupancy:cfg.sdram_word_occupancy
       ~line_occupancy:cfg.sdram_line_occupancy
   in
+  (* one mapping per memory kind, cut into per-tile views (see Mem) *)
+  let lines =
+    Mem.create_views ~count:cfg.cores
+      (cfg.dcache_sets * cfg.dcache_ways * cfg.line_bytes)
+  in
   let dcaches =
-    Array.init cfg.cores (fun _ ->
+    Array.init cfg.cores (fun i ->
         Cache.create ~sets:cfg.dcache_sets ~ways:cfg.dcache_ways
-          ~line_bytes:cfg.line_bytes
+          ~line_bytes:cfg.line_bytes ~data:lines.(i)
           ~backing_read:(fun addr dst pos ->
             Sdram.read_line sdram addr dst ~pos ~len:cfg.line_bytes)
           ~backing_write:(fun addr src pos ->
@@ -87,7 +98,7 @@ let create (cfg : Config.t) : t =
         Icache.create ~sets:cfg.icache_sets ~ways:cfg.icache_ways
           ~line_bytes:cfg.line_bytes)
   in
-  let locals = Array.init cfg.cores (fun _ -> Mem.create cfg.local_mem_bytes) in
+  let locals = Mem.create_views ~count:cfg.cores cfg.local_mem_bytes in
   let noc = Noc.create cfg fault engine locals in
   let seed_prng = Prng.create cfg.seed in
   let code =
@@ -246,10 +257,11 @@ let decode m addr : place =
   else if addr >= m.uncached_base then Uncached_sdram addr
   else Cached_sdram addr
 
-(* Mem accessors are unsafe; the timed paths below re-establish the
-   bounds [decode] used to delegate to checked [Bytes] accesses. *)
+(* Mem accessors are unsafe and the tile memories are adjacent views of
+   one mapping, so this check is all that keeps an access (or a caller's
+   DMA / NoC offset) from landing in a neighbour tile. *)
 let[@inline] check_local m off len =
-  if off > m.cfg.local_mem_bytes - len then
+  if off < 0 || off > m.cfg.local_mem_bytes - len then
     invalid_arg "Machine: local access out of bounds"
 
 (* ---------------- timed accesses ---------------- *)
@@ -471,6 +483,7 @@ let store_u8 m ~shared:_ addr (v : int) : unit =
    where different memories sit at different distances. *)
 let store_u32_remote_raw m ~dst ~off ~latency (v : int32) =
   let core = core_id m in
+  check_local m off 4;
   charge_post m ~core ~len:4;
   Mem.set_u32 m.scratch 0 v;
   ignore
@@ -497,6 +510,7 @@ let noc_push_arrival m ~dst ~src_off ~dst_off ~len : int =
   let core = core_id m in
   if dst = core then invalid_arg "noc_push to self";
   check_local m src_off len;
+  check_local m dst_off len;
   stage_push m ~core ~src_off ~len;
   let s = Stats.core (stats m) core in
   s.Stats.noc_writes <- s.Stats.noc_writes + 1;
@@ -521,6 +535,7 @@ let noc_push_multi m ~dsts ~src_off ~dst_off ~len : int =
   | [] -> now m
   | dsts when m.cfg.Config.batched ->
       check_local m src_off len;
+      check_local m dst_off len;
       stage_push m ~core ~src_off ~len;
       let s = Stats.core (stats m) core in
       s.Stats.noc_writes <- s.Stats.noc_writes + List.length dsts;

@@ -23,6 +23,15 @@
    [Bigarray.Array1.create] + [fill], where a syscall each would cost
    more than the fill.
 
+   One mapping per memory kind.  A machine's tile memories are one store
+   cut into per-tile views, and so are its D-cache line stores
+   ([create_views]).  Each mapping is one GC charge and each charge asks
+   for a major slice: with a mapping per tile, building a 1024-tile
+   machine took twice as long.  The views sit next to each other in the
+   mapping, so an offset past a view's end lands in the next tile's
+   store instead of faulting; the address decoders that bound every
+   access are the only guard.
+
    The mapping is charged to the GC exactly as [Bigarray.Array1.create]
    charges its malloc'd data ([caml_alloc_custom_mem] with the store's
    size), and this is load-bearing.  A variant on [Unix.map_file] of
@@ -46,6 +55,14 @@ let create n : t =
     Bigarray.Array1.fill a '\000';
     a
   end
+
+(* The views share the parent through the Bigarray proxy, charge the GC
+   nothing of their own, and the last one to die unmaps the parent. *)
+let create_views ~count len : t array =
+  if count < 0 || len <= 0 || count > max_int / len then
+    invalid_arg "Mem.create_views";
+  let whole = create (count * len) in
+  Array.init count (fun i -> Bigarray.Array1.sub whole (i * len) len)
 
 let length (m : t) = Bigarray.Array1.dim m
 

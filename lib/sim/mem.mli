@@ -1,6 +1,7 @@
 (** Flat byte store on a [Bigarray.Array1] (char, c_layout) — the
     backing representation of every simulated memory: tile-local
-    memories, the shared SDRAM and cache line data.
+    memories, the shared SDRAM and cache line data.  Per-tile stores
+    come from {!create_views}, one mapping per memory kind per machine.
 
     The indexed accessors are {e unsafe} (no bounds checks): the address
     decoders and allocators that feed them establish validity first, so
@@ -21,6 +22,15 @@ val create : int -> t
     workload's peak RSS by ~16%).  Smaller stores are allocated and
     zero-filled.  A store compares, hashes and marshals like any other
     char Bigarray.  @raise Out_of_memory if the mapping fails. *)
+
+val create_views : count:int -> int -> t array
+(** [create_views ~count len] is [count] zero stores of [len] bytes
+    each, views of one {!create}d store of [count * len] bytes: one
+    mapping and one GC charge for the lot.  A view reads and writes
+    like a store of its own, but the accessors are unsafe, so an index
+    past a view's end reaches the next view; callers bound every
+    access.  @raise Invalid_argument if [len <= 0], [count < 0] or the
+    total overflows. *)
 
 val length : t -> int
 

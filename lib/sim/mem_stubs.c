@@ -10,6 +10,8 @@
    bytes to the GC exactly as [Bigarray.Array1.create] does: dead
    machines then drive major cycles at the same pace as before, and
    their mappings are returned promptly.  The finalizer unmaps.
+   [Mem.create_views] cuts one such store into per-tile views, so a
+   machine makes one mapping (and one charge) per memory kind.
 
    The custom operations reuse the Bigarray runtime's compare, hash and
    serialize functions under the Bigarray identifier, so polymorphic
@@ -81,6 +83,13 @@ CAMLprim value pmc_mem_create_zeroed(value vn)
   void *data = mmap(NULL, (size_t)n, PROT_READ | PROT_WRITE,
                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (data == MAP_FAILED) caml_raise_out_of_memory();
+#ifdef MADV_NOHUGEPAGE
+  /* a machine's tile memories share one mapping, so where transparent
+     huge pages are on for every mapping, one touch could make 2 MiB of
+     neighbouring tiles resident; keep first touch at one page (advice
+     only, so a refusal changes nothing else) */
+  (void)madvise(data, (size_t)n, MADV_NOHUGEPAGE);
+#endif
   b->data = data;
   b->dim[0] = n;
   return res;

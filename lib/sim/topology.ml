@@ -46,12 +46,18 @@ let tiles = function
 let validate t ~cores =
   match t with
   | Star -> Ok t
-  | _ ->
-      if tiles t = cores then Ok t
+  | Mesh { x = a; y = b } | Torus { x = a; y = b }
+  | Hier { clusters = a; size = b } ->
+      (* a product that would wrap could land on [cores] *)
+      if a < 1 || b < 1 || a > max_int / b then
+        Error
+          (Printf.sprintf "topology %s does not fit a machine of %d tiles"
+             (to_string t) cores)
+      else if a * b = cores then Ok t
       else
         Error
           (Printf.sprintf "topology %s covers %d tiles, machine has %d"
-             (to_string t) (tiles t) cores)
+             (to_string t) (a * b) cores)
 
 (* Largest divisor of [n] at most sqrt(n): the near-square factorization
    used when a dimensioned topology is requested without dimensions. *)

@@ -37,7 +37,8 @@ val resolve : string -> cores:int -> (t, string) result
 
 val validate : t -> cores:int -> (t, string) result
 (** Check that a topology covers exactly [cores] tiles ({!Star} covers
-    any count). *)
+    any count).  Dimensions below 1, or whose product overflows [int],
+    are an [Error] too. *)
 
 val names : string list
 (** The four topology kind names, for CLI help and error messages. *)

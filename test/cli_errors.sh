@@ -60,3 +60,9 @@ run pmc_serve submit litmus --program sb --max-states 1000000000000000 --local
 run pmc_serve submit bench --max-cycles 1000000000000000 --local
 run pmc_serve submit litmus --program sb --limit 1000000000000000 --local
 run pmc_bench run --cores 1000000000000000
+# A fabric whose dimensions overflow is refused, not wrapped to a fit;
+# a negative count in a .pmc program is a syntax error naming its line.
+run pmc_demo --cores 4 --topology mesh:2305843009213693953x4
+printf 'program p\nobj o 4\nthread\nloop -1\nread o\nend\n' > neg_count.pmc
+run pmc_check --file neg_count.pmc
+rm -f neg_count.pmc

@@ -73,7 +73,28 @@ let test_json_extremes () =
   List.iter
     (fun s -> Alcotest.(check bool) s true (json_total s))
     [ "1e999999"; "-1e-999999"; "123456789012345678901234567890";
-      String.make 5000 '9'; "[1e309, -1e309]"; "0x10"; "1e"; "-"; "1.e5" ]
+      String.make 5000 '9'; "[1e309, -1e309]"; "0x10"; "1e"; "-"; "1.e5" ];
+  (* JSON has no text for an infinity: a numeral that overflows is
+     refused, so nothing parsed can print as [inf] *)
+  List.iter
+    (fun s ->
+      match J.parse s with
+      | _ -> Alcotest.failf "%s parsed" s
+      | exception J.Parse_error _ -> ())
+    [ "1e400"; "-1e400"; "[1e309, -1e309]"; "1e999999"; {|{"a": 1e400}|} ];
+  (* every finite extreme still prints to text that reads back (to the
+     printed six significant digits, so the text is a fixed point) *)
+  List.iter
+    (fun f ->
+      let text = J.to_compact (J.Num f) in
+      Alcotest.(check string) (Printf.sprintf "%h round-trips" f) text
+        (J.to_compact (J.parse text)))
+    [ Float.max_float; -.Float.max_float; Float.min_float; 4.9e-324;
+      1e308; -1e-308; 0.0; 123456789012345678901234567890. ];
+  Alcotest.(check bool) "integers round-trip exactly" true
+    (List.for_all
+       (fun n -> J.parse (J.to_compact (J.int n)) = J.int n)
+       [ 0; -1; 999_999_999_999_999; -999_999_999_999_999 ])
 
 (* ---------------- .pmc programs ---------------- *)
 
@@ -102,7 +123,21 @@ let test_pmc_extremes () =
       "program p\nobj o 4611686018427387903\nthread\nread o\n";
       "program p\nthread\ncompute 99999999999999999999\n";
       "program p\nthread\nloop 4611686018427387903\nend\n";
-      "program p\nthread\nloop -1\nend\n" ]
+      "program p\nthread\nloop -1\nend\n" ];
+  (* a negative count or size is a syntax error on its own line *)
+  List.iter
+    (fun (s, line) ->
+      match Parse.parse s with
+      | Error [ e ] -> Alcotest.(check int) (String.escaped s) line e.line
+      | _ -> Alcotest.failf "%S: no single error" s)
+    [ ("program p\nobj o -4\nthread\n", 2);
+      ("program p\nobj o 4\nthread\nloop -1\nread o\nend\n", 4);
+      ("program p\nthread\ncompute -5\n", 3);
+      ("program p\nthread\nloop -1\nend\n", 3);
+      ("program p\nobj o -4611686018427387904\n", 2) ];
+  Alcotest.(check bool) "zero counts stay valid" true
+    (Result.is_ok
+       (Parse.parse "program p\nobj o 0\nthread\nloop 0\ncompute 0\nend\n"))
 
 (* ---------------- topologies ---------------- *)
 
@@ -147,7 +182,20 @@ let test_topology_extremes () =
         (topology_total s ~cores))
     [ ("mesh:99999999999999999999x1", 4); ("hier:4611686018427387903x1", 1);
       ("torus:1x-4", 4); ("mesh:" ^ String.make 5000 '9' ^ "x2", 8);
-      ("mesh", 1_000_000_007); (repeat deep "mesh:", 32) ]
+      ("mesh", 1_000_000_007); (repeat deep "mesh:", 32) ];
+  (* 4 × 2305843009213693953 wraps to 4: dimensions whose product
+     overflows are refused, not wrapped onto a fit *)
+  List.iter
+    (fun (s, cores) ->
+      Alcotest.(check bool) (Printf.sprintf "%s on %d is an error" s cores)
+        true (Result.is_error (T.resolve s ~cores)))
+    [ ("mesh:2305843009213693953x4", 4); ("hier:2305843009213693953x4", 4);
+      ("torus:4x2305843009213693953", 4); ("hier:4611686018427387903x2", 2);
+      ("mesh:99999999999999999999x1", 4); ("hier:4611686018427387903x1", 1) ];
+  Alcotest.(check bool) "validate refuses a wrapping product" true
+    (Result.is_error
+       (T.validate (T.Hier { clusters = 2305843009213693953; size = 4 })
+          ~cores:4))
 
 let suite =
   ( "boundary",

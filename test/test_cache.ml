@@ -8,6 +8,7 @@ let make ?(sets = 4) ?(ways = 2) ?(line = 16) ?(size = 4096) () =
   let mem = Mem.create size in
   ( mem,
     Cache.create ~sets ~ways ~line_bytes:line
+      ~data:(Mem.create (sets * ways * line))
       ~backing_read:(fun addr dst pos -> Mem.blit mem addr dst pos line)
       ~backing_write:(fun addr src pos -> Mem.blit src pos mem addr line) )
 

@@ -23,7 +23,10 @@
        was: building a 1024-tile machine allocates a bounded number of
        minor words, repeated 1024-tile runs keep the peak RSS bounded,
        and large machines built on two domains give the width-1
-       results. *)
+       results;
+     - a machine's tile memories (and D-cache line stores) are views
+       of one mapping, so the decoder alone keeps each access inside
+       its tile, and the mappings die with the machine. *)
 
 open Pmc_sim
 
@@ -405,6 +408,25 @@ let test_mem_reuse_zero () =
       Alcotest.(check bool) (Printf.sprintf "size %d: zero" n) true
         (List.for_all (fun m -> Mem.length m = n && all_zero m) fresh))
     sizes;
+  (* per-tile stores are views of one mapping: a machine's tile
+     memories and D-cache lines, 256 and 1024 tiles *)
+  let shapes = [ (256, 64 * 1024); (1024, 16 * 1024); (3, 100) ] in
+  List.iter
+    (fun (count, len) ->
+      for _ = 1 to 4 do
+        Array.iter (fun v -> Bigarray.Array1.fill v '\xff')
+          (Mem.create_views ~count len)
+      done)
+    shapes;
+  Gc.full_major ();
+  List.iter
+    (fun (count, len) ->
+      let views = Mem.create_views ~count len in
+      Alcotest.(check bool) (Printf.sprintf "%d views of %d: zero" count len)
+        true
+        (Array.length views = count
+        && Array.for_all (fun v -> Mem.length v = len && all_zero v) views))
+    shapes;
   let view =
     let m = Mem.create (64 * 1024) in
     Mem.set_u8 m 4097 7;
@@ -412,6 +434,13 @@ let test_mem_reuse_zero () =
   in
   Gc.full_major ();
   Alcotest.(check int) "sub view outlives its parent" 7 (Mem.get_u8 view 1);
+  let last =
+    let views = Mem.create_views ~count:4 4096 in
+    Mem.set_u8 views.(3) 4095 9;
+    views.(3)
+  in
+  Gc.full_major ();
+  Alcotest.(check int) "a view outlives its siblings" 9 (Mem.get_u8 last 4095);
   let a = Mem.create 8192 and b = Bigarray.Array1.create Char C_layout 8192 in
   Bigarray.Array1.fill b '\000';
   Alcotest.(check bool) "compare as a Bigarray" true (compare a b = 0);
@@ -467,6 +496,117 @@ let test_machine_reuse_zero () =
   Alcotest.(check int) "fresh machine reads zero everywhere" 0 !nonzero;
   Alcotest.(check (triple int64 int int)) "kv_store after dirtying" before
     (kv_sig (run_kv Pmc.Backends.Swcc))
+
+(* The tile memories are adjacent views of one mapping, so only the
+   decoder keeps an access inside its tile.  Across every boundary of an
+   8-tile machine, a word written next to it — untimed, by the owning
+   core, or posted over the NoC — never shows on the other side, and an
+   access or a DMA / NoC offset that straddles it is refused. *)
+let test_tile_isolation () =
+  let cfg = { Config.default with cores = 8 } in
+  let n = cfg.Config.cores and lmb = cfg.local_mem_bytes in
+  let word m ~tile ~off = Machine.local_addr m ~tile ~off in
+  let first m i = word m ~tile:i ~off:0
+  and last m i = word m ~tile:i ~off:(lmb - 4) in
+  let check_zero m what addrs =
+    List.iter
+      (fun (i, a) ->
+        Alcotest.(check int32) (Printf.sprintf "%s, tile %d" what i) 0l
+          (Machine.peek_u32 m a))
+      addrs
+  in
+  let tiles lo hi = List.init (hi - lo) (fun k -> lo + k) in
+  (* untimed *)
+  let m = Machine.create cfg in
+  List.iter (fun i -> Machine.poke_u32 m (last m i) (-1l)) (tiles 0 n);
+  check_zero m "poked last word stays in its tile"
+    (List.map (fun i -> (i, first m i)) (tiles 1 n));
+  List.iter (fun i -> Machine.poke_u32 m (last m i) 0l) (tiles 0 n);
+  List.iter (fun i -> Machine.poke_u32 m (first m i) (-1l)) (tiles 0 n);
+  check_zero m "poked first word stays in its tile"
+    (List.map (fun i -> (i, last m i)) (tiles 0 (n - 1)));
+  (* timed: each core stores one edge word of its own tile and posts
+     the same edge of a neighbour's, then loads its tile's other edge *)
+  let timed what ~write ~read ~neighbour =
+    let m = Machine.create cfg in
+    let seen = Array.make n (-1l) in
+    for core = 0 to n - 1 do
+      Machine.spawn m ~core (fun () ->
+          Machine.store_u32 m ~shared:false (write m core) (-1l);
+          let nb = neighbour core in
+          if nb >= 0 && nb < n then
+            Machine.store_u32 m ~shared:false (write m nb) (-1l);
+          Machine.noc_drain m;
+          Machine.busy m 10_000;
+          seen.(core) <- Machine.load_u32 m ~shared:false (read m core))
+    done;
+    Machine.run m;
+    Alcotest.(check (array int32)) what (Array.make n 0l) seen
+  in
+  timed "timed last-word stores stay in their tiles" ~write:last ~read:first
+    ~neighbour:succ;
+  timed "timed first-word stores stay in their tiles" ~write:first ~read:last
+    ~neighbour:pred;
+  (* straddling a boundary *)
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let m = Machine.create cfg in
+  let straddle = word m ~tile:2 ~off:(lmb - 2) in
+  refused "peek" (fun () -> Machine.peek_u32 m straddle);
+  refused "poke" (fun () -> Machine.poke_u32 m straddle 1l);
+  (* a task's exception leaves [Machine.run], so a failure surfaces *)
+  Machine.spawn m ~core:2 (fun () ->
+      refused "timed load" (fun () ->
+          ignore (Machine.load_u32 m ~shared:false straddle));
+      refused "timed store" (fun () ->
+          Machine.store_u32 m ~shared:false straddle 1l);
+      refused "posted store" (fun () ->
+          Machine.store_u32 m ~shared:false (word m ~tile:3 ~off:(lmb - 2)) 1l);
+      refused "NoC push past the end" (fun () ->
+          Machine.noc_push m ~dst:3 ~src_off:0 ~dst_off:(lmb - 2) ~len:4);
+      refused "NoC push before the start" (fun () ->
+          Machine.noc_push m ~dst:3 ~src_off:0 ~dst_off:(-4) ~len:4);
+      refused "DMA past the end" (fun () ->
+          Machine.blit_sdram_to_local m ~core:2 ~sdram:0 ~off:(lmb - 2)
+            ~len:4);
+      refused "DMA before the start" (fun () ->
+          Machine.blit_sdram_to_local m ~core:2 ~sdram:0 ~off:(-4) ~len:4));
+  Machine.run m;
+  check_zero m "nothing landed"
+    (List.concat_map (fun i -> [ (i, first m i); (i, last m i) ]) (tiles 0 n))
+
+let maps_lines () =
+  match In_channel.with_open_text "/proc/self/maps" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text -> Some (List.length (String.split_on_char '\n' text))
+
+(* A machine's joint mappings die with it: after twenty 256-tile
+   machines, each touched in every tile, are built and dropped, a full
+   collection leaves the process's mappings where they started. *)
+let test_mapping_lifetime () =
+  match maps_lines () with
+  | None -> ()
+  | Some _ ->
+      Gc.full_major ();
+      let before = Option.get (maps_lines ()) in
+      let cfg = big_cfg "mesh:16x16" 256 in
+      for _ = 1 to 20 do
+        let m = Machine.create cfg in
+        for tile = 0 to cfg.Config.cores - 1 do
+          Machine.poke_u32 m (Machine.local_addr m ~tile ~off:0) 1l
+        done;
+        ignore (Sys.opaque_identity m)
+      done;
+      Gc.full_major ();
+      let after = Option.get (maps_lines ()) in
+      Alcotest.(check bool)
+        (Printf.sprintf "/proc/self/maps: %d lines before, %d after" before
+           after)
+        true
+        (after - before <= 8)
 
 (* Large machines built and run on two domains at once give the width-1
    results (the DESIGN.md §11 re-entrancy rule): stores are per machine,
@@ -563,6 +703,10 @@ let suite =
         test_mem_reuse_zero;
       Alcotest.test_case "machine reads zero after a dirty one" `Quick
         test_machine_reuse_zero;
+      Alcotest.test_case "tile memories stay apart" `Quick
+        test_tile_isolation;
+      Alcotest.test_case "joint mappings die with the machine" `Quick
+        test_mapping_lifetime;
       Alcotest.test_case "large machines on two domains" `Quick
         test_domains_large;
       Alcotest.test_case "1024-tile create allocation bounded" `Quick
