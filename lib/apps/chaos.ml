@@ -44,62 +44,23 @@ let acceptable = function
   | Completed | Typed_error _ -> true
   | Wrong_result _ | Inconsistent _ -> false
 
-let copy_counts (c : Fault.counts) : Fault.counts =
-  {
-    Fault.noc_drops = c.Fault.noc_drops;
-    noc_corrupts = c.Fault.noc_corrupts;
-    noc_delays = c.Fault.noc_delays;
-    noc_retries = c.Fault.noc_retries;
-    links_dead = c.Fault.links_dead;
-    relay_deliveries = c.Fault.relay_deliveries;
-    sdram_retries = c.Fault.sdram_retries;
-    tile_stalls = c.Fault.tile_stalls;
-    stall_cycles = c.Fault.stall_cycles;
-    lock_timeouts = c.Fault.lock_timeouts;
-    noc_draws = c.Fault.noc_draws;
-    sdram_draws = c.Fault.sdram_draws;
-    stall_draws = c.Fault.stall_draws;
-    power_cut_draws = c.Fault.power_cut_draws;
-    power_cuts = c.Fault.power_cuts;
-  }
+(* The four fault tags, each with the counters of its hits and its
+   draws: the per-tag soak summary, and (the hits) what a run injected. *)
+let tags =
+  List.map
+    (fun (tag, hit_names, draw_name) ->
+      (tag, List.map Fault.slot hit_names, Fault.slot draw_name))
+    [
+      ("noc", [ "noc_drops"; "noc_corrupts"; "noc_delays" ], "noc_draws");
+      ("sdram", [ "sdram_retries" ], "sdram_draws");
+      ("stall", [ "tile_stalls" ], "stall_draws");
+      ("power-cut", [ "power_cuts" ], "power_cut_draws");
+    ]
 
-let zero_counts () : Fault.counts =
-  {
-    Fault.noc_drops = 0; noc_corrupts = 0; noc_delays = 0; noc_retries = 0;
-    links_dead = 0; relay_deliveries = 0; sdram_retries = 0; tile_stalls = 0;
-    stall_cycles = 0; lock_timeouts = 0; noc_draws = 0; sdram_draws = 0;
-    stall_draws = 0; power_cut_draws = 0; power_cuts = 0;
-  }
+let hits c slots = List.fold_left (fun n s -> n + Fault.get c s) 0 slots
 
-let total_injected (c : Fault.counts) =
-  c.Fault.noc_drops + c.Fault.noc_corrupts + c.Fault.noc_delays
-  + c.Fault.sdram_retries + c.Fault.tile_stalls + c.Fault.power_cuts
-
-(* Accumulate one run's counters into a per-tag aggregate (the soak
-   summary's denominator/numerator pairs). *)
-let add_counts (acc : Fault.counts) (c : Fault.counts) =
-  acc.Fault.noc_drops <- acc.Fault.noc_drops + c.Fault.noc_drops;
-  acc.Fault.noc_corrupts <- acc.Fault.noc_corrupts + c.Fault.noc_corrupts;
-  acc.Fault.noc_delays <- acc.Fault.noc_delays + c.Fault.noc_delays;
-  acc.Fault.noc_retries <- acc.Fault.noc_retries + c.Fault.noc_retries;
-  acc.Fault.links_dead <- acc.Fault.links_dead + c.Fault.links_dead;
-  acc.Fault.relay_deliveries <-
-    acc.Fault.relay_deliveries + c.Fault.relay_deliveries;
-  acc.Fault.sdram_retries <- acc.Fault.sdram_retries + c.Fault.sdram_retries;
-  acc.Fault.tile_stalls <- acc.Fault.tile_stalls + c.Fault.tile_stalls;
-  acc.Fault.stall_cycles <- acc.Fault.stall_cycles + c.Fault.stall_cycles;
-  acc.Fault.lock_timeouts <- acc.Fault.lock_timeouts + c.Fault.lock_timeouts;
-  acc.Fault.noc_draws <- acc.Fault.noc_draws + c.Fault.noc_draws;
-  acc.Fault.sdram_draws <- acc.Fault.sdram_draws + c.Fault.sdram_draws;
-  acc.Fault.stall_draws <- acc.Fault.stall_draws + c.Fault.stall_draws;
-  acc.Fault.power_cut_draws <-
-    acc.Fault.power_cut_draws + c.Fault.power_cut_draws;
-  acc.Fault.power_cuts <- acc.Fault.power_cuts + c.Fault.power_cuts
-
-let total_counts (counts : Fault.counts list) : Fault.counts =
-  let acc = zero_counts () in
-  List.iter (add_counts acc) counts;
-  acc
+let total_injected c =
+  List.fold_left (fun n (_, slots, _) -> n + hits c slots) 0 tags
 
 (* Above this many captured events a replay is skipped (reported as
    [replayed = false]) and the run is judged on its checksum alone.
@@ -115,12 +76,7 @@ let run_one ?(intensity = 1.0) ?(model_check = true)
     ~seed : report =
   let cfg =
     Config.chaos ~intensity ~seed { Config.default with cores; topology }
-  in
-  let cfg =
-    (* a per-request budget only ever tightens the livelock watchdog *)
-    match max_cycles with
-    | None -> cfg
-    | Some m -> { cfg with Config.max_cycles = min m cfg.Config.max_cycles }
+    |> Config.tighten_watchdog ?max_cycles
   in
   let recorder = ref None in
   let machine = ref None in
@@ -136,8 +92,8 @@ let run_one ?(intensity = 1.0) ?(model_check = true)
     in
     let faults =
       match !machine with
-      | Some m -> copy_counts (Fault.counts (Machine.fault m))
-      | None -> zero_counts ()
+      | Some m -> Fault.counts (Machine.fault m)
+      | None -> Fault.zero ()
     in
     let events, dropped =
       match !recorder with
@@ -205,9 +161,9 @@ type soak = {
   injected : int;         (* faults injected across all runs *)
 }
 
-(* The verdict totals of a report list — shared by [soak] and by
-   [Pmc_jobs]' job-level soak reconstruction, so both summarize runs
-   identically. *)
+(* The verdict totals of a report list — shared by [pmc_chaos soak]'s
+   job batch and the sequential reference soak in the tests, so both
+   summarize runs identically. *)
 let summarize (reports : report list) : soak =
   let count p = List.length (List.filter p reports) in
   {
@@ -220,18 +176,6 @@ let summarize (reports : report list) : soak =
     injected =
       List.fold_left (fun acc r -> acc + total_injected r.faults) 0 reports;
   }
-
-let soak ?(intensity = 1.0) ?(model_check = true) ?replay_budget ?capacity
-    ?topology ~apps ~backend ~cores ~scale ~seeds () : soak =
-  summarize
-    (List.concat_map
-       (fun (a : Runner.app) ->
-         List.map
-           (fun seed ->
-             run_one ?capacity ?replay_budget ?topology ~intensity
-               ~model_check a ~backend ~cores ~scale ~seed)
-           seeds)
-       apps)
 
 let ok s = s.failed = 0
 
@@ -281,13 +225,24 @@ let pp_verdict ppf = function
       Fmt.pf ppf "WRONG RESULT: checksum %Ld, expected %Ld" checksum reference
   | Inconsistent n -> Fmt.pf ppf "INCONSISTENT: %d model violation(s)" n
 
-let pp_counts ppf (c : Fault.counts) =
-  Fmt.pf ppf
-    "drops=%d corrupts=%d delays=%d retries=%d dead=%d relayed=%d \
-     sdram=%d stalls=%d lock_to=%d"
-    c.Fault.noc_drops c.Fault.noc_corrupts c.Fault.noc_delays
-    c.Fault.noc_retries c.Fault.links_dead c.Fault.relay_deliveries
-    c.Fault.sdram_retries c.Fault.tile_stalls c.Fault.lock_timeouts
+(* The counters a run's report line shows, under short labels. *)
+let shown =
+  List.map
+    (fun (label, name) -> (label, Fault.slot name))
+    [
+      ("drops", "noc_drops"); ("corrupts", "noc_corrupts");
+      ("delays", "noc_delays"); ("retries", "noc_retries");
+      ("dead", "links_dead"); ("relayed", "relay_deliveries");
+      ("sdram", "sdram_retries"); ("stalls", "tile_stalls");
+      ("lock_to", "lock_timeouts");
+    ]
+
+let pp_counts ppf c =
+  Fmt.string ppf
+    (String.concat " "
+       (List.map
+          (fun (label, s) -> Printf.sprintf "%s=%d" label (Fault.get c s))
+          shown))
 
 let pp_report ppf (r : report) =
   Fmt.pf ppf "%-12s %-5s seed=%-5d wall=%-10d %a [%a]%s" r.app
@@ -303,16 +258,12 @@ let pp_soak ppf (s : soak) =
 (* Per-tag injection summary: how often each fault tag consulted the
    hash stream (draws) and how often it fired (hits) — the at-a-glance
    answer to "did this soak actually exercise tag X?". *)
-let pp_tag_summary ppf (c : Fault.counts) =
-  let noc_hits =
-    c.Fault.noc_drops + c.Fault.noc_corrupts + c.Fault.noc_delays
-  in
-  Fmt.pf ppf
-    "fault tags (hits/draws): noc %d/%d, sdram %d/%d, stall %d/%d, \
-     power-cut %d/%d"
-    noc_hits c.Fault.noc_draws c.Fault.sdram_retries c.Fault.sdram_draws
-    c.Fault.tile_stalls c.Fault.stall_draws c.Fault.power_cuts
-    c.Fault.power_cut_draws
+let pp_tag_summary ppf c =
+  Fmt.pf ppf "fault tags (hits/draws): %s"
+    (String.concat ", "
+       (List.map
+          (fun (tag, slots, draws) ->
+            Printf.sprintf "%s %d/%d" tag (hits c slots) (Fault.get c draws))
+          tags))
 
-let soak_counts (s : soak) : Fault.counts =
-  total_counts (List.map (fun r -> r.faults) s.reports)
+let soak_counts (s : soak) = Fault.sum (List.map (fun r -> r.faults) s.reports)

@@ -46,12 +46,6 @@ val total_injected : Pmc_sim.Fault.counts -> int
     stalls, power cuts) — protocol reactions (retries, relays) not
     included. *)
 
-val add_counts : Pmc_sim.Fault.counts -> Pmc_sim.Fault.counts -> unit
-(** [add_counts acc c] accumulates [c] into [acc] field by field. *)
-
-val total_counts : Pmc_sim.Fault.counts list -> Pmc_sim.Fault.counts
-(** Fresh aggregate of a list of per-run counter snapshots. *)
-
 val default_replay_budget : int
 (** Captured-event count above which the model replay is skipped
     (currently 100000).  The incremental {!Pmc_model.History.check}
@@ -83,22 +77,13 @@ type soak = {
   injected : int;         (** faults injected across all runs *)
 }
 
-val soak :
-  ?intensity:float -> ?model_check:bool -> ?replay_budget:int ->
-  ?capacity:int -> ?topology:Pmc_sim.Topology.t ->
-  apps:Runner.app list -> backend:Pmc.Backends.kind -> cores:int ->
-  scale:int -> seeds:int list -> unit -> soak
-(** The wall of seeds, run in order: every app × every seed.  A parallel
-    soak is a batch of chaos jobs through [Pmc_jobs.Run.run_all ~pool],
-    as [pmc_chaos soak] runs it. *)
-
 val ok : soak -> bool
 (** No unacceptable verdicts. *)
 
 val summarize : report list -> soak
-(** The verdict totals of a report list — what {!soak} computes after
-    its wall drains.  Exposed so job-oriented callers ({!Pmc_jobs}) that
-    run reports one at a time summarize identically. *)
+(** The verdict totals of a report list, in run order.  A soak is a
+    batch of chaos jobs through [Pmc_jobs.Run.run_all ~pool], as
+    [pmc_chaos soak] runs it, summarized here. *)
 
 type identity = { identical : bool; detail : string }
 

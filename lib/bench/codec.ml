@@ -117,6 +117,14 @@ let inline o get =
   { put_f = (fun r rest -> o.put (get r) @ rest); take_f = o.take;
     keys_f = o.keys }
 
+(* Required int members under [keys], in order: a counter snapshot,
+   read off its declared names. *)
+let ints keys =
+  let takes = List.map (fun k -> (field k int Fun.id).take_f) keys in
+  { put = (fun a -> List.mapi (fun i k -> (k, int.enc a.(i))) keys);
+    take = (fun kvs -> Array.of_list (List.map (fun take -> take kvs) takes));
+    keys = List.map (fun k -> (k, int.what)) keys }
+
 module Fields = struct
   type ('r, 'k) t =
     | [] : ('r, 'r) t

@@ -49,6 +49,11 @@ val field : ?default:'a -> string -> 'a t -> ('r -> 'a) -> ('r, 'a) field
 val inline : 'a obj -> ('r -> 'a) -> ('r, 'a) field
 (** A nested object's members, spliced into the enclosing one. *)
 
+val ints : string list -> int array obj
+(** An object of required {!int} members, one per key, in the keys'
+    order: element [i] of the array is under key [i].  A decode error
+    names the first missing or mistyped key. *)
+
 module Fields : sig
   type ('r, 'k) t =
     | [] : ('r, 'r) t

@@ -141,13 +141,8 @@ let run_sim_case ?max_cycles ~unbatched ~warmup ~repeat (c : Spec.case) :
       { Config.default with cores = c.Spec.cores;
         topology = c.Spec.topology }
     in
-    if unbatched then { base with batched = false } else base
-  in
-  let cfg =
-    (* a per-request budget only ever tightens the livelock watchdog *)
-    match max_cycles with
-    | None -> cfg
-    | Some m -> { cfg with Config.max_cycles = min m cfg.Config.max_cycles }
+    Config.tighten_watchdog ?max_cycles
+      (if unbatched then { base with batched = false } else base)
   in
   (* Monotonic-enough wall clock.  [Sys.time] is process-wide CPU time:
      it over-counts whenever anything else runs in the process, and under

@@ -123,13 +123,6 @@ let parse (text : string) : (Ir.program, error list) Result.t =
     Ok { Ir.pname = !name; threads = List.rev !threads }
   with Syntax e -> Error [ e ]
 
-let parse_file path : (Ir.program, error list) Result.t =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse text
-
 let print (p : Ir.program) : string =
   let buf = Buffer.create 256 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

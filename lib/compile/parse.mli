@@ -16,7 +16,6 @@ type error = { line : int; message : string }
 val pp_error : Format.formatter -> error -> unit
 
 val parse : string -> (Ir.program, error list) Result.t
-val parse_file : string -> (Ir.program, error list) Result.t
 
 val print : Ir.program -> string
 (** Inverse of {!parse} (up to formatting): [parse (print p)] yields a

@@ -64,9 +64,6 @@ let of_backend (type a) (module B : Backend_sig.S with type t = a) (b : a) =
   create (Backend_sig.B ((module B), b))
 
 let machine t = t.machine
-let backend_name t =
-  let (Backend_sig.B ((module B), _)) = t.backend in
-  B.name
 
 let set_trace t f = t.trace <- f
 
@@ -245,8 +242,6 @@ let poke t (o : Shared.t) word (v : int32) =
   (* poke runs on the host, usually outside any task, so there is no
      issuing core — report it as core -1 *)
   match t.trace with None -> () | Some f -> f ~core:(-1) (Ev_init (o, word, v))
-
-let poke_int t o word v = poke t o word (Int32.of_int v)
 
 (* ---------------- scoped helpers (the ScopeX/ScopeRO of Fig. 10) ------ *)
 

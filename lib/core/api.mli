@@ -48,9 +48,6 @@ val of_backend :
 val machine : t -> Pmc_sim.Machine.t
 (** The simulated machine underneath. *)
 
-val backend_name : t -> string
-(** The back-end's CLI name ({!Backends.to_string}). *)
-
 val set_trace : t -> (core:int -> event -> unit) option -> unit
 (** Install (or remove, with [None]) the trace hook receiving every
     annotation and access. *)
@@ -114,9 +111,6 @@ val peek_int : t -> Shared.t -> int -> int
 
 val poke : t -> Shared.t -> int -> int32 -> unit
 (** Untimed initialization write, visible on every core. *)
-
-val poke_int : t -> Shared.t -> int -> int -> unit
-(** {!poke} on the unboxed accessor path. *)
 
 (** {1 Scoped helpers — the ScopeX / ScopeRO of Fig. 10} *)
 

@@ -191,33 +191,6 @@ let codec =
         field "words_applied" int (fun r -> r.Farmem.words_applied);
       ]
   in
-  let counts =
-    record
-      (fun noc_drops noc_corrupts noc_delays noc_retries links_dead
-           relay_deliveries sdram_retries tile_stalls stall_cycles lock_timeouts
-           noc_draws sdram_draws stall_draws power_cut_draws power_cuts ->
-        { Fault.noc_drops; noc_corrupts; noc_delays; noc_retries; links_dead;
-          relay_deliveries; sdram_retries; tile_stalls; stall_cycles;
-          lock_timeouts; noc_draws; sdram_draws; stall_draws; power_cut_draws;
-          power_cuts })
-      [
-        field "noc_drops" int (fun c -> c.Fault.noc_drops);
-        field "noc_corrupts" int (fun c -> c.Fault.noc_corrupts);
-        field "noc_delays" int (fun c -> c.Fault.noc_delays);
-        field "noc_retries" int (fun c -> c.Fault.noc_retries);
-        field "links_dead" int (fun c -> c.Fault.links_dead);
-        field "relay_deliveries" int (fun c -> c.Fault.relay_deliveries);
-        field "sdram_retries" int (fun c -> c.Fault.sdram_retries);
-        field "tile_stalls" int (fun c -> c.Fault.tile_stalls);
-        field "stall_cycles" int (fun c -> c.Fault.stall_cycles);
-        field "lock_timeouts" int (fun c -> c.Fault.lock_timeouts);
-        field "noc_draws" int (fun c -> c.Fault.noc_draws);
-        field "sdram_draws" int (fun c -> c.Fault.sdram_draws);
-        field "stall_draws" int (fun c -> c.Fault.stall_draws);
-        field "power_cut_draws" int (fun c -> c.Fault.power_cut_draws);
-        field "power_cuts" int (fun c -> c.Fault.power_cuts);
-      ]
-  in
   let backend = enum Pmc.Backends.to_string Pmc.Backends.all in
   variant "kind"
     [
@@ -266,7 +239,7 @@ let codec =
              field "intensity" float (fun r -> r.Chaos.intensity);
              field "verdict" (obj verdict) (fun r -> r.Chaos.verdict);
              field "wall" int (fun r -> r.Chaos.wall);
-             field "faults" (obj counts) (fun r -> r.Chaos.faults);
+             field "faults" (obj (ints Fault.names)) (fun r -> r.Chaos.faults);
              field "events" int (fun r -> r.Chaos.events);
              field "dropped" int (fun r -> r.Chaos.dropped);
              field "replayed" bool (fun r -> r.Chaos.replayed);

@@ -38,10 +38,6 @@ let budget_codec =
 
 let budget_to_json = Pmc_bench.Codec.encode budget_codec
 
-let budget_of_json =
-  Pmc_bench.Codec.decode_exn ~what:"Pmc_jobs.Run: malformed budget"
-    budget_codec
-
 (* ---------------- name resolution ---------------- *)
 
 (* The standard litmus programs under both their CLI-friendly slugs and

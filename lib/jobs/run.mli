@@ -24,9 +24,6 @@ val budget_codec : budget Pmc_bench.Codec.t
 
 val budget_to_json : budget -> Pmc_bench.Json.t
 
-val budget_of_json : Pmc_bench.Json.t -> budget
-(** @raise Failure on a mistyped bound. *)
-
 val run : ?budget:budget -> Job.t -> Result.t
 (** Execute one job.  Total: unknown names, parse failures, budget
     overruns and runtime errors all come back as {!Result.Error}. *)

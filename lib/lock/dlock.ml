@@ -111,6 +111,8 @@ let take_grant t ~core =
   count_acquire t ~transferred;
   emit t Probe.Acquire ~transferred
 
+let lock_timeouts = Fault.slot "lock_timeouts"
+
 (* [deadline = None] is the unbounded acquire and must stay cycle-exact
    with the historical behavior (constant-interval local polling — the
    regression benches pin it); a deadline switches the waiter to capped
@@ -175,8 +177,7 @@ let acquire_aux t ~deadline : outcome =
         else begin
           withdraw t core;
           let waited = Engine.now e - start in
-          let counts = Fault.counts (Machine.fault t.m) in
-          counts.Fault.lock_timeouts <- counts.Fault.lock_timeouts + 1;
+          Fault.bump (Machine.fault t.m) lock_timeouts;
           Probe.emit (Machine.probe t.m) ~time:(Engine.now e)
             (Probe.Fault
                (Probe.F_lock_timeout { core; lock = t.id; waited }));
@@ -237,12 +238,7 @@ let release_ro t =
 
 let holder t = t.owner
 let last_transfer_from t = t.last_transfer_from
-let reader_count t = t.readers
 
 let with_lock t f =
   acquire t;
   Fun.protect ~finally:(fun () -> release t) f
-
-let with_lock_ro t f =
-  acquire_ro t;
-  Fun.protect ~finally:(fun () -> release_ro t) f

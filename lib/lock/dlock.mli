@@ -63,12 +63,6 @@ val last_transfer_from : t -> int
     this to piggyback the protected object's newest version on the grant
     burst (see {!Pmc_sim.Config.t.batched}). *)
 
-val reader_count : t -> int
-(** Number of cores currently in the reader group (host-side view). *)
-
 val with_lock : t -> (unit -> 'a) -> 'a
 (** [with_lock t f] brackets [f] with {!acquire}/{!release}; released on
     exception too. *)
-
-val with_lock_ro : t -> (unit -> 'a) -> 'a
-(** [with_lock_ro t f] brackets [f] with {!acquire_ro}/{!release_ro}. *)

@@ -28,14 +28,6 @@ type t = {
   value : int;  (* written value for writes/init, returned value for reads *)
 }
 
-let kind_to_string = function
-  | Read -> "r"
-  | Write -> "w"
-  | Acquire -> "A"
-  | Release -> "R"
-  | Fence -> "F"
-  | Init -> "init"
-
 let pp ppf (o : t) =
   match o.kind with
   | Fence -> Fmt.pf ppf "#%d:(F,p%d)" o.id o.proc
@@ -58,7 +50,6 @@ let acts_as (o : t) (k : kind) =
 let is_write o = acts_as o Write
 let is_release o = acts_as o Release
 let is_read o = o.kind = Read
-let is_acquire o = o.kind = Acquire
 let is_fence o = o.kind = Fence
 
 (* Patterns (Def. 2): [(operation, p, v, value)] subsets of O, where a

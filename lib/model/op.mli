@@ -22,8 +22,6 @@ type t = {
   value : int;  (** written value for writes, returned value for reads *)
 }
 
-val kind_to_string : kind -> string
-
 val pp : Format.formatter -> t -> unit
 (** E.g. [W p0 x=1 (#3)]. *)
 
@@ -39,7 +37,6 @@ val acts_as : t -> kind -> bool
 val is_write : t -> bool
 val is_release : t -> bool
 val is_read : t -> bool
-val is_acquire : t -> bool
 val is_fence : t -> bool
 
 (** Patterns (Def. 2): [(operation, p, v, value)] subsets of the issued

@@ -214,12 +214,6 @@ let submit t task =
   Condition.broadcast t.work;
   Mutex.unlock t.m
 
-let pending_tasks t =
-  Mutex.lock t.m;
-  let n = Queue.length t.tasks + t.running_tasks in
-  Mutex.unlock t.m;
-  n
-
 let run_pending_one t =
   Mutex.lock t.m;
   if Queue.is_empty t.tasks then begin

@@ -55,9 +55,6 @@ val submit : t -> (unit -> unit) -> unit
     owner calls {!run_pending_one} — there are no worker domains.
     Thread-safe.  Raises [Invalid_argument] after {!shutdown}. *)
 
-val pending_tasks : t -> int
-(** Queued-but-unclaimed plus currently running submitted tasks. *)
-
 val run_pending_one : t -> bool
 (** Run one queued task on the calling domain, inline; [false] when the
     queue is empty.  The width-1 execution path of a task-queue user. *)

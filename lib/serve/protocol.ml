@@ -171,7 +171,6 @@ let request_of_json = decode request_codec
 let response_to_json = C.encode response_codec
 let response_of_json = decode response_codec
 let stats_to_json = C.encode stats_codec
-let stats_of_json = decode stats_codec
 
 (* ---------------- framing ---------------- *)
 

@@ -53,7 +53,6 @@ val response_of_json : Pmc_bench.Json.t -> response
 (** @raise Malformed *)
 
 val stats_to_json : stats -> Pmc_bench.Json.t
-val stats_of_json : Pmc_bench.Json.t -> stats
 
 exception Malformed of string
 

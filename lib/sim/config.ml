@@ -148,8 +148,6 @@ let faults_enabled t =
   || t.noc_delay_prob > 0.0 || t.sdram_error_prob > 0.0
   || t.tile_stall_prob > 0.0
 
-let power_cut_armed t = t.power_cut_prob > 0.0
-
 (* The standard chaos schedule of the soak harness: every fault class
    armed, scaled by [intensity] (1.0 = the default mix).  [seed] selects
    the deterministic fault schedule — same seed, same faults. *)
@@ -177,6 +175,12 @@ let crash ?window ~seed t =
     power_cut_window = Option.value ~default:t.power_cut_window window;
   }
 
+(* A per-request cycle budget only ever tightens the livelock watchdog. *)
+let tighten_watchdog ?max_cycles t =
+  match max_cycles with
+  | None -> t
+  | Some m -> { t with max_cycles = min m t.max_cycles }
+
 (* Number of NoC hops between two tiles.  On the default Star fabric
    this is the bidirectional-ring distance of the paper's platform [16];
    the other fabrics route per Topology (XY for grids, via hubs for
@@ -186,8 +190,6 @@ let hops t ~src ~dst = Topology.hops t.topology ~cores:t.cores ~src ~dst
 let noc_latency t ~src ~dst ~words =
   t.noc_base_cycles + (t.noc_hop_cycles * hops t ~src ~dst)
   + (t.noc_word_cycles * words)
-
-let words_per_line t = t.line_bytes / 4
 
 (* Latency of the degraded SDRAM relay path: when a link's retransmit
    budget is exhausted, replication data is staged through the shared

@@ -123,11 +123,8 @@ val no_faults : t -> t
 val faults_enabled : t -> bool
 (** Whether any {e per-access} fault probability is non-zero.  The power
     cut is excluded on purpose: it is one scheduled event, not a
-    per-access draw, and arming it alone keeps every latency on the
-    fault-free path (see {!power_cut_armed}). *)
-
-val power_cut_armed : t -> bool
-(** Whether a power cut may be scheduled ([power_cut_prob > 0]). *)
+    per-access draw, and arming it alone ({!crash}) keeps every latency
+    on the fault-free path. *)
 
 val chaos : ?intensity:float -> seed:int -> t -> t
 (** The soak harness's standard fault schedule: every fault class armed,
@@ -142,13 +139,16 @@ val crash : ?window:int -> seed:int -> t -> t
     config the run is bit-identical to the fault-free machine up to the
     cut. *)
 
+val tighten_watchdog : ?max_cycles:int -> t -> t
+(** Lower [t.max_cycles] to a per-request cycle budget, if one is given:
+    a budget only ever tightens the livelock watchdog. *)
+
 val hops : t -> src:int -> dst:int -> int
 (** Hop distance between two tiles on the configured fabric: ring
     distance on {!Topology.Star}, Manhattan/wrapped-Manhattan on grids,
     hub hops on hierarchical clusters. *)
 
 val noc_latency : t -> src:int -> dst:int -> words:int -> int
-val words_per_line : t -> int
 
 val relay_latency : t -> words:int -> int
 (** Latency of the degraded SDRAM relay path used once a link's

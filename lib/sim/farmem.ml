@@ -174,7 +174,6 @@ let poke_u32 t addr v =
   Mem.set_u32_int t.shadow addr v
 
 let peek_u32 t addr = read_u32_int t addr
-let peek_u8 t addr = read_u8 t addr
 
 (* ---------------- crash / restore / recovery ---------------- *)
 

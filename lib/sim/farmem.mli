@@ -85,8 +85,6 @@ val poke_u32 : t -> int -> int -> unit
 val peek_u32 : t -> int -> int
 (** Untimed host-side read of the durable media. *)
 
-val peek_u8 : t -> int -> int
-
 val image : t -> Bytes.t
 (** The durable image: exactly the media bytes.  What survives a power
     cut. *)

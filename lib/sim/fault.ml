@@ -11,30 +11,55 @@
    simulator takes bit-identical code paths (the zero-cost-when-off
    invariant asserted by the chaos tests and the bench CI gate). *)
 
-type counts = {
-  mutable noc_drops : int;
-  mutable noc_corrupts : int;
-  mutable noc_delays : int;
-  mutable noc_retries : int;       (* retransmissions scheduled by the NoC *)
-  mutable links_dead : int;        (* links whose retry budget ran out *)
-  mutable relay_deliveries : int;  (* packets delivered via the SDRAM relay *)
-  mutable sdram_retries : int;
-  mutable tile_stalls : int;
-  mutable stall_cycles : int;
-  mutable lock_timeouts : int;     (* typed Dlock timeouts (counted always) *)
-  (* draws: how often each tag consulted the hash stream, hit or not —
-     the denominator of the per-tag soak summary *)
-  mutable noc_draws : int;
-  mutable sdram_draws : int;
-  mutable stall_draws : int;
-  mutable power_cut_draws : int;
-  mutable power_cuts : int;        (* cuts that actually fired *)
-}
+(* ---------------- counters ---------------- *)
+
+(* Every counter is one slot, declared here once by its wire name; the
+   snapshot, zero, sum and JSON object of a run's counts all derive
+   from this list. *)
+let names =
+  [
+    "noc_drops";
+    "noc_corrupts";
+    "noc_delays";
+    "noc_retries";       (* retransmissions scheduled by the NoC *)
+    "links_dead";        (* links whose retry budget ran out *)
+    "relay_deliveries";  (* packets delivered via the SDRAM relay *)
+    "sdram_retries";
+    "tile_stalls";
+    "stall_cycles";
+    "lock_timeouts";     (* typed Dlock timeouts (counted always) *)
+    (* draws: how often each tag consulted the hash stream, hit or not —
+       the denominator of the per-tag soak summary *)
+    "noc_draws";         (* per attempt on star, per link on routed fabrics *)
+    "sdram_draws";
+    "stall_draws";
+    "power_cut_draws";   (* one per machine *)
+    "power_cuts";        (* cuts that actually fired *)
+  ]
+
+type slot = int
+type counts = int array
+
+let slot name =
+  let rec find i = function
+    | [] -> invalid_arg ("Fault.slot: no counter " ^ name)
+    | n :: _ when n = name -> i
+    | _ :: rest -> find (i + 1) rest
+  in
+  find 0 names
+
+let zero () = Array.make (List.length names) 0
+let get (c : counts) s = c.(s)
+
+let sum cs =
+  let acc = zero () in
+  List.iter (Array.iteri (fun i v -> acc.(i) <- acc.(i) + v)) cs;
+  acc
 
 type t = {
   cfg : Config.t;
   enabled : bool;
-  counts : counts;
+  live : counts;
   sdram_tick : int array;          (* per-core SDRAM access counter *)
   stall_tick : int array;          (* per-core timed-access counter *)
 }
@@ -43,21 +68,28 @@ let create (cfg : Config.t) =
   {
     cfg;
     enabled = Config.faults_enabled cfg;
-    counts =
-      {
-        noc_drops = 0; noc_corrupts = 0; noc_delays = 0; noc_retries = 0;
-        links_dead = 0; relay_deliveries = 0; sdram_retries = 0;
-        tile_stalls = 0; stall_cycles = 0; lock_timeouts = 0;
-        noc_draws = 0; sdram_draws = 0; stall_draws = 0;
-        power_cut_draws = 0; power_cuts = 0;
-      };
+    live = zero ();
     sdram_tick = Array.make cfg.Config.cores 0;
     stall_tick = Array.make cfg.Config.cores 0;
   }
 
 let enabled t = t.enabled
-let counts t = t.counts
+let counts t = Array.copy t.live
 let config t = t.cfg
+let add t s n = t.live.(s) <- t.live.(s) + n
+let bump t s = add t s 1
+
+let noc_drops = slot "noc_drops"
+let noc_corrupts = slot "noc_corrupts"
+let noc_delays = slot "noc_delays"
+let noc_draws = slot "noc_draws"
+let sdram_retries = slot "sdram_retries"
+let sdram_draws = slot "sdram_draws"
+let tile_stalls = slot "tile_stalls"
+let stall_cycles = slot "stall_cycles"
+let stall_draws = slot "stall_draws"
+let power_cut_draws = slot "power_cut_draws"
+let power_cuts = slot "power_cuts"
 
 (* ---------------- the hash stream ---------------- *)
 
@@ -107,22 +139,22 @@ type outcome = Deliver | Drop | Corrupt | Delay of int
    retransmission of a dropped packet can itself be delayed. *)
 let noc_outcome t ~src ~dst ~seq ~attempt =
   let cfg = t.cfg in
-  t.counts.noc_draws <- t.counts.noc_draws + 1;
+  bump t noc_draws;
   let h = site t ~tag:1 ~a:src ~b:dst ~c:seq ~d:attempt in
   let u = uniform h in
   if u < cfg.Config.noc_drop_prob then begin
-    t.counts.noc_drops <- t.counts.noc_drops + 1;
+    bump t noc_drops;
     Drop
   end
   else if u < cfg.Config.noc_drop_prob +. cfg.Config.noc_corrupt_prob then begin
-    t.counts.noc_corrupts <- t.counts.noc_corrupts + 1;
+    bump t noc_corrupts;
     Corrupt
   end
   else if
     u < cfg.Config.noc_drop_prob +. cfg.Config.noc_corrupt_prob
         +. cfg.Config.noc_delay_prob
   then begin
-    t.counts.noc_delays <- t.counts.noc_delays + 1;
+    bump t noc_delays;
     Delay (1 + pick h cfg.Config.noc_delay_max)
   end
   else Deliver
@@ -141,7 +173,7 @@ let route_outcome t ~src ~dst ~seq ~attempt =
       let cfg = t.cfg in
       let dropped = ref false and corrupted = ref false and delay = ref 0 in
       Topology.iter_route topo ~cores:cfg.Config.cores ~src ~dst (fun link ->
-          t.counts.noc_draws <- t.counts.noc_draws + 1;
+          bump t noc_draws;
           let h = site t ~tag:4 ~a:link ~b:seq ~c:attempt ~d:0 in
           let u = uniform h in
           if u < cfg.Config.noc_drop_prob then dropped := true
@@ -153,15 +185,15 @@ let route_outcome t ~src ~dst ~seq ~attempt =
               +. cfg.Config.noc_delay_prob
           then delay := !delay + 1 + pick h cfg.Config.noc_delay_max);
       if !dropped then begin
-        t.counts.noc_drops <- t.counts.noc_drops + 1;
+        bump t noc_drops;
         Drop
       end
       else if !corrupted then begin
-        t.counts.noc_corrupts <- t.counts.noc_corrupts + 1;
+        bump t noc_corrupts;
         Corrupt
       end
       else if !delay > 0 then begin
-        t.counts.noc_delays <- t.counts.noc_delays + 1;
+        bump t noc_delays;
         Delay !delay
       end
       else Deliver
@@ -173,12 +205,12 @@ let route_outcome t ~src ~dst ~seq ~attempt =
 let sdram_error t ~core =
   let tick = t.sdram_tick.(core) in
   t.sdram_tick.(core) <- tick + 1;
-  t.counts.sdram_draws <- t.counts.sdram_draws + 1;
+  bump t sdram_draws;
   let hit =
     uniform (site t ~tag:2 ~a:core ~b:tick ~c:0 ~d:0)
     < t.cfg.Config.sdram_error_prob
   in
-  if hit then t.counts.sdram_retries <- t.counts.sdram_retries + 1;
+  if hit then bump t sdram_retries;
   hit
 
 (* ---------------- tile stalls ---------------- *)
@@ -187,12 +219,12 @@ let sdram_error t ~core =
 let tile_stall t ~core =
   let tick = t.stall_tick.(core) in
   t.stall_tick.(core) <- tick + 1;
-  t.counts.stall_draws <- t.counts.stall_draws + 1;
+  bump t stall_draws;
   let h = site t ~tag:3 ~a:core ~b:tick ~c:0 ~d:0 in
   if uniform h < t.cfg.Config.tile_stall_prob then begin
     let cycles = 1 + pick h t.cfg.Config.tile_stall_cycles in
-    t.counts.tile_stalls <- t.counts.tile_stalls + 1;
-    t.counts.stall_cycles <- t.counts.stall_cycles + cycles;
+    bump t tile_stalls;
+    add t stall_cycles cycles;
     cycles
   end
   else 0
@@ -214,7 +246,7 @@ let power_cut_cycle ~fault_seed ~window =
 let power_cut_at t =
   if t.cfg.Config.power_cut_prob <= 0.0 then None
   else begin
-    t.counts.power_cut_draws <- t.counts.power_cut_draws + 1;
+    bump t power_cut_draws;
     let h = site t ~tag:5 ~a:0 ~b:0 ~c:0 ~d:0 in
     if uniform h < t.cfg.Config.power_cut_prob then
       Some (power_cut_cycle ~fault_seed:t.cfg.Config.fault_seed
@@ -222,4 +254,4 @@ let power_cut_at t =
     else None
   end
 
-let record_power_cut t = t.counts.power_cuts <- t.counts.power_cuts + 1
+let record_power_cut t = bump t power_cuts

@@ -10,32 +10,43 @@
     test — the fault-free simulator is bit-identical to a build without
     the plane (the zero-cost-when-off invariant). *)
 
-type counts = {
-  mutable noc_drops : int;
-  mutable noc_corrupts : int;
-  mutable noc_delays : int;
-  mutable noc_retries : int;       (** retransmissions scheduled *)
-  mutable links_dead : int;        (** links whose retry budget ran out *)
-  mutable relay_deliveries : int;  (** packets delivered via the SDRAM relay *)
-  mutable sdram_retries : int;
-  mutable tile_stalls : int;
-  mutable stall_cycles : int;
-  mutable lock_timeouts : int;     (** typed {!Pmc_lock.Dlock} timeouts *)
-  mutable noc_draws : int;
-      (** How often the NoC tag consulted the hash stream (per-attempt on
-          star, per-link on routed fabrics), hit or not — the
-          denominator of the per-tag soak summary. *)
-  mutable sdram_draws : int;       (** SDRAM-error draws *)
-  mutable stall_draws : int;       (** tile-stall draws *)
-  mutable power_cut_draws : int;   (** power-cut draws (one per machine) *)
-  mutable power_cuts : int;        (** power cuts that actually fired *)
-}
+(** {1 Counters}
+
+    Each fault counter is one slot, declared once in [fault.ml] by its
+    wire name (with its meaning beside it); a snapshot holds one value
+    per counter, in declared order. *)
+
+val names : string list
+(** The counters' wire names, in declared order. *)
+
+type slot
+
+val slot : string -> slot
+(** The counter declared under this name.  Bind it once, at module
+    initialization, so that a misspelt name fails at program start.
+    @raise Invalid_argument for an undeclared name. *)
+
+type counts = int array
+(** A snapshot: one value per counter, in the order of {!names}. *)
+
+val zero : unit -> counts
+val get : counts -> slot -> int
+val sum : counts list -> counts
+(** A fresh snapshot, slot by slot the sum of the given ones. *)
+
+(** {1 The plane} *)
 
 type t
 
 val create : Config.t -> t
 val enabled : t -> bool
+
 val counts : t -> counts
+(** A snapshot of the counters so far. *)
+
+val bump : t -> slot -> unit
+(** Count one more event on a live counter. *)
+
 val config : t -> Config.t
 
 val checksum : Bytes.t -> int
@@ -47,8 +58,8 @@ type outcome = Deliver | Drop | Corrupt | Delay of int
 val noc_outcome :
   t -> src:int -> dst:int -> seq:int -> attempt:int -> outcome
 (** Outcome of one delivery attempt of packet [seq] on the logical
-    (src, dst) link of the {!Topology.Star} fabric.  Updates
-    {!counts}. *)
+    (src, dst) link of the {!Topology.Star} fabric.  Updates the
+    NoC counters. *)
 
 val route_outcome :
   t -> src:int -> dst:int -> seq:int -> attempt:int -> outcome

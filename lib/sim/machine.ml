@@ -666,9 +666,7 @@ let instr m n =
     let stall = ref 0 in
     while !remaining > 0 do
       let burst = min !remaining per_line in
-      if Icache.fetch_line ic c.pc then
-        s.Stats.icache_hits <- s.Stats.icache_hits + 1
-      else begin
+      if not (Icache.fetch_line ic c.pc) then begin
         s.Stats.icache_misses <- s.Stats.icache_misses + 1;
         stall := !stall + m.cfg.icache_miss_cycles
       end;

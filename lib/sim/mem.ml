@@ -66,7 +66,6 @@ let create_views ~count len : t array =
 
 let length (m : t) = Bigarray.Array1.dim m
 
-let[@inline] get_char (m : t) i = Bigarray.Array1.unsafe_get m i
 let[@inline] set_char (m : t) i c = Bigarray.Array1.unsafe_set m i c
 let[@inline] get_u8 (m : t) i = Char.code (Bigarray.Array1.unsafe_get m i)
 

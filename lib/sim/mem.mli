@@ -34,7 +34,6 @@ val create_views : count:int -> int -> t array
 
 val length : t -> int
 
-val get_char : t -> int -> char
 val set_char : t -> int -> char -> unit
 
 val get_u8 : t -> int -> int

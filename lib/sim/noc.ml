@@ -224,6 +224,10 @@ let route_arrival t ~now ~src ~dst ~words =
 
 (* ---------------- resilient per-link delivery ---------------- *)
 
+let noc_retries = Fault.slot "noc_retries"
+let links_dead = Fault.slot "links_dead"
+let relay_deliveries = Fault.slot "relay_deliveries"
+
 (* The engine gives event closures no ambient clock, so every worker step
    carries its own scheduled [time]. *)
 
@@ -256,8 +260,7 @@ and service t ~src ~dst link ~time () =
            ordering is preserved. *)
         let words = (Bytes.length p.data + 3) / 4 in
         let at = time + Config.relay_latency t.cfg ~words in
-        let counts = Fault.counts t.fault in
-        counts.Fault.relay_deliveries <- counts.Fault.relay_deliveries + 1;
+        Fault.bump t.fault relay_deliveries;
         emit_fault t ~time (Probe.F_noc_degraded { src; dst; seq = p.seq });
         t.last_arrival.(src) <- max t.last_arrival.(src) at;
         Engine.at t.engine ~time:at (complete t ~src ~dst link ~time:at)
@@ -286,8 +289,7 @@ and service t ~src ~dst link ~time () =
               (* Retry budget exhausted: the link is dead from here on;
                  this and all queued packets degrade to the relay. *)
               link.dead <- true;
-              let counts = Fault.counts t.fault in
-              counts.Fault.links_dead <- counts.Fault.links_dead + 1;
+              Fault.bump t.fault links_dead;
               emit_fault t ~time (Probe.F_link_dead { src; dst });
               service t ~src ~dst link ~time ()
             end
@@ -299,8 +301,7 @@ and service t ~src ~dst link ~time () =
                 min (base lsl (p.attempts - 1)) (base * 64)
               in
               let at = time + t.cfg.Config.noc_ack_cycles + backoff in
-              let counts = Fault.counts t.fault in
-              counts.Fault.noc_retries <- counts.Fault.noc_retries + 1;
+              Fault.bump t.fault noc_retries;
               emit_fault t ~time
                 (Probe.F_noc_retry
                    { src; dst; seq = p.seq; attempt = p.attempts; at });

@@ -32,7 +32,6 @@ type core = {
   mutable instructions : int;
   mutable dcache_hits : int;
   mutable dcache_misses : int;
-  mutable icache_hits : int;
   mutable icache_misses : int;
   mutable lock_acquires : int;
   mutable lock_transfers : int;
@@ -47,7 +46,6 @@ let core_create () =
     instructions = 0;
     dcache_hits = 0;
     dcache_misses = 0;
-    icache_hits = 0;
     icache_misses = 0;
     lock_acquires = 0;
     lock_transfers = 0;

@@ -21,7 +21,6 @@ type core = {
   mutable instructions : int;
   mutable dcache_hits : int;
   mutable dcache_misses : int;
-  mutable icache_hits : int;
   mutable icache_misses : int;
   mutable lock_acquires : int;
   mutable lock_transfers : int;

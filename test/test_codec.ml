@@ -181,15 +181,7 @@ let gen_report =
     { Pmc_bench.Report.schema = M.schema_version; label; suite; unbatched;
       jobs; samples }
 
-let gen_counts =
-  let* a = array_size (return 15) count in
-  return
-    { Pmc_sim.Fault.noc_drops = a.(0); noc_corrupts = a.(1);
-      noc_delays = a.(2); noc_retries = a.(3); links_dead = a.(4);
-      relay_deliveries = a.(5); sdram_retries = a.(6); tile_stalls = a.(7);
-      stall_cycles = a.(8); lock_timeouts = a.(9); noc_draws = a.(10);
-      sdram_draws = a.(11); stall_draws = a.(12); power_cut_draws = a.(13);
-      power_cuts = a.(14) }
+let gen_counts = array_size (return (List.length Pmc_sim.Fault.names)) count
 
 let int64 = map (fun x -> Int64.mul (Int64.of_int x) 3L) int
 
@@ -381,6 +373,28 @@ let line j =
   in
   replace_all (J.to_compact (mark j)) ~sub:{|"@1e999@"|} ~by:"1e999"
 
+(* Every fault counter is required: a chaos result without any one of
+   them is refused, and the error names that counter. *)
+let test_every_counter_required () =
+  let r =
+    R.Chaos_soaked
+      { Pmc_apps.Chaos.app = "stencil"; backend = Pmc.Backends.Dsm;
+        cores = 4; scale = 4; seed = 7; intensity = 2.0;
+        verdict = Pmc_apps.Chaos.Completed; wall = 0;
+        faults = Pmc_sim.Fault.zero (); events = 0; dropped = 0;
+        replayed = false }
+  in
+  List.iter
+    (fun name ->
+      match R.of_json (mutate Drop [ K "faults"; K name ] (R.to_json r)) with
+      | _ -> Alcotest.failf "decoded without %s" name
+      | exception Failure m ->
+          Alcotest.(check string) name
+            ("Pmc_jobs.Result: malformed result: faults." ^ name
+           ^ " missing")
+            m)
+    Pmc_sim.Fault.names
+
 (* ---------------- properties ---------------- *)
 
 (* A decoded value must re-encode canonically: decoding its encoding
@@ -477,5 +491,7 @@ let suite =
       Alcotest.test_case "probe lines refused" `Quick test_probes_refused;
       Alcotest.test_case "first offending field named" `Quick
         test_first_field_named;
+      Alcotest.test_case "every fault counter required" `Quick
+        test_every_counter_required;
     ]
     @ round_trip_props @ mutation_props @ tree_props )

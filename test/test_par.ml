@@ -113,7 +113,7 @@ let test_ids_are_domain_local_and_resettable () =
 
    A parallel soak is a batch of chaos jobs through [Run.run_all ~pool]
    (what [pmc_chaos soak --jobs N] runs); the sequential
-   [Pmc_apps.Chaos.soak] is the reference it must reproduce, report for
+   [Soak_oracle.soak] is the reference it must reproduce, report for
    report. *)
 
 let parallel_soak pool ~model_check ~apps ~scale ~seeds =
@@ -131,7 +131,7 @@ let parallel_soak pool ~model_check ~apps ~scale ~seeds =
   |> Pmc_apps.Chaos.summarize
 
 let sequential_soak ~model_check ~apps ~scale ~seeds =
-  Pmc_apps.Chaos.soak ~model_check
+  Soak_oracle.soak ~model_check
     ~apps:(List.filter_map Pmc_apps.Registry.find apps)
     ~backend:Pmc.Backends.Dsm ~cores:4 ~scale ~seeds ()
 
