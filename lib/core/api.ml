@@ -172,59 +172,52 @@ let check_word (o : Shared.t) word =
   if word < 0 || word >= Shared.words o then
     fail "word %d out of bounds for %a" word Shared.pp o
 
-(* Sign-extend the unsigned 32-bit pattern [x] to the int an
-   [Int32.to_int] round trip would produce. *)
-let[@inline] sext32 x = (x lsl 31) asr 31
-
-(* The unboxed primitives: the word travels as a plain [int] end to end
-   (API -> back-end -> machine -> cache -> memory); an [int32] is only
-   constructed at the boxed [get]/[set] wrappers and for trace events. *)
-let get_raw t (o : Shared.t) word : int =
-  check_word o word;
-  if t.check && scope_of t o = None then
-    fail "read of %a outside any entry/exit pair" Shared.pp o;
-  let (Backend_sig.B ((module B), b)) = t.backend in
-  let v = B.read_u32_int b o word in
-  if t.trace <> None then emit t (Ev_read (o, word, Int32.of_int v));
-  v
-
-let set_raw t (o : Shared.t) word (v : int) =
-  check_word o word;
-  if t.check && scope_of t o <> Some X then
-    fail "write of %a outside an exclusive entry_x/exit_x pair" Shared.pp o;
-  let (Backend_sig.B ((module B), b)) = t.backend in
-  B.write_u32_int b o word v;
-  if t.trace <> None then emit t (Ev_write (o, word, Int32.of_int v))
-
-let get t o word : int32 = Int32.of_int (get_raw t o word)
-let set t o word (v : int32) = set_raw t o word (Int32.to_int v)
-
 (* Byte accesses — the truly indivisible unit of the model (Sec. IV-A). *)
 let check_byte (o : Shared.t) i =
   if i < 0 || i >= o.Shared.size then
     fail "byte %d out of bounds for %a" i Shared.pp o
 
-let get8 t (o : Shared.t) i : int =
-  check_byte o i;
+(* Sign-extend the unsigned 32-bit pattern [x] to the int an
+   [Int32.to_int] round trip would produce. *)
+let[@inline] sext32 x = (x lsl 31) asr 31
+
+(* The one checked access path, for a byte ([width = 1]) or a word
+   ([width = 4]); [i] counts units of that width.  The value travels as
+   a plain [int] end to end (API -> back-end -> machine -> cache ->
+   memory); an [int32] is only constructed at the boxed [get]/[set]
+   wrappers and for word trace events. *)
+let read t (o : Shared.t) ~width i : int =
+  if width = 4 then check_word o i else check_byte o i;
   if t.check && scope_of t o = None then
     fail "read of %a outside any entry/exit pair" Shared.pp o;
   let (Backend_sig.B ((module B), b)) = t.backend in
-  let v = B.read_u8 b o i in
-  if t.trace <> None then emit t (Ev_read8 (o, i, v));
+  let v = B.read b o ~width (width * i) in
+  if t.trace <> None then
+    emit t
+      (if width = 4 then Ev_read (o, i, Int32.of_int v)
+       else Ev_read8 (o, i, v));
   v
 
-let set8 t (o : Shared.t) i (v : int) =
-  check_byte o i;
+let write t (o : Shared.t) ~width i (v : int) =
+  if width = 4 then check_word o i else check_byte o i;
   if t.check && scope_of t o <> Some X then
     fail "write of %a outside an exclusive entry_x/exit_x pair" Shared.pp o;
   let (Backend_sig.B ((module B), b)) = t.backend in
-  B.write_u8 b o i v;
-  if t.trace <> None then emit t (Ev_write8 (o, i, v))
+  B.write b o ~width (width * i) v;
+  if t.trace <> None then
+    emit t
+      (if width = 4 then Ev_write (o, i, Int32.of_int v)
+       else Ev_write8 (o, i, v))
+
+let get t o word : int32 = Int32.of_int (read t o ~width:4 word)
+let set t o word (v : int32) = write t o ~width:4 word (Int32.to_int v)
+let get8 t o i : int = read t o ~width:1 i
+let set8 t o i (v : int) = write t o ~width:1 i v
 
 (* Integer convenience wrappers — allocation-free: they ride the
-   unboxed primitives directly. *)
-let get_int t o word = sext32 (get_raw t o word)
-let set_int t o word v = set_raw t o word v
+   unboxed path directly. *)
+let get_int t o word = sext32 (read t o ~width:4 word)
+let set_int t o word v = write t o ~width:4 word v
 
 (* Untimed read of the canonical version — result collection after the
    simulation has finished (no scope or timing rules apply). *)
@@ -286,13 +279,13 @@ let poll_until_int ?max_backoff t (o : Shared.t) word pred : int =
     let v =
       if traced then begin
         entry_ro t o;
-        match get_raw t o word with
+        match read t o ~width:4 word with
         | v -> exit_ro t o; v
         | exception e -> exit_ro t o; raise e
       end
       else begin
         B.entry_ro b o;
-        match B.read_u32_int b o word with
+        match B.read b o ~width:4 (4 * word) with
         | v -> B.exit_ro b o; v
         | exception e -> B.exit_ro b o; raise e
       end

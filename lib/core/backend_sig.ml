@@ -1,10 +1,11 @@
 (* The contract every memory-architecture back-end implements: the six
-   annotations of Section V-A plus timed word accesses.  The application is
+   annotations of Section V-A plus one timed read and one timed write,
+   whose width (a byte or a word) is an argument.  The application is
    written once against [Api]; swapping the back-end re-targets it to a
    different memory architecture, exactly as Table II prescribes.
 
    Back-end obligations (the orderings of Table I):
-     - [read_u32]/[write_u32] must satisfy ≺ℓ and ≺P (same process, same
+     - [read]/[write] must satisfy ≺ℓ and ≺P (same process, same
        location) — automatic on the in-order simulated cores.
      - [entry_x]/[exit_x] must provide ≺S via the object's lock and make
        the newest version visible to the new holder.
@@ -31,16 +32,14 @@ module type S = sig
   val fence : t -> unit
   val flush : t -> Shared.t -> unit
 
-  (* Word access within the object; [word] is a word index.  The value
-     travels as a plain [int] — the unsigned 32-bit pattern on reads,
-     low 32 bits significant on writes — so the per-access hot path
-     never boxes an [int32]; the API surface converts at its edge. *)
-  val read_u32_int : t -> Shared.t -> int -> int
-  val write_u32_int : t -> Shared.t -> int -> int -> unit
-
-  (* Byte access — "in general, only bytes are indivisible" (Sec. IV-A). *)
-  val read_u8 : t -> Shared.t -> int -> int
-  val write_u8 : t -> Shared.t -> int -> int -> unit
+  (* Timed access of [width] bytes — 1 ("in general, only bytes are
+     indivisible", Sec. IV-A) or 4, a whole word — at byte offset [off]
+     within the object; a word access is word-aligned.  The value
+     travels as a plain [int] — unsigned on reads, low [8 * width] bits
+     significant on writes — so the per-access hot path never boxes an
+     [int32]; the API surface converts at its edge. *)
+  val read : t -> Shared.t -> width:int -> int -> int
+  val write : t -> Shared.t -> width:int -> int -> int -> unit
 
   (* Untimed read of the object's canonical (most recent) version, for
      result collection and tests after the simulation has finished. *)

@@ -219,25 +219,14 @@ let flush t (o : Shared.t) =
     Shared.clear_dirty o
   end
 
-let read_u32_int t (o : Shared.t) word =
+let read t (o : Shared.t) ~width off =
   let core = Machine.core_id t.m in
-  Machine.load_u32_int t.m ~shared:true (replica_addr t o ~tile:core + (4 * word))
+  Machine.load t.m ~shared:true ~width (replica_addr t o ~tile:core + off)
 
-let write_u32_int t (o : Shared.t) word v =
+let write t (o : Shared.t) ~width off v =
   let core = Machine.core_id t.m in
-  Shared.mark_dirty o ~core ~lo:(4 * word) ~hi:((4 * word) + 4);
-  Machine.store_u32_int t.m ~shared:true
-    (replica_addr t o ~tile:core + (4 * word))
-    v
-
-let read_u8 t (o : Shared.t) i =
-  let core = Machine.core_id t.m in
-  Machine.load_u8 t.m ~shared:true (replica_addr t o ~tile:core + i)
-
-let write_u8 t (o : Shared.t) i v =
-  let core = Machine.core_id t.m in
-  Shared.mark_dirty o ~core ~lo:i ~hi:(i + 1);
-  Machine.store_u8 t.m ~shared:true (replica_addr t o ~tile:core + i) v
+  Shared.mark_dirty o ~core ~lo:off ~hi:(off + width);
+  Machine.store t.m ~shared:true ~width (replica_addr t o ~tile:core + off) v
 
 (* The canonical version lives in the last writer's replica (tile 0 before
    any write). *)

@@ -3,11 +3,12 @@
    ([Pmc_sim.Farmem]), and exclusive scopes publish through a redo log so
    that a power cut can never leave a torn object.
 
-   Scoping is the SPM staging discipline (Table II, fourth column):
-   entering a scope stages the object into the tile's scratch-pad, scope
-   accesses hit the scratch-pad at local-memory speed, and leaving an
-   exclusive scope publishes the staged bytes back.  What changes is the
-   publication path:
+   Scoping is the SPM staging discipline (Table II, fourth column),
+   shared with the spm back-end through [Staging]: entering a scope
+   stages the object into the tile's scratch-pad, scope accesses hit the
+   scratch-pad at local-memory speed, and leaving an exclusive scope
+   publishes the staged bytes back.  What changes is the publication
+   path:
 
      entry_x   lock; copy far memory → SPM
      exit_x    commit (below); free the SPM space; unlock
@@ -46,116 +47,48 @@ module Dev = Pmc_sim.Farmem
    publication count, word 1 pad) followed by the word-aligned payload. *)
 let header_bytes = 8
 
-type scope = { spm_off : int; mark : int }
-
-type t = {
-  m : Machine.t;
-  staged : (int, scope) Hashtbl.t array;
-  base_sp : int array;
-}
-
-let name = "farmem"
-
-let create m =
-  let cores = (Machine.config m).Config.cores in
-  (* instantiate the device up front: the persistence domain exists from
-     cycle 0, like the SDRAM it sits behind *)
-  ignore (Machine.farmem m);
-  {
-    m;
-    staged = Array.init cores (fun _ -> Hashtbl.create 8);
-    base_sp = Array.init cores (fun core -> Machine.spm_mark m ~core);
-  }
-
-let machine t = t.m
-let dev t = Machine.farmem t.m
-
-let alloc t ~name ~bytes =
-  let lock = Pmc_lock.Dlock.create t.m in
-  let o = Shared.make ~name ~size:bytes ~lock in
-  let words = Shared.words o in
-  (* sdram_addr holds the object's far-memory base (header address);
-     only this back-end interprets it *)
-  o.Shared.sdram_addr <-
-    Dev.alloc (dev t) ~name ~bytes:(header_bytes + (4 * words));
-  o
-
+let dev m = Machine.farmem m
 let payload_addr (o : Shared.t) = o.Shared.sdram_addr + header_bytes
 
 (* ---------------- timing ---------------- *)
 
-let[@inline] consume t cat cycles =
-  Engine.consume (Machine.engine t.m) cat cycles
+let[@inline] consume m cat cycles = Engine.consume (Machine.engine m) cat cycles
 
 (* A streamed burst of [words]: one device latency plus a per-word
    streaming cost, after queuing on the (slow, narrow) far-memory port. *)
-let burst_cost t ~words =
-  let cfg = Machine.config t.m in
-  Dev.contend_words (dev t) ~now:(Machine.now t.m) ~words
+let burst_cost m ~words =
+  let cfg = Machine.config m in
+  Dev.contend_words (dev m) ~now:(Machine.now m) ~words
   + cfg.Config.farmem_word_cycles
   + (words * cfg.Config.farmem_burst_word_cycles)
 
-let word_cost t = burst_cost t ~words:1
+let word_cost m = burst_cost m ~words:1
 
 (* Drain the device cache.  The data move is instantaneous at the start
    of the latency window (like every transfer in the simulator), the
    cycles are consumed after — so durability is atomic at the barrier. *)
-let barrier t =
-  let cfg = Machine.config t.m in
+let barrier m =
+  let cfg = Machine.config m in
   let wait =
-    Dev.contend (dev t) ~now:(Machine.now t.m)
+    Dev.contend (dev m) ~now:(Machine.now m)
       ~occupancy:cfg.Config.farmem_word_occupancy
   in
-  ignore (Dev.barrier (dev t));
-  consume t Stats.Flush_overhead (wait + cfg.Config.farmem_barrier_cycles)
-
-(* ---------------- staging (the SPM discipline) ---------------- *)
-
-let copy_in t (o : Shared.t) ~spm_off =
-  let core = Machine.core_id t.m in
-  let words = Shared.words o in
-  Machine.blit_farmem_to_local t.m ~core ~far:(payload_addr o) ~off:spm_off
-    ~len:(4 * words);
-  consume t Stats.Shared_read_stall (burst_cost t ~words)
-
-let scope_error t (o : Shared.t) ~op =
-  Pmc_error.raise_error ~core:(Machine.core_id t.m) ~obj:o.Shared.name ~op
-    "no active far-memory scope for this object on this core"
-
-let stage t (o : Shared.t) =
-  let core = Machine.core_id t.m in
-  let mark = Machine.spm_mark t.m ~core in
-  let spm_off = Machine.spm_alloc t.m ~core ~bytes:o.Shared.size in
-  Hashtbl.replace t.staged.(core) o.Shared.id { spm_off; mark };
-  copy_in t o ~spm_off;
-  spm_off
-
-let unstage t (o : Shared.t) =
-  let core = Machine.core_id t.m in
-  match Hashtbl.find_opt t.staged.(core) o.Shared.id with
-  | None -> scope_error t o ~op:"Farmem.exit"
-  | Some s ->
-      Hashtbl.remove t.staged.(core) o.Shared.id;
-      let top = (s.spm_off + o.Shared.size + 3) / 4 * 4 in
-      if Machine.spm_mark t.m ~core = top then
-        Machine.spm_release t.m ~core s.mark;
-      if Hashtbl.length t.staged.(core) = 0 then
-        Machine.spm_release t.m ~core t.base_sp.(core);
-      s
+  ignore (Dev.barrier (dev m));
+  consume m Stats.Flush_overhead (wait + cfg.Config.farmem_barrier_cycles)
 
 (* ---------------- publication ---------------- *)
 
 (* Read the object's durable publication count (the media is always the
    last committed value — commits finish before the lock is released). *)
-let read_pub_count t (o : Shared.t) =
-  let count = Dev.read_u32_int (dev t) o.Shared.sdram_addr in
-  consume t Stats.Flush_overhead (word_cost t);
+let read_pub_count m (o : Shared.t) =
+  let count = Dev.read_u32_int (dev m) o.Shared.sdram_addr in
+  consume m Stats.Flush_overhead (word_cost m);
   count
 
 (* Failure-atomic commit through this core's redo-log slot. *)
-let commit_logged t (o : Shared.t) ~spm_off =
-  let core = Machine.core_id t.m in
-  let d = dev t in
+let commit_logged m (o : Shared.t) ~spm_off =
+  let core = Machine.core_id m in
+  let d = dev m in
   let words = Shared.words o in
   let base = o.Shared.sdram_addr in
   let slot = Dev.slot_addr d core in
@@ -165,127 +98,91 @@ let commit_logged t (o : Shared.t) ~spm_off =
     Pmc_error.raise_error ~core ~obj:o.Shared.name ~op:"Farmem.commit"
       "object too large for a redo-log slot (%d > %d bytes)" need
       Dev.log_slot_bytes;
-  let count = read_pub_count t o in
+  let count = read_pub_count m o in
   (* 1. build the log in the device cache, then make it durable *)
   Dev.write_u32_int d (slot + 8) (base + header_bytes);
   Dev.write_u32_int d (slot + 12) words;
-  Machine.blit_local_to_farmem t.m ~core ~off:spm_off ~far:(slot + 16)
+  Machine.blit_local_to_farmem m ~core ~off:spm_off ~far:(slot + 16)
     ~len:(4 * words);
   let hrec = slot + 16 + (4 * words) in
   Dev.write_u32_int d hrec base;
   Dev.write_u32_int d (hrec + 4) 1;
   Dev.write_u32_int d (hrec + 8) (count + 1);
   Dev.write_u32_int d (slot + 4) 2;
-  consume t Stats.Flush_overhead (burst_cost t ~words:(words + 6));
-  barrier t;
+  consume m Stats.Flush_overhead (burst_cost m ~words:(words + 6));
+  barrier m;
   (* 2. commit record *)
   Dev.write_u32_int d slot 1;
-  consume t Stats.Flush_overhead (word_cost t);
-  barrier t;
+  consume m Stats.Flush_overhead (word_cost m);
+  barrier m;
   (* 3. apply in place *)
-  Machine.blit_local_to_farmem t.m ~core ~off:spm_off
+  Machine.blit_local_to_farmem m ~core ~off:spm_off
     ~far:(base + header_bytes) ~len:(4 * words);
   Dev.write_u32_int d base (count + 1);
-  consume t Stats.Flush_overhead (burst_cost t ~words:(words + 1));
-  barrier t;
+  consume m Stats.Flush_overhead (burst_cost m ~words:(words + 1));
+  barrier m;
   (* 4. truncate *)
   Dev.write_u32_int d slot 0;
-  consume t Stats.Flush_overhead (word_cost t);
-  barrier t
+  consume m Stats.Flush_overhead (word_cost m);
+  barrier m
 
 (* The tearable debug mode ([Config.farmem_log] off): in-place word
    writes, each made durable on its own — a cut mid-commit leaves a
    prefix of new words over a suffix of old ones. *)
-let commit_unlogged t (o : Shared.t) ~spm_off =
-  let core = Machine.core_id t.m in
-  let d = dev t in
+let commit_unlogged m (o : Shared.t) ~spm_off =
+  let core = Machine.core_id m in
+  let d = dev m in
   let words = Shared.words o in
   let base = o.Shared.sdram_addr in
-  let count = read_pub_count t o in
+  let count = read_pub_count m o in
   for w = 0 to words - 1 do
-    Machine.blit_local_to_farmem t.m ~core ~off:(spm_off + (4 * w))
+    Machine.blit_local_to_farmem m ~core ~off:(spm_off + (4 * w))
       ~far:(base + header_bytes + (4 * w)) ~len:4;
-    consume t Stats.Flush_overhead (word_cost t);
-    barrier t
+    consume m Stats.Flush_overhead (word_cost m);
+    barrier m
   done;
   Dev.write_u32_int d base (count + 1);
-  consume t Stats.Flush_overhead (word_cost t);
-  barrier t
-
-let commit t (o : Shared.t) ~spm_off =
-  if (Machine.config t.m).Config.farmem_log then commit_logged t o ~spm_off
-  else commit_unlogged t o ~spm_off
+  consume m Stats.Flush_overhead (word_cost m);
+  barrier m
 
 (* ---------------- the annotation protocol ---------------- *)
 
-let entry_x t (o : Shared.t) =
-  Pmc_lock.Dlock.acquire o.Shared.lock;
-  ignore (stage t o)
+include Staging.Make (struct
+  let name = "farmem"
+  let scope_kind = "far-memory"
 
-let exit_x t (o : Shared.t) =
-  let core = Machine.core_id t.m in
-  (match Hashtbl.find_opt t.staged.(core) o.Shared.id with
-  | None -> scope_error t o ~op:"Farmem.exit_x"
-  | Some s -> commit t o ~spm_off:s.spm_off);
-  ignore (unstage t o);
-  Pmc_lock.Dlock.release o.Shared.lock
+  let copy_in m (o : Shared.t) ~spm_off =
+    let core = Machine.core_id m in
+    let words = Shared.words o in
+    Machine.blit_farmem_to_local m ~core ~far:(payload_addr o) ~off:spm_off
+      ~len:(4 * words);
+    consume m Stats.Shared_read_stall (burst_cost m ~words)
 
-let entry_ro t (o : Shared.t) =
-  if Shared.is_atomic_sized o then ignore (stage t o)
-  else begin
-    (* lock only around the copy: commits hold the exclusive lock
-       through their last barrier, so a locked copy is never torn *)
-    Pmc_lock.Dlock.acquire_ro o.Shared.lock;
-    ignore (stage t o);
-    Pmc_lock.Dlock.release_ro o.Shared.lock
-  end
+  let publish m (o : Shared.t) ~spm_off =
+    if (Machine.config m).Config.farmem_log then commit_logged m o ~spm_off
+    else commit_unlogged m o ~spm_off
+end)
 
-let exit_ro t (o : Shared.t) = ignore (unstage t o)
+(* instantiate the device up front: the persistence domain exists from
+   cycle 0, like the SDRAM it sits behind *)
+let create m =
+  ignore (Machine.farmem m);
+  create m
 
-let fence _t = ()
-
-let flush t (o : Shared.t) =
-  let core = Machine.core_id t.m in
-  match Hashtbl.find_opt t.staged.(core) o.Shared.id with
-  | None -> scope_error t o ~op:"Farmem.flush"
-  | Some s -> commit t o ~spm_off:s.spm_off
-
-(* ---------------- scope accesses (scratch-pad) ---------------- *)
-
-let spm_addr t (o : Shared.t) word =
-  let core = Machine.core_id t.m in
-  match Hashtbl.find_opt t.staged.(core) o.Shared.id with
-  | Some s ->
-      Machine.local_addr t.m ~tile:core ~off:(s.spm_off + (4 * word))
-  | None -> scope_error t o ~op:"Farmem.access"
-
-let read_u32_int t (o : Shared.t) word =
-  Machine.load_u32_int t.m ~shared:true (spm_addr t o word)
-
-let write_u32_int t (o : Shared.t) word v =
-  Machine.store_u32_int t.m ~shared:true (spm_addr t o word) v
-
-let read_u8 t (o : Shared.t) i =
-  let core = Machine.core_id t.m in
-  match Hashtbl.find_opt t.staged.(core) o.Shared.id with
-  | Some s ->
-      Machine.load_u8 t.m ~shared:true
-        (Machine.local_addr t.m ~tile:core ~off:(s.spm_off + i))
-  | None -> scope_error t o ~op:"Farmem.access"
-
-let write_u8 t (o : Shared.t) i v =
-  let core = Machine.core_id t.m in
-  match Hashtbl.find_opt t.staged.(core) o.Shared.id with
-  | Some s ->
-      Machine.store_u8 t.m ~shared:true
-        (Machine.local_addr t.m ~tile:core ~off:(s.spm_off + i))
-        v
-  | None -> scope_error t o ~op:"Farmem.access"
+let alloc t ~name ~bytes =
+  let lock = Pmc_lock.Dlock.create t.m in
+  let o = Shared.make ~name ~size:bytes ~lock in
+  let words = Shared.words o in
+  (* sdram_addr holds the object's far-memory base (header address);
+     only this back-end interprets it *)
+  o.Shared.sdram_addr <-
+    Dev.alloc (dev t.m) ~name ~bytes:(header_bytes + (4 * words));
+  o
 
 (* ---------------- untimed host access ---------------- *)
 
 let peek_u32 t (o : Shared.t) word =
-  Int32.of_int (Dev.peek_u32 (dev t) (payload_addr o + (4 * word)))
+  Int32.of_int (Dev.peek_u32 (dev t.m) (payload_addr o + (4 * word)))
 
 let poke_u32 t (o : Shared.t) word v =
-  Dev.poke_u32 (dev t) (payload_addr o + (4 * word)) (Int32.to_int v)
+  Dev.poke_u32 (dev t.m) (payload_addr o + (4 * word)) (Int32.to_int v)

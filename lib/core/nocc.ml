@@ -40,17 +40,11 @@ let fence _t = ()
 (* cache flushes are nullified — there is nothing cached to flush *)
 let flush _t _o = ()
 
-let read_u32_int t (o : Shared.t) word =
-  Machine.load_u32_int t.m ~shared:true (o.Shared.sdram_addr + (4 * word))
+let read t (o : Shared.t) ~width off =
+  Machine.load t.m ~shared:true ~width (o.Shared.sdram_addr + off)
 
-let write_u32_int t (o : Shared.t) word v =
-  Machine.store_u32_int t.m ~shared:true (o.Shared.sdram_addr + (4 * word)) v
-
-let read_u8 t (o : Shared.t) i =
-  Machine.load_u8 t.m ~shared:true (o.Shared.sdram_addr + i)
-
-let write_u8 t (o : Shared.t) i v =
-  Machine.store_u8 t.m ~shared:true (o.Shared.sdram_addr + i) v
+let write t (o : Shared.t) ~width off v =
+  Machine.store t.m ~shared:true ~width (o.Shared.sdram_addr + off) v
 
 let peek_u32 t (o : Shared.t) word =
   Machine.peek_u32 t.m (o.Shared.sdram_addr + (4 * word))

@@ -37,31 +37,25 @@ let exit_ro _t (o : Shared.t) =
 let fence _t = ()
 let flush _t _o = ()
 
-let read_u32_int t (o : Shared.t) word =
+(* The magic memory is word-addressed: an access reads (and a write
+   merges into) the word containing it; [width] bytes at the offset's
+   lane, which is lane 0 for a word. *)
+let word_addr (o : Shared.t) off = o.Shared.sdram_addr + (off / 4 * 4)
+let[@inline] shift off = 8 * (off mod 4)
+let[@inline] mask ~width = (1 lsl (8 * width)) - 1
+
+let read t (o : Shared.t) ~width off =
   Engine.consume (Machine.engine t.m) Stats.Shared_read_stall 1;
-  Int32.to_int (Machine.peek_u32 t.m (o.Shared.sdram_addr + (4 * word)))
-  land 0xFFFFFFFF
+  let w = Int32.to_int (Machine.peek_u32 t.m (word_addr o off)) in
+  (w lsr shift off) land mask ~width
 
-let write_u32_int t (o : Shared.t) word v =
+let write t (o : Shared.t) ~width off v =
   Engine.consume (Machine.engine t.m) Stats.Write_stall 1;
-  Machine.poke_u32 t.m (o.Shared.sdram_addr + (4 * word)) (Int32.of_int v)
-
-let read_u8 t (o : Shared.t) i =
-  Engine.consume (Machine.engine t.m) Stats.Shared_read_stall 1;
-  let w = Machine.peek_u32 t.m (o.Shared.sdram_addr + (i / 4 * 4)) in
-  Int32.to_int (Int32.shift_right_logical w (8 * (i mod 4))) land 0xff
-
-let write_u8 t (o : Shared.t) i v =
-  Engine.consume (Machine.engine t.m) Stats.Write_stall 1;
-  let a = o.Shared.sdram_addr + (i / 4 * 4) in
-  let w = Machine.peek_u32 t.m a in
-  let shift = 8 * (i mod 4) in
-  let w =
-    Int32.logor
-      (Int32.logand w (Int32.lognot (Int32.shift_left 0xffl shift)))
-      (Int32.shift_left (Int32.of_int (v land 0xff)) shift)
-  in
-  Machine.poke_u32 t.m a w
+  let a = word_addr o off in
+  let w = Int32.to_int (Machine.peek_u32 t.m a) in
+  let lane = mask ~width lsl shift off in
+  Machine.poke_u32 t.m a
+    (Int32.of_int ((w land lnot lane) lor ((v lsl shift off) land lane)))
 
 let peek_u32 t (o : Shared.t) word =
   Machine.peek_u32 t.m (o.Shared.sdram_addr + (4 * word))

@@ -124,26 +124,17 @@ let ensure t addr =
     i
   end
 
-let load_u32_int t addr : int =
+let load t ~width addr : int =
   let i = ensure t addr in
-  Mem.get_u32_int t.data ((i * t.line_bytes) + (addr mod t.line_bytes))
+  Mem.get t.data ~width ((i * t.line_bytes) + (addr mod t.line_bytes))
 
-let store_u32_int t addr x =
+let store t ~width addr x =
   let i = ensure t addr in
-  Mem.set_u32_int t.data ((i * t.line_bytes) + (addr mod t.line_bytes)) x;
+  Mem.set t.data ~width ((i * t.line_bytes) + (addr mod t.line_bytes)) x;
   t.dirty_.(i) <- true
 
-let load_u32 t addr : int32 = Int32.of_int (load_u32_int t addr)
-let store_u32 t addr (v : int32) = store_u32_int t addr (Int32.to_int v)
-
-let load_u8 t addr : int =
-  let i = ensure t addr in
-  Mem.get_u8 t.data ((i * t.line_bytes) + (addr mod t.line_bytes))
-
-let store_u8 t addr v =
-  let i = ensure t addr in
-  Mem.set_u8 t.data ((i * t.line_bytes) + (addr mod t.line_bytes)) v;
-  t.dirty_.(i) <- true
+let load_u32 t addr : int32 = Int32.of_int (load t ~width:4 addr)
+let store_u32 t addr (v : int32) = store t ~width:4 addr (Int32.to_int v)
 
 type maint = { lines_touched : int; lines_written_back : int }
 

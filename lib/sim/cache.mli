@@ -48,17 +48,16 @@ val line_addr : t -> int -> int
 (** {1 Timed accesses} — a store marks its line dirty (write-back); each
     access records its {!outcome} in {!last} for cycle accounting. *)
 
-val load_u32_int : t -> int -> int
-(** Unboxed variant of {!load_u32}: the unsigned 32-bit pattern as a
-    plain [int] — the hot-path primitive. *)
+val load : t -> width:int -> int -> int
+(** [load c ~width addr]: the byte ([width = 1]) or word ([width = 4])
+    at [addr], unsigned, as a plain [int] — the hot-path primitive (no
+    [int32] box).  The access must not cross a line. *)
 
-val store_u32_int : t -> int -> int -> unit
-(** Unboxed variant of {!store_u32}; low 32 bits significant. *)
+val store : t -> width:int -> int -> int -> unit
+(** Stores the low [8 * width] bits and marks the line dirty. *)
 
 val load_u32 : t -> int -> int32
 val store_u32 : t -> int -> int32 -> unit
-val load_u8 : t -> int -> int
-val store_u8 : t -> int -> int -> unit
 
 val last : t -> outcome
 (** Outcome of the most recent timed access.  Read it immediately —

@@ -5,8 +5,9 @@
    cycles, the task performs a [Tick] effect; the scheduler advances
    that core's virtual clock and always resumes the task with the smallest
    clock next, so cores interleave exactly as their timing dictates.
-   Besides tasks, the event queue carries timed closures ([at]) used by the
-   NoC to deliver remote writes at their arrival time.
+   Besides tasks, the event queue carries timed closures used by the NoC
+   to deliver remote writes at their arrival time; each is a function of
+   one [int] ([at_indexed]), and [at] wraps a plain closure into one.
 
    The simulation is fully deterministic: ties in time are broken by
    insertion sequence.
@@ -55,7 +56,6 @@ type task_state =
 type task = { core : int; mutable time : int; seq : int; mutable state : task_state }
 
 let dummy_task = { core = -1; time = 0; seq = -1; state = Finished }
-let dummy_fn : unit -> unit = fun () -> ()
 let dummy_ifn : int -> unit = fun _ -> ()
 let dummy_pred : unit -> bool = fun () -> false
 
@@ -75,9 +75,8 @@ let rec no_waiter =
 (* Arena entry kinds. *)
 let k_free = 0
 let k_task = 1
-let k_closure = 2
-let k_indexed = 3
-let k_wait = 4
+let k_indexed = 2
+let k_wait = 3
 
 let wheel_window = 2048 (* power of two: slot index is [time land mask] *)
 let wheel_mask = wheel_window - 1
@@ -100,7 +99,6 @@ type t = {
   mutable a_next : int array;          (* slot chain / free-list link *)
   mutable a_kind : int array;
   mutable a_task : task array;
-  mutable a_fn : (unit -> unit) array;
   mutable a_ifn : (int -> unit) array;
   mutable a_arg : int array;           (* indexed arg / gang quantum *)
   mutable a_whead : waiter array;      (* gang members, first and last *)
@@ -140,7 +138,6 @@ let create (config : Config.t) =
     a_next;
     a_kind = Array.make initial_arena k_free;
     a_task = Array.make initial_arena dummy_task;
-    a_fn = Array.make initial_arena dummy_fn;
     a_ifn = Array.make initial_arena dummy_ifn;
     a_arg = Array.make initial_arena 0;
     a_whead = Array.make initial_arena no_waiter;
@@ -178,7 +175,6 @@ let grow_arena t =
   t.a_seq <- copy 0 t.a_seq;
   t.a_kind <- copy k_free t.a_kind;
   t.a_task <- copy dummy_task t.a_task;
-  t.a_fn <- copy dummy_fn t.a_fn;
   t.a_ifn <- copy dummy_ifn t.a_ifn;
   t.a_arg <- copy 0 t.a_arg;
   t.a_whead <- copy no_waiter t.a_whead;
@@ -205,7 +201,6 @@ let alloc_slot t ~time ~seq ~kind =
 let free_slot t i =
   t.a_kind.(i) <- k_free;
   t.a_task.(i) <- dummy_task;
-  t.a_fn.(i) <- dummy_fn;
   t.a_ifn.(i) <- dummy_ifn;
   t.a_whead.(i) <- no_waiter;
   t.a_wtail.(i) <- no_waiter;
@@ -446,19 +441,17 @@ let spawn ?(start = 0) t ~core f =
   t.a_task.(i) <- task;
   push_slot t i
 
-(* Schedule [f] to run at absolute [time]. *)
-let at t ~time f =
-  let i = alloc_slot t ~time ~seq:(fresh_seq t) ~kind:k_closure in
-  t.a_fn.(i) <- f;
-  push_slot t i
-
-(* Allocation-free variant of [at]: [fn] is a preallocated closure, the
-   per-event state travels as its [int] argument through the arena. *)
+(* Schedule [fn arg] at absolute [time].  A preallocated [fn] makes
+   this allocation-free: the per-event state travels as its [int]
+   argument through the arena. *)
 let at_indexed t ~time fn arg =
   let i = alloc_slot t ~time ~seq:(fresh_seq t) ~kind:k_indexed in
   t.a_ifn.(i) <- fn;
   t.a_arg.(i) <- arg;
   push_slot t i
+
+(* Schedule [f] to run at absolute [time]. *)
+let at t ~time f = at_indexed t ~time (fun _ -> f ()) 0
 
 let current_task t =
   let task = t.current in
@@ -666,11 +659,6 @@ let run t =
         t.current <- dummy_task
       end
       else if kind = k_wait then wake_gang t i
-      else if kind = k_closure then begin
-        let f = t.a_fn.(i) in
-        free_slot t i;
-        f ()
-      end
       else begin
         let f = t.a_ifn.(i) and arg = t.a_arg.(i) in
         free_slot t i;

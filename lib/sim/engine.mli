@@ -57,7 +57,8 @@ val spawn : ?start:int -> t -> core:int -> (unit -> unit) -> unit
     interleave at consume points (cooperative threads). *)
 
 val at : t -> time:int -> (unit -> unit) -> unit
-(** Schedule a closure at an absolute time. *)
+(** Schedule a closure at an absolute time: {!at_indexed} with a fresh
+    closure that ignores its argument. *)
 
 val live_tasks : t -> int
 (** Spawned tasks that have not yet finished.  The power-cut closure
@@ -65,10 +66,10 @@ val live_tasks : t -> int
     no-op instead of a spurious {!Power_cut}. *)
 
 val at_indexed : t -> time:int -> (int -> unit) -> int -> unit
-(** Allocation-free variant of {!at}: schedule [fn arg] at an absolute
-    time.  [fn] should be a preallocated closure — the per-event state
-    travels as the [int] argument through the engine's arena, so
-    scheduling it allocates nothing. *)
+(** Schedule [fn arg] at an absolute time — every timed closure goes
+    through here.  With a preallocated [fn] it is allocation-free: the
+    per-event state travels as the [int] argument through the engine's
+    arena. *)
 
 val core_id : t -> int
 (** The core of the currently running task.  Must be called from within

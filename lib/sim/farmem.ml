@@ -118,20 +118,11 @@ let read_u32_int t addr =
   check t addr 4 "Farmem.read_u32";
   Mem.get_u32_int t.media addr
 
-let read_u8 t addr =
-  check t addr 1 "Farmem.read_u8";
-  Mem.get_u8 t.media addr
-
 (* Writes land in the device cache and are recorded dirty. *)
 let write_u32_int t addr x =
   check t addr 4 "Farmem.write_u32";
   Mem.set_u32_int t.shadow addr x;
   t.dirty <- (addr, 4) :: t.dirty
-
-let write_u8 t addr v =
-  check t addr 1 "Farmem.write_u8";
-  Mem.set_u8 t.shadow addr v;
-  t.dirty <- (addr, 1) :: t.dirty
 
 let blit_to t ~addr (dst : Mem.t) ~pos ~len =
   check t addr len "Farmem.blit_to";

@@ -53,12 +53,8 @@ val contend_words : t -> now:int -> words:int -> int
 val read_u32_int : t -> int -> int
 (** Committed (durable) word read. *)
 
-val read_u8 : t -> int -> int
-
 val write_u32_int : t -> int -> int -> unit
 (** Word write into the device cache; durable only after {!barrier}. *)
-
-val write_u8 : t -> int -> int -> unit
 
 val blit_to : t -> addr:int -> Mem.t -> pos:int -> len:int -> unit
 (** Burst read of committed data into a tile-side buffer. *)

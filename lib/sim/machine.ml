@@ -24,10 +24,13 @@
    tiles are adjacent in the mapping, so the bounds checks below
    ([decode], [check_local]) are what keeps an access inside its tile.
 
-   The timed access paths decode addresses inline (no [place]
-   construction), read cache outcomes as int bitmasks, and stage NoC
-   payloads into reusable buffers — a steady-state access allocates
-   nothing but the boxed [int32] a load returns. *)
+   There is one timed load and one timed store; the access width (a byte
+   or a word) is their argument, and only [Mem] branches on it.  They
+   decode addresses inline (no [place] construction), read cache
+   outcomes as int bitmasks, and stage NoC payloads into reusable
+   buffers — a steady-state access allocates nothing; values travel as
+   plain [int]s, and only the [load_u32]/[store_u32] wrappers box an
+   [int32]. *)
 
 type code_state = {
   mutable pc : int;
@@ -333,7 +336,10 @@ let[@inline] charge_post m ~core ~len =
   s.Stats.noc_flits <- s.Stats.noc_flits + 2;
   Engine.consume m.engine Stats.Write_stall (Noc.injection_cost m.noc ~len)
 
-let load_u32_int m ~shared addr : int =
+(* The one timed load and the one timed store: [width] is 1 (a byte —
+   "in general, only bytes are indivisible", Sec. IV-A) or 4 (a word),
+   and only [Mem] branches on it. *)
+let load m ~shared ~width addr : int =
   check_addr addr;
   let core = core_id m in
   maybe_stall m ~core;
@@ -343,96 +349,20 @@ let load_u32_int m ~shared addr : int =
     let off = rel mod m.cfg.local_mem_bytes in
     if tile >= m.cfg.cores then invalid_arg "Machine: bad local address";
     if tile <> core then raise (Remote_read { core; tile });
-    check_local m off 4;
+    check_local m off width;
     Engine.consume m.engine (read_stall_cat ~shared) m.cfg.local_mem_cycles;
-    Mem.get_u32_int m.locals.(tile) off
+    Mem.get m.locals.(tile) ~width off
   end
   else if addr >= m.uncached_base then begin
     let wait = Sdram.contend_word m.sdram ~now:(now m) in
     Engine.consume m.engine (read_stall_cat ~shared)
       (wait + m.cfg.sdram_word_cycles);
     sdram_read_faults m ~core ~cat:(read_stall_cat ~shared);
-    Sdram.read_u32_int m.sdram addr
+    Sdram.read m.sdram ~width addr
   end
   else begin
     let c = m.dcaches.(core) in
-    let v = Cache.load_u32_int c addr in
-    let oc = Cache.last c in
-    count_dcache m core oc;
-    Engine.consume m.engine Stats.Busy m.cfg.dcache_hit_cycles;
-    if not (Cache.hit oc) then begin
-      Engine.consume m.engine (read_stall_cat ~shared) (miss_cycles m oc);
-      sdram_read_faults m ~core ~cat:(read_stall_cat ~shared)
-    end
-    else if Cache.wrote_back oc then
-      Engine.consume m.engine (read_stall_cat ~shared) (miss_cycles m oc);
-    v
-  end
-
-let store_u32_int m ~shared:_ addr (x : int) : unit =
-  check_addr addr;
-  let core = core_id m in
-  if addr >= m.local_base then begin
-    let rel = addr - m.local_base in
-    let tile = rel / m.cfg.local_mem_bytes in
-    let off = rel mod m.cfg.local_mem_bytes in
-    if tile >= m.cfg.cores then invalid_arg "Machine: bad local address";
-    check_local m off 4;
-    if tile = core then begin
-      Engine.consume m.engine Stats.Write_stall m.cfg.local_mem_cycles;
-      Mem.set_u32_int m.locals.(tile) off x
-    end
-    else begin
-      (* posted write over the NoC *)
-      charge_post m ~core ~len:4;
-      Mem.set_u32_int m.scratch 0 x;
-      ignore
-        (Noc.post_write m.noc ~src:core ~dst:tile ~off m.scratch ~pos:0
-           ~len:4)
-    end
-  end
-  else if addr >= m.uncached_base then begin
-    let wait = Sdram.contend_word m.sdram ~now:(now m) in
-    Engine.consume m.engine Stats.Write_stall
-      (wait + m.cfg.sdram_word_cycles);
-    Sdram.write_u32_int m.sdram addr x
-  end
-  else begin
-    let c = m.dcaches.(core) in
-    Cache.store_u32_int c addr x;
-    let oc = Cache.last c in
-    count_dcache m core oc;
-    Engine.consume m.engine Stats.Busy m.cfg.dcache_hit_cycles;
-    if Cache.refilled oc || Cache.wrote_back oc then
-      Engine.consume m.engine Stats.Write_stall (miss_cycles m oc)
-  end
-
-let load_u32 m ~shared addr : int32 = Int32.of_int (load_u32_int m ~shared addr)
-let store_u32 m ~shared addr (v : int32) = store_u32_int m ~shared addr (Int32.to_int v)
-
-let load_u8 m ~shared addr : int =
-  check_addr addr;
-  let core = core_id m in
-  maybe_stall m ~core;
-  if addr >= m.local_base then begin
-    let rel = addr - m.local_base in
-    let tile = rel / m.cfg.local_mem_bytes in
-    let off = rel mod m.cfg.local_mem_bytes in
-    if tile >= m.cfg.cores then invalid_arg "Machine: bad local address";
-    if tile <> core then raise (Remote_read { core; tile });
-    Engine.consume m.engine (read_stall_cat ~shared) m.cfg.local_mem_cycles;
-    Mem.get_u8 m.locals.(tile) off
-  end
-  else if addr >= m.uncached_base then begin
-    let wait = Sdram.contend_word m.sdram ~now:(now m) in
-    Engine.consume m.engine (read_stall_cat ~shared)
-      (wait + m.cfg.sdram_word_cycles);
-    sdram_read_faults m ~core ~cat:(read_stall_cat ~shared);
-    Sdram.read_u8 m.sdram addr
-  end
-  else begin
-    let c = m.dcaches.(core) in
-    let v = Cache.load_u8 c addr in
+    let v = Cache.load c ~width addr in
     let oc = Cache.last c in
     count_dcache m core oc;
     Engine.consume m.engine Stats.Busy m.cfg.dcache_hit_cycles;
@@ -443,7 +373,7 @@ let load_u8 m ~shared addr : int =
     v
   end
 
-let store_u8 m ~shared:_ addr (v : int) : unit =
+let store m ~shared:_ ~width addr (x : int) : unit =
   check_addr addr;
   let core = core_id m in
   if addr >= m.local_base then begin
@@ -451,33 +381,41 @@ let store_u8 m ~shared:_ addr (v : int) : unit =
     let tile = rel / m.cfg.local_mem_bytes in
     let off = rel mod m.cfg.local_mem_bytes in
     if tile >= m.cfg.cores then invalid_arg "Machine: bad local address";
+    check_local m off width;
     if tile = core then begin
       Engine.consume m.engine Stats.Write_stall m.cfg.local_mem_cycles;
-      Mem.set_u8 m.locals.(tile) off v
+      Mem.set m.locals.(tile) ~width off x
     end
     else begin
-      charge_post m ~core ~len:1;
-      Mem.set_u8 m.scratch 0 v;
+      (* posted write over the NoC *)
+      charge_post m ~core ~len:width;
+      Mem.set m.scratch ~width 0 x;
       ignore
         (Noc.post_write m.noc ~src:core ~dst:tile ~off m.scratch ~pos:0
-           ~len:1)
+           ~len:width)
     end
   end
   else if addr >= m.uncached_base then begin
     let wait = Sdram.contend_word m.sdram ~now:(now m) in
     Engine.consume m.engine Stats.Write_stall
       (wait + m.cfg.sdram_word_cycles);
-    Sdram.write_u8 m.sdram addr v
+    Sdram.write m.sdram ~width addr x
   end
   else begin
     let c = m.dcaches.(core) in
-    Cache.store_u8 c addr v;
+    Cache.store c ~width addr x;
     let oc = Cache.last c in
     count_dcache m core oc;
     Engine.consume m.engine Stats.Busy m.cfg.dcache_hit_cycles;
     if Cache.refilled oc || Cache.wrote_back oc then
       Engine.consume m.engine Stats.Write_stall (miss_cycles m oc)
   end
+
+let load_u32 m ~shared addr : int32 =
+  Int32.of_int (load m ~shared ~width:4 addr)
+
+let store_u32 m ~shared addr (v : int32) =
+  store m ~shared ~width:4 addr (Int32.to_int v)
 
 (* Unordered remote write with caller-chosen latency: the Fig. 1 machine,
    where different memories sit at different distances. *)

@@ -80,27 +80,25 @@ exception Remote_read of { core : int; tile : int }
 (** Reading another tile's local memory is impossible on the write-only
     interconnect. *)
 
-val load_u32_int : t -> shared:bool -> int -> int
-(** Unboxed variant of {!load_u32}: the unsigned 32-bit pattern as a
-    plain [int] — the hot-path primitive (no [int32] box). *)
+val load : t -> shared:bool -> width:int -> int -> int
+(** [load m ~shared ~width addr]: timed load of the byte ([width = 1] —
+    "in general, only bytes are indivisible", Sec. IV-A) or word
+    ([width = 4]) at [addr], unsigned, as a plain [int] (no [int32]
+    box).  [shared] selects the Fig. 8 stall category.  Cached SDRAM
+    goes through the core's D-cache; uncached pays the contended SDRAM
+    round trip; own local memory is fast; the cost does not depend on
+    the width.  @raise Remote_read on remote local addresses. *)
 
-val store_u32_int : t -> shared:bool -> int -> int -> unit
-(** Unboxed variant of {!store_u32}; low 32 bits significant. *)
+val store : t -> shared:bool -> width:int -> int -> int -> unit
+(** Timed store of the low [8 * width] bits.  A store to a remote local
+    memory is a posted NoC write of [width] bytes: the core pays only the
+    injection cost. *)
 
 val load_u32 : t -> shared:bool -> int -> int32
-(** Timed load; [shared] selects the Fig. 8 stall category.  Cached SDRAM
-    goes through the core's D-cache; uncached pays the contended SDRAM
-    round trip; own local memory is fast. @raise Remote_read on remote
-    local addresses. *)
+(** [load ~width:4] boxed as an [int32]. *)
 
 val store_u32 : t -> shared:bool -> int -> int32 -> unit
-(** Timed store.  A store to a remote local memory is a posted NoC write:
-    the core pays only the injection cost. *)
-
-val load_u8 : t -> shared:bool -> int -> int
-(** Byte load — "in general, only bytes are indivisible" (Sec. IV-A). *)
-
-val store_u8 : t -> shared:bool -> int -> int -> unit
+(** [store ~width:4] of an [int32]. *)
 
 val store_u32_remote_raw :
   t -> dst:int -> off:int -> latency:int -> int32 -> unit

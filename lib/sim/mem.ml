@@ -90,6 +90,15 @@ let[@inline] set_u32_int (m : t) i x =
   set_u8 m (i + 2) (x lsr 16);
   set_u8 m (i + 3) (x lsr 24)
 
+(* The width-generic access every timed path goes through: [width] is 1
+   (a byte) or 4 (a word), and this is the one place that branches on
+   it. *)
+let[@inline] get (m : t) ~width i =
+  if width = 1 then get_u8 m i else get_u32_int m i
+
+let[@inline] set (m : t) ~width i x =
+  if width = 1 then set_u8 m i x else set_u32_int m i x
+
 let[@inline] get_u32 (m : t) i : int32 = Int32.of_int (get_u32_int m i)
 let[@inline] set_u32 (m : t) i (v : int32) = set_u32_int m i (Int32.to_int v)
 

@@ -46,6 +46,14 @@ val get_u32_int : t -> int -> int
 val set_u32_int : t -> int -> int -> unit
 (** Unboxed word write; only the low 32 bits of the value are stored. *)
 
+val get : t -> width:int -> int -> int
+(** [get m ~width i]: the byte ([width = 1]) or the little-endian word
+    ([width = 4]) at [i], unsigned, as a plain [int] — the access every
+    timed path (SDRAM, cache lines, tile memories) goes through. *)
+
+val set : t -> width:int -> int -> int -> unit
+(** [set m ~width i x] stores the low [8 * width] bits of [x]. *)
+
 val get_u32 : t -> int -> int32
 (** Little-endian, any alignment. *)
 

@@ -5,7 +5,7 @@
    returned latency therefore grows when many cores hammer the SDRAM — the
    effect that dominates the 'no CC' bars of Fig. 8.
 
-   The store is a flat [Mem.t].  Word/byte accessors keep an explicit
+   The store is a flat [Mem.t].  The byte/word accessor keeps an explicit
    bounds check (they can be fed arbitrary decoded addresses, and [Mem]'s
    accessors are unsafe); the line and blit paths are driven by the cache
    and DMA engines, whose addresses are validated by construction. *)
@@ -54,25 +54,18 @@ let contend_line t ~now = contend t ~now ~occupancy:t.line_occupancy
 let contend_burst t ~now ~lines =
   contend t ~now ~occupancy:(lines * t.line_occupancy)
 
-(* Data-path operations (timing handled by the caller). *)
-let read_u32_int t addr =
-  check t addr 4 "Sdram.read_u32";
-  Mem.get_u32_int t.mem addr
+(* Data-path operations (timing handled by the caller); [width] is 1 or
+   4 bytes. *)
+let read t ~width addr =
+  check t addr width "Sdram.read";
+  Mem.get t.mem ~width addr
 
-let write_u32_int t addr x =
-  check t addr 4 "Sdram.write_u32";
-  Mem.set_u32_int t.mem addr x
+let write t ~width addr x =
+  check t addr width "Sdram.write";
+  Mem.set t.mem ~width addr x
 
-let read_u32 t addr = Int32.of_int (read_u32_int t addr)
-let write_u32 t addr (v : int32) = write_u32_int t addr (Int32.to_int v)
-
-let read_u8 t addr =
-  check t addr 1 "Sdram.read_u8";
-  Mem.get_u8 t.mem addr
-
-let write_u8 t addr v =
-  check t addr 1 "Sdram.write_u8";
-  Mem.set_u8 t.mem addr v
+let read_u32 t addr = Int32.of_int (read t ~width:4 addr)
+let write_u32 t addr (v : int32) = write t ~width:4 addr (Int32.to_int v)
 
 let blit_to t ~addr (dst : Mem.t) ~pos ~len = Mem.blit t.mem addr dst pos len
 

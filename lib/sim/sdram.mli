@@ -2,7 +2,7 @@
     an access arriving while the port is busy queues, which is what
     dominates the 'no CC' bars of Fig. 8 at 32 cores.
 
-    Backed by a flat {!Mem.t}.  The word/byte accessors bounds-check
+    Backed by a flat {!Mem.t}.  The byte/word accessors bounds-check
     (they can be fed arbitrary decoded addresses); line and blit paths
     are unchecked — their callers validate by construction. *)
 
@@ -30,15 +30,16 @@ val blit_to : t -> addr:int -> Mem.t -> pos:int -> len:int -> unit
 val blit_from : t -> addr:int -> Mem.t -> pos:int -> len:int -> unit
 (** Bulk copy into the SDRAM byte store (data path only). *)
 
+val read : t -> width:int -> int -> int
+(** [read t ~width addr]: the byte ([width = 1]) or word ([width = 4])
+    at [addr] as a plain [int], unsigned.
+    @raise Invalid_argument outside the store. *)
+
+val write : t -> width:int -> int -> int -> unit
+(** Stores the low [8 * width] bits. *)
+
 val read_u32 : t -> int -> int32
 val write_u32 : t -> int -> int32 -> unit
-
-(* Unboxed variants: the word travels as a plain [int] (unsigned
-   pattern on reads, low 32 bits significant on writes). *)
-val read_u32_int : t -> int -> int
-val write_u32_int : t -> int -> int -> unit
-val read_u8 : t -> int -> int
-val write_u8 : t -> int -> int -> unit
 
 val read_line : t -> int -> Mem.t -> pos:int -> len:int -> unit
 (** Copy an aligned line out of the store into [Mem.t] at [pos]. *)

@@ -99,9 +99,11 @@ let test_flush_all () =
 
 let test_byte_ops () =
   let _, c = make () in
-  Cache.store_u8 c 3 0xAB;
-  let v = Cache.load_u8 c 3 in
-  Alcotest.(check int) "byte read back" 0xAB v
+  Cache.store c ~width:1 3 0xAB;
+  let v = Cache.load c ~width:1 3 in
+  Alcotest.(check int) "byte read back" 0xAB v;
+  Alcotest.(check int) "byte 3 is the word's top lane" 0xAB000000
+    (Cache.load c ~width:4 0)
 
 (* Functional equivalence: random traffic through the cache (including
    wb_inval maintenance), then a full flush, must leave the backing store

@@ -33,21 +33,34 @@ let test_byte_roundtrip_all_backends () =
         true !ok)
     Pmc.Backends.all
 
+(* Both directions, in one scope: bytes written one by one read back as
+   a little-endian word, and a written word (top bit set) reads back
+   byte by byte. *)
 let test_bytes_and_words_alias () =
-  let m = Machine.create cfg in
-  let api = Pmc.Backends.create Pmc.Backends.Swcc m in
-  let o = Pmc.Api.alloc api ~name:"o" ~bytes:8 in
-  let word = ref 0l in
-  Machine.spawn m ~core:0 (fun () ->
-      Pmc.Api.with_x api o (fun () ->
-          Pmc.Api.set8 api o 0 0x44;
-          Pmc.Api.set8 api o 1 0x33;
-          Pmc.Api.set8 api o 2 0x22;
-          Pmc.Api.set8 api o 3 0x11;
-          word := Pmc.Api.get api o 0));
-  Machine.run m;
-  Alcotest.(check int32) "bytes compose little-endian words" 0x11223344l
-    !word
+  List.iter
+    (fun kind ->
+      let m = Machine.create cfg in
+      let api = Pmc.Backends.create kind m in
+      let o = Pmc.Api.alloc api ~name:"o" ~bytes:8 in
+      let word = ref 0l and bytes = ref [] in
+      Machine.spawn m ~core:0 (fun () ->
+          Pmc.Api.with_x api o (fun () ->
+              Pmc.Api.set8 api o 0 0x44;
+              Pmc.Api.set8 api o 1 0x33;
+              Pmc.Api.set8 api o 2 0x22;
+              Pmc.Api.set8 api o 3 0x11;
+              word := Pmc.Api.get api o 0;
+              Pmc.Api.set api o 1 0x8899aabbl;
+              bytes := List.init 4 (fun i -> Pmc.Api.get8 api o (4 + i))));
+      Machine.run m;
+      let name = Pmc.Backends.to_string kind in
+      Alcotest.(check int32)
+        (name ^ ": bytes compose little-endian words")
+        0x11223344l !word;
+      Alcotest.(check (list int))
+        (name ^ ": a word reads back byte by byte")
+        [ 0xbb; 0xaa; 0x99; 0x88 ] !bytes)
+    Pmc.Backends.all
 
 let test_byte_bounds () =
   let m = Machine.create cfg in
@@ -156,30 +169,15 @@ let test_lb () =
    cache.  The multi-core exchange must produce a wrong result — proving
    the protocol (and the checksum tests) are load-bearing. *)
 module Broken_swcc = struct
-  type t = Pmc.Swcc.t
+  include Pmc.Swcc
 
   let name = "swcc-no-writeback"
-  let create = Pmc.Swcc.create
-  let machine = Pmc.Swcc.machine
-  let alloc = Pmc.Swcc.alloc
-  let entry_x = Pmc.Swcc.entry_x
 
   (* BUG: skip the write-back; just drop the lines and unlock *)
   let exit_x t (o : Pmc.Shared.t) =
-    Machine.inval_range (Pmc.Swcc.machine t) ~addr:o.Pmc.Shared.sdram_addr
+    Machine.inval_range (machine t) ~addr:o.Pmc.Shared.sdram_addr
       ~len:o.Pmc.Shared.size;
     Pmc_lock.Dlock.release o.Pmc.Shared.lock
-
-  let entry_ro = Pmc.Swcc.entry_ro
-  let exit_ro = Pmc.Swcc.exit_ro
-  let fence = Pmc.Swcc.fence
-  let flush = Pmc.Swcc.flush
-  let read_u32_int = Pmc.Swcc.read_u32_int
-  let write_u32_int = Pmc.Swcc.write_u32_int
-  let read_u8 = Pmc.Swcc.read_u8
-  let write_u8 = Pmc.Swcc.write_u8
-  let peek_u32 = Pmc.Swcc.peek_u32
-  let poke_u32 = Pmc.Swcc.poke_u32
 end
 
 let test_broken_swcc_detected () =
@@ -221,27 +219,12 @@ let test_real_swcc_exact () =
 (* DSM without the version pull on acquire: the new owner reads its stale
    replica. *)
 module Broken_dsm = struct
-  type t = Pmc.Dsm.t
+  include Pmc.Dsm
 
   let name = "dsm-no-pull"
-  let create = Pmc.Dsm.create
-  let machine = Pmc.Dsm.machine
-  let alloc = Pmc.Dsm.alloc
 
   (* BUG: acquire without pulling the newest version *)
   let entry_x _t (o : Pmc.Shared.t) = Pmc_lock.Dlock.acquire o.Pmc.Shared.lock
-
-  let exit_x = Pmc.Dsm.exit_x
-  let entry_ro = Pmc.Dsm.entry_ro
-  let exit_ro = Pmc.Dsm.exit_ro
-  let fence = Pmc.Dsm.fence
-  let flush = Pmc.Dsm.flush
-  let read_u32_int = Pmc.Dsm.read_u32_int
-  let write_u32_int = Pmc.Dsm.write_u32_int
-  let read_u8 = Pmc.Dsm.read_u8
-  let write_u8 = Pmc.Dsm.write_u8
-  let peek_u32 = Pmc.Dsm.peek_u32
-  let poke_u32 = Pmc.Dsm.poke_u32
 end
 
 let test_broken_dsm_detected () =

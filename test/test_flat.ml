@@ -481,7 +481,7 @@ let test_machine_reuse_zero () =
     ~sdram:(fun a -> Machine.poke_u32 dirty a (Int32.of_int (a lor 1)))
     ~local:(fun a -> Machine.poke_u32 dirty a (-1l))
     ~dcache:(fun c bytes ->
-      each_word bytes (fun a -> Cache.store_u32_int c a (a lor 1)))
+      each_word bytes (fun a -> Cache.store c ~width:4 a (a lor 1)))
     ~farmem:(fun f a -> Farmem.poke_u32 f a (a lor 1));
   Gc.full_major ();
   let m = Machine.create cfg in
@@ -491,7 +491,7 @@ let test_machine_reuse_zero () =
   visit m ~sdram:peek ~local:peek
     ~dcache:(fun c bytes ->
       each_word bytes (fun a -> if Cache.resident c a then incr nonzero);
-      each_word bytes (fun a -> expect_zero (Cache.load_u32_int c a)))
+      each_word bytes (fun a -> expect_zero (Cache.load c ~width:4 a)))
     ~farmem:(fun f a -> expect_zero (Farmem.peek_u32 f a));
   Alcotest.(check int) "fresh machine reads zero everywhere" 0 !nonzero;
   Alcotest.(check (triple int64 int int)) "kv_store after dirtying" before
