@@ -119,10 +119,8 @@ module Make (S : Store) = struct
     S.publish t.m o ~spm_off:(find t o ~op:"flush").spm_off
 
   let spm_addr t (o : Shared.t) off =
-    let core = Machine.core_id t.m in
-    match Hashtbl.find_opt t.staged.(core) o.Shared.id with
-    | Some s -> Machine.local_addr t.m ~tile:core ~off:(s.spm_off + off)
-    | None -> scope_error t o ~op:"access"
+    Machine.local_addr t.m ~tile:(Machine.core_id t.m)
+      ~off:((find t o ~op:"access").spm_off + off)
 
   let read t (o : Shared.t) ~width off =
     Machine.load t.m ~shared:true ~width (spm_addr t o off)
