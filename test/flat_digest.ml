@@ -78,47 +78,13 @@ let digest_run ~app_name ~scale ~backend ~cores ~plane_name ~chaos ~replay =
     (summary_fields r.Pmc_apps.Runner.summary)
     verdict
 
-(* The byte kernel: each of 4 cores writes its own byte lane (byte [c] of
-   every word) of a shared 16-byte object with [set8] under [entry_x],
-   then reads the whole object back with [get] and [get8] under
-   [entry_ro].  Values depend on the interleaving, which is
-   deterministic. *)
 let byte_kernel ~backend ~plane_name ~chaos =
-  let cores = 4 in
-  let cfg = { Config.small with cores } in
-  let cfg = match chaos with None -> cfg | Some seed -> Config.chaos ~seed cfg in
-  let m = Machine.create cfg in
-  let api = Pmc.Backends.create backend m in
-  let recorder =
-    if chaos = None then Some (Pmc_trace.Recorder.attach api) else None
-  in
-  let o = Pmc.Api.alloc api ~name:"lanes" ~bytes:16 in
-  let seen = Array.make cores "-" in
-  for c = 0 to cores - 1 do
-    Machine.spawn m ~core:c (fun () ->
-        Pmc.Api.with_x api o (fun () ->
-            for w = 0 to 3 do
-              Pmc.Api.set8 api o ((4 * w) + c) ((0x10 * (c + 1)) + w)
-            done);
-        Pmc.Api.with_ro api o (fun () ->
-            let words =
-              List.init 4 (fun w -> Printf.sprintf "%08lx" (Pmc.Api.get api o w))
-            in
-            let bytes =
-              List.init 16 (fun i -> Printf.sprintf "%02x" (Pmc.Api.get8 api o i))
-            in
-            seen.(c) <- String.concat "," words ^ "/" ^ String.concat "" bytes))
-  done;
-  let outcome =
-    match Machine.run m with
-    | () -> "ok"
-    | exception e -> "raised " ^ Printexc.to_string e
-  in
+  let k = Byte_kernel.run ?chaos ~record:(chaos = None) backend in
   (* the event count pins what the API emits; no replay verdict, since
      the model lowering skips byte writes (a word read of bytes written
      in the scope would read as a violation) *)
   let events =
-    match recorder with
+    match k.Byte_kernel.recorder with
     | None -> ""
     | Some rec_ ->
         Printf.sprintf " events=%d"
@@ -126,13 +92,15 @@ let byte_kernel ~backend ~plane_name ~chaos =
   in
   Printf.printf "bytes/%s/c%d/%s wall=%d %s %s vals=[%s] final=%s%s\n"
     (Pmc.Backends.to_string backend)
-    cores plane_name
-    (Engine.wall_time (Machine.engine m))
-    outcome
-    (summary_fields (Stats.summarize (Machine.stats m)))
-    (String.concat " " (Array.to_list seen))
+    Byte_kernel.cores plane_name
+    (Engine.wall_time (Machine.engine k.Byte_kernel.machine))
+    k.Byte_kernel.outcome
+    (summary_fields (Stats.summarize (Machine.stats k.Byte_kernel.machine)))
+    (String.concat " " (Array.to_list k.Byte_kernel.seen))
     (String.concat ","
-       (List.init 4 (fun w -> Printf.sprintf "%08lx" (Pmc.Api.peek api o w))))
+       (List.init 4 (fun w ->
+            Printf.sprintf "%08lx"
+              (Pmc.Api.peek k.Byte_kernel.api k.Byte_kernel.lanes w))))
     events
 
 let matrix backends =
