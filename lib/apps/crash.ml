@@ -110,11 +110,12 @@ type obj_state = {
   mutable frozen : bool;     (* walk state: past publication k *)
 }
 
-let set_word_le b word v =
-  Bytes.set b (4 * word) (Char.chr (v land 0xff));
-  Bytes.set b ((4 * word) + 1) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b ((4 * word) + 2) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b ((4 * word) + 3) (Char.chr ((v lsr 24) land 0xff))
+(* Store the [width] low bytes of [v] at [byte], least significant
+   first. *)
+let set_le b ~byte ~width v =
+  for lane = 0 to width - 1 do
+    Bytes.set b (byte + lane) (Char.chr ((v lsr (8 * lane)) land 0xff))
+  done
 
 (* Reconstruct, per object, the payload bytes of its k-th publication:
    initialization pokes, then every recorded write in trace order until
@@ -136,19 +137,12 @@ let reconstruct_expected (states : obj_state array)
       | Event.Init { obj; word; value } ->
           (* pokes are durable by definition and precede every run *)
           Option.iter
-            (fun s -> set_word_le s.expected word (Int32.to_int value land 0xffffffff))
-            (st obj)
-      | Event.Write { obj; word; value } ->
-          Option.iter
             (fun s ->
-              if not s.frozen then
-                set_word_le s.expected word (Int32.to_int value land 0xffffffff))
+              set_le s.expected ~byte:(4 * word) ~width:4 (Int32.to_int value))
             (st obj)
-      | Event.Write8 { obj; byte; value } ->
+      | Event.Write { obj; width; byte; value } ->
           Option.iter
-            (fun s ->
-              if not s.frozen then
-                Bytes.set s.expected byte (Char.chr (value land 0xff)))
+            (fun s -> if not s.frozen then set_le s.expected ~byte ~width value)
             (st obj)
       | Event.Annot { ann = Event.Exit_x | Event.Flush; obj = Some o } ->
           Option.iter
@@ -210,7 +204,7 @@ let durable_prefix (states : obj_state array) (trace : Event.t list) :
               List.iter (fun j -> ro_keep.(j) <- true) (i :: members);
               Hashtbl.remove ro_open (key o)
           | None -> ())
-      | Event.Read { obj; _ } | Event.Read8 { obj; _ } -> (
+      | Event.Read { obj; _ } -> (
           match Hashtbl.find_opt ro_open (key obj) with
           | Some members -> Hashtbl.replace ro_open (key obj) (i :: members)
           | None -> ())
@@ -292,7 +286,7 @@ let durable_prefix (states : obj_state array) (trace : Event.t list) :
       | Event.Annot { ann = Event.Exit_ro; obj = Some o } ->
           if ro_keep.(i) then push e;
           Hashtbl.remove in_ro (o.Event.id, core)
-      | Event.Read { obj; _ } | Event.Read8 { obj; _ } ->
+      | Event.Read { obj; _ } ->
           if Hashtbl.mem in_ro (obj.Event.id, core) then begin
             if ro_keep.(i) then push e
           end
@@ -301,16 +295,13 @@ let durable_prefix (states : obj_state array) (trace : Event.t list) :
             && (not states.(obj.Event.id).frozen)
             && active_x.(obj.Event.id) = Some core
           then keep_mark obj
-      | Event.Write { obj; _ } | Event.Write8 { obj; _ } ->
+      | Event.Write { obj; _ } ->
           if
             known obj
             && (not states.(obj.Event.id).frozen)
             && active_x.(obj.Event.id) = Some core
           then keep_mark obj
-      | Event.Annot _ -> push e
-      | Event.Lock _ | Event.Noc_post _ | Event.Cache_maint _
-      | Event.Task _ | Event.Fault _ ->
-          push e)
+      | Event.Annot _ | Event.Probe _ -> push e)
     arr;
   (* close in-flight scopes: the commit is durable, its terminal event
      never made it into the trace *)
@@ -495,9 +486,7 @@ let power_cut_event ~seq cycle : Event.t =
     Event.seq;
     time = cycle;
     core = 0;
-    kind =
-      Event.Fault
-        { kind = Event.Power_cut; detail = Printf.sprintf "at=%d" cycle };
+    kind = Event.Probe (Probe.Fault (Probe.F_power_cut { cycle }));
   }
 
 (* One run under a trace recorder, with a marker at every distinct cut

@@ -35,10 +35,8 @@ type event =
   | Ev_exit of mode * Shared.t
   | Ev_fence
   | Ev_flush of Shared.t
-  | Ev_read of Shared.t * int * int32
-  | Ev_write of Shared.t * int * int32
-  | Ev_read8 of Shared.t * int * int
-  | Ev_write8 of Shared.t * int * int
+  | Ev_read of { obj : Shared.t; width : int; byte : int; value : int }
+  | Ev_write of { obj : Shared.t; width : int; byte : int; value : int }
   | Ev_init of Shared.t * int * int32
 
 type t = {
@@ -185,7 +183,8 @@ let[@inline] sext32 x = (x lsl 31) asr 31
    ([width = 4]); [i] counts units of that width.  The value travels as
    a plain [int] end to end (API -> back-end -> machine -> cache ->
    memory); an [int32] is only constructed at the boxed [get]/[set]
-   wrappers and for word trace events. *)
+   wrappers.  A trace event carries the width and the byte offset, and a
+   word's value sign-extended. *)
 let read t (o : Shared.t) ~width i : int =
   if width = 4 then check_word o i else check_byte o i;
   if t.check && scope_of t o = None then
@@ -194,8 +193,9 @@ let read t (o : Shared.t) ~width i : int =
   let v = B.read b o ~width (width * i) in
   if t.trace <> None then
     emit t
-      (if width = 4 then Ev_read (o, i, Int32.of_int v)
-       else Ev_read8 (o, i, v));
+      (Ev_read
+         { obj = o; width; byte = width * i;
+           value = (if width = 4 then sext32 v else v) });
   v
 
 let write t (o : Shared.t) ~width i (v : int) =
@@ -206,8 +206,9 @@ let write t (o : Shared.t) ~width i (v : int) =
   B.write b o ~width (width * i) v;
   if t.trace <> None then
     emit t
-      (if width = 4 then Ev_write (o, i, Int32.of_int v)
-       else Ev_write8 (o, i, v))
+      (Ev_write
+         { obj = o; width; byte = width * i;
+           value = (if width = 4 then sext32 v else v) })
 
 let get t o word : int32 = Int32.of_int (read t o ~width:4 word)
 let set t o word (v : int32) = write t o ~width:4 word (Int32.to_int v)

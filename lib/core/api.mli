@@ -25,10 +25,12 @@ type event =
   | Ev_exit of mode * Shared.t
   | Ev_fence
   | Ev_flush of Shared.t
-  | Ev_read of Shared.t * int * int32
-  | Ev_write of Shared.t * int * int32
-  | Ev_read8 of Shared.t * int * int   (** byte read: (object, byte, value) *)
-  | Ev_write8 of Shared.t * int * int  (** byte write: (object, byte, value) *)
+  | Ev_read of { obj : Shared.t; width : int; byte : int; value : int }
+      (** A timed access of [width] bytes (1 or 4) at byte offset [byte]:
+          a word's [value] is sign-extended, as {!get_int} returns it; a
+          byte's is as {!get8} returns it. *)
+  | Ev_write of { obj : Shared.t; width : int; byte : int; value : int }
+      (** A timed write, laid out as {!Ev_read}. *)
   | Ev_init of Shared.t * int * int32
       (** untimed initialization write ({!poke}) — establishes the
           location's initial value for model replay *)

@@ -2,11 +2,15 @@
 
     The machine, NoC, engine and lock layers publish micro-architectural
     events (posted NoC writes, cache maintenance ranges, lock handovers,
-    task lifetimes) to at most one sink per engine.  When no sink is set,
-    emission costs one option check — instrumented paths stay cheap.
+    task lifetimes, injected faults) to at most one sink per engine.
+    When no sink is set, emission costs one option check — instrumented
+    paths stay cheap.
 
-    The [pmc_trace] library subscribes here and merges these events with
-    the annotation-level events of [Pmc.Api] into one timeline. *)
+    These types are also the trace vocabulary for back-end mechanics: the
+    [pmc_trace] library subscribes here and carries each event as it is
+    ({!Pmc_trace.Event.kind}'s [Probe]) in one timeline with the
+    annotation-level events of [Pmc.Api], so the owning core and the
+    printed form of an event are declared here and nowhere else. *)
 
 type lock_op = Acquire | Release | Acquire_ro | Release_ro
 type maint_op = Wb_inval | Inval
@@ -75,3 +79,24 @@ val active : t -> bool
 
 val emit : t -> time:int -> event -> unit
 (** Deliver an event to the sink, if any. *)
+
+(** {1 Reading events} *)
+
+val core : event -> int
+(** The core whose timeline an event belongs to: the sender of a NoC
+    post or of a NoC fault (the side that owns the retransmission
+    protocol), the named core otherwise, and core 0 for the power cut,
+    which kills every tile at once. *)
+
+val lock_op_name : lock_op -> string
+val maint_op_name : maint_op -> string
+val task_op_name : task_op -> string
+
+val fault_name : fault -> string
+(** The fault's class, e.g. ["noc_drop"]. *)
+
+val fault_detail : fault -> string
+(** The fault's payload as text, e.g. ["0>1 seq=2 attempt=1"]. *)
+
+val pp : Format.formatter -> event -> unit
+(** One-line rendering, as [pmc_trace dump] prints it. *)

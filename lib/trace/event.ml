@@ -2,10 +2,11 @@
    runtime did, merging two sources into one timeline —
 
      - the annotation-level events of [Pmc.Api] (entry/exit/fence/flush
-       and the word/byte accesses between them), and
+       and the accesses between them, each carrying its width and byte
+       offset), and
      - the micro-architectural events of [Pmc_sim.Probe] (posted NoC
        writes, cache flush/invalidate ranges, distributed-lock handovers,
-       task lifetimes).
+       task lifetimes, faults), carried as the probe declares them.
 
    Events carry a plain-data object descriptor (id, name, size) instead of
    the live [Pmc.Shared.t] handle so a captured trace is self-contained:
@@ -16,45 +17,14 @@ type obj = { id : int; name : string; words : int; bytes : int }
 
 type annot = Entry_x | Exit_x | Entry_ro | Exit_ro | Fence | Flush
 
-type lock_op = Acquire | Release | Acquire_ro | Release_ro
-type maint_op = Wb_inval | Inval
-type task_op = Spawn | Finish
-
-(* Fault classes of the chaos plane ([Pmc_sim.Fault]); the variant keys
-   tooling (export categories, soak summaries), the detail string keeps
-   the record plain data without replicating every payload shape. *)
-type fault_kind =
-  | Noc_drop
-  | Noc_corrupt
-  | Noc_delay
-  | Noc_retry
-  | Link_dead
-  | Noc_degraded
-  | Sdram_retry
-  | Tile_stall
-  | Lock_timeout
-  | Power_cut
-
 type kind =
   | Annot of { ann : annot; obj : obj option }
       (* [obj = None] for fences, which span all locations *)
-  | Read of { obj : obj; word : int; value : int32 }
-  | Write of { obj : obj; word : int; value : int32 }
-  | Read8 of { obj : obj; byte : int; value : int }
-  | Write8 of { obj : obj; byte : int; value : int }
+  | Read of { obj : obj; width : int; byte : int; value : int }
+  | Write of { obj : obj; width : int; byte : int; value : int }
   | Init of { obj : obj; word : int; value : int32 }
       (* untimed initialization write (poke), before the run proper *)
-  | Lock of { lock : int; op : lock_op; transferred : bool }
-  | Noc_post of { src : int; dst : int; off : int; bytes : int; arrival : int }
-  | Cache_maint of {
-      op : maint_op;
-      addr : int;
-      len : int;
-      lines_touched : int;
-      lines_written_back : int;
-    }
-  | Task of { op : task_op }
-  | Fault of { kind : fault_kind; detail : string }
+  | Probe of Pmc_sim.Probe.event
 
 type t = {
   seq : int;   (* global emission index: issue order, survives ring drops *)
@@ -75,52 +45,23 @@ let annot_name = function
   | Fence -> "fence"
   | Flush -> "flush"
 
-let lock_op_name = function
-  | Acquire -> "acquire"
-  | Release -> "release"
-  | Acquire_ro -> "acquire_ro"
-  | Release_ro -> "release_ro"
-
-let maint_op_name = function Wb_inval -> "wb_inval" | Inval -> "inval"
-let task_op_name = function Spawn -> "spawn" | Finish -> "finish"
-
-let fault_kind_name = function
-  | Noc_drop -> "noc_drop"
-  | Noc_corrupt -> "noc_corrupt"
-  | Noc_delay -> "noc_delay"
-  | Noc_retry -> "noc_retry"
-  | Link_dead -> "link_dead"
-  | Noc_degraded -> "noc_degraded"
-  | Sdram_retry -> "sdram_retry"
-  | Tile_stall -> "tile_stall"
-  | Lock_timeout -> "lock_timeout"
-  | Power_cut -> "power_cut"
+(* A word access prints its word index, a byte access its byte offset. *)
+let pp_access ppf ~op ~sep obj width byte value =
+  if width = 4 then
+    Fmt.pf ppf "%s %s#%d[%d] %s %d" op obj.name obj.id (byte / 4) sep value
+  else Fmt.pf ppf "%s8 %s#%d.%d %s %d" op obj.name obj.id byte sep value
 
 let pp_kind ppf = function
   | Annot { ann; obj = None } -> Fmt.pf ppf "%s" (annot_name ann)
   | Annot { ann; obj = Some o } ->
       Fmt.pf ppf "%s(%s#%d)" (annot_name ann) o.name o.id
-  | Read { obj; word; value } ->
-      Fmt.pf ppf "read %s#%d[%d] = %ld" obj.name obj.id word value
-  | Write { obj; word; value } ->
-      Fmt.pf ppf "write %s#%d[%d] := %ld" obj.name obj.id word value
-  | Read8 { obj; byte; value } ->
-      Fmt.pf ppf "read8 %s#%d.%d = %d" obj.name obj.id byte value
-  | Write8 { obj; byte; value } ->
-      Fmt.pf ppf "write8 %s#%d.%d := %d" obj.name obj.id byte value
+  | Read { obj; width; byte; value } ->
+      pp_access ppf ~op:"read" ~sep:"=" obj width byte value
+  | Write { obj; width; byte; value } ->
+      pp_access ppf ~op:"write" ~sep:":=" obj width byte value
   | Init { obj; word; value } ->
       Fmt.pf ppf "init %s#%d[%d] := %ld" obj.name obj.id word value
-  | Lock { lock; op; transferred } ->
-      Fmt.pf ppf "lock#%d %s%s" lock (lock_op_name op)
-        (if transferred then " (transfer)" else "")
-  | Noc_post { src; dst; bytes; arrival; _ } ->
-      Fmt.pf ppf "noc %d->%d %dB arr=%d" src dst bytes arrival
-  | Cache_maint { op; addr; len; lines_written_back; _ } ->
-      Fmt.pf ppf "%s [%#x,+%d) wb=%d" (maint_op_name op) addr len
-        lines_written_back
-  | Task { op } -> Fmt.pf ppf "task %s" (task_op_name op)
-  | Fault { kind; detail } ->
-      Fmt.pf ppf "fault %s %s" (fault_kind_name kind) detail
+  | Probe p -> Pmc_sim.Probe.pp ppf p
 
 let pp ppf (e : t) =
   Fmt.pf ppf "@[t=%-8d c%-3d %a@]" e.time e.core pp_kind e.kind

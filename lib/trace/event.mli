@@ -2,8 +2,10 @@
 
     One virtually-timestamped record per runtime action, merging the
     annotation-level events of {!Pmc.Api} with the micro-architectural
-    events of {!Pmc_sim.Probe} into a single per-run timeline.  Events
-    are plain data (no live handles), so captured traces are
+    events of {!Pmc_sim.Probe} into a single per-run timeline.  A probe
+    event is carried as the probe declares it; an access carries its
+    width (1 or 4 bytes) and byte offset, as {!Pmc.Api.event} does.
+    Events are plain data (no live handles), so captured traces are
     self-contained artifacts: exportable ({!Export}), replayable through
     the formal model ({!Replay}) and checkable for races ({!Racecheck}). *)
 
@@ -12,45 +14,19 @@ type obj = { id : int; name : string; words : int; bytes : int }
 
 type annot = Entry_x | Exit_x | Entry_ro | Exit_ro | Fence | Flush
 
-type lock_op = Acquire | Release | Acquire_ro | Release_ro
-type maint_op = Wb_inval | Inval
-type task_op = Spawn | Finish
-
-(** Fault classes of the chaos plane ({!Pmc_sim.Fault}). *)
-type fault_kind =
-  | Noc_drop
-  | Noc_corrupt
-  | Noc_delay
-  | Noc_retry
-  | Link_dead
-  | Noc_degraded
-  | Sdram_retry
-  | Tile_stall
-  | Lock_timeout
-  | Power_cut
-
 type kind =
   | Annot of { ann : annot; obj : obj option }
       (** An annotation; [obj = None] for fences. *)
-  | Read of { obj : obj; word : int; value : int32 }
-  | Write of { obj : obj; word : int; value : int32 }
-  | Read8 of { obj : obj; byte : int; value : int }
-  | Write8 of { obj : obj; byte : int; value : int }
+  | Read of { obj : obj; width : int; byte : int; value : int }
+      (** A [width]-byte read at byte offset [byte]; a word's [value] is
+          sign-extended. *)
+  | Write of { obj : obj; width : int; byte : int; value : int }
   | Init of { obj : obj; word : int; value : int32 }
       (** Untimed initialization write ({!Pmc.Api.poke}), before the run. *)
-  | Lock of { lock : int; op : lock_op; transferred : bool }
-  | Noc_post of { src : int; dst : int; off : int; bytes : int; arrival : int }
-  | Cache_maint of {
-      op : maint_op;
-      addr : int;
-      len : int;
-      lines_touched : int;
-      lines_written_back : int;
-    }
-  | Task of { op : task_op }
-  | Fault of { kind : fault_kind; detail : string }
-      (** An injected fault or the resilient protocol's reaction to one
-          (chaos runs only; never present with the fault plane off). *)
+  | Probe of Pmc_sim.Probe.event
+      (** Back-end mechanics: NoC posts, cache maintenance, lock
+          handovers, task lifetimes, and (chaos runs only) injected
+          faults and the resilient protocol's reactions to them. *)
 
 type t = {
   seq : int;   (** global emission index — issue order, survives ring drops *)
@@ -62,10 +38,6 @@ type t = {
 val obj_of_shared : Pmc.Shared.t -> obj
 
 val annot_name : annot -> string
-val lock_op_name : lock_op -> string
-val maint_op_name : maint_op -> string
-val task_op_name : task_op -> string
-val fault_kind_name : fault_kind -> string
 
 val pp_kind : Format.formatter -> kind -> unit
 val pp : Format.formatter -> t -> unit

@@ -75,6 +75,54 @@ let slice e ~name ~cat ~ts ~dur ~tid ?(extra = []) () =
 
 let obj_label (o : Event.obj) = Printf.sprintf "%s#%d" o.Event.name o.Event.id
 
+(* A word access names its word index, a byte access its byte offset. *)
+let access e ~op ~ts ~tid obj width byte value =
+  let name, unit, index =
+    if width = 4 then (op, "word", byte / 4) else (op ^ "8", "byte", byte)
+  in
+  instant e ~name:(name ^ " " ^ obj_label obj) ~cat:"mem" ~ts ~tid
+    ~extra:[ (unit, string_of_int index); ("value", string_of_int value) ]
+    ()
+
+let probe e ~ts ~tid (p : Probe.event) =
+  match p with
+  | Probe.Lock { lock; op; transferred; _ } ->
+      instant e
+        ~name:(Printf.sprintf "lock#%d %s" lock (Probe.lock_op_name op))
+        ~cat:"lock" ~ts ~tid
+        ~extra:[ ("transferred", if transferred then "true" else "false") ]
+        ()
+  | Probe.Noc_post { src; dst; off; bytes; arrival } ->
+      instant e
+        ~name:(Printf.sprintf "noc %d>%d" src dst)
+        ~cat:"noc" ~ts ~tid
+        ~extra:
+          [
+            ("dst", string_of_int dst); ("off", string_of_int off);
+            ("bytes", string_of_int bytes);
+            ("arrival", string_of_int arrival);
+          ]
+        ()
+  | Probe.Cache_maint { op; addr; len; lines_touched; lines_written_back; _ }
+    ->
+      instant e ~name:(Probe.maint_op_name op) ~cat:"cache" ~ts ~tid
+        ~extra:
+          [
+            ("addr", string_of_int addr); ("len", string_of_int len);
+            ("lines", string_of_int lines_touched);
+            ("written_back", string_of_int lines_written_back);
+          ]
+        ()
+  | Probe.Task { op; _ } ->
+      instant e ~name:("task " ^ Probe.task_op_name op) ~cat:"task" ~ts ~tid
+        ()
+  | Probe.Fault f ->
+      instant e
+        ~name:("fault " ^ Probe.fault_name f)
+        ~cat:"fault" ~ts ~tid
+        ~extra:[ ("detail", str (Probe.fault_detail f)) ]
+        ()
+
 let to_buffer ?stats (b : Buffer.t) (events : Event.t list) : unit =
   let e = { b; first = true } in
   Buffer.add_string b "{\"traceEvents\":[\n";
@@ -149,65 +197,14 @@ let to_buffer ?stats (b : Buffer.t) (events : Event.t list) : unit =
           instant e ~name:"flush" ~cat:"annot" ~ts ~tid ~extra ()
       | Event.Annot { ann = Event.Entry_x | Event.Entry_ro; obj = None } -> ()
       | Event.Annot { ann = Event.Exit_x | Event.Exit_ro; obj = None } -> ()
-      | Event.Read { obj; word; value } ->
-          instant e ~name:("rd " ^ obj_label obj) ~cat:"mem" ~ts ~tid
-            ~extra:
-              [ ("word", string_of_int word); ("value", Int32.to_string value) ]
-            ()
-      | Event.Write { obj; word; value } ->
-          instant e ~name:("wr " ^ obj_label obj) ~cat:"mem" ~ts ~tid
-            ~extra:
-              [ ("word", string_of_int word); ("value", Int32.to_string value) ]
-            ()
-      | Event.Read8 { obj; byte; value } ->
-          instant e ~name:("rd8 " ^ obj_label obj) ~cat:"mem" ~ts ~tid
-            ~extra:
-              [ ("byte", string_of_int byte); ("value", string_of_int value) ]
-            ()
-      | Event.Write8 { obj; byte; value } ->
-          instant e ~name:("wr8 " ^ obj_label obj) ~cat:"mem" ~ts ~tid
-            ~extra:
-              [ ("byte", string_of_int byte); ("value", string_of_int value) ]
-            ()
+      | Event.Read { obj; width; byte; value } ->
+          access e ~op:"rd" ~ts ~tid obj width byte value
+      | Event.Write { obj; width; byte; value } ->
+          access e ~op:"wr" ~ts ~tid obj width byte value
       | Event.Init _ ->
           (* untimed pre-run initialization: no place on the timeline *)
           ()
-      | Event.Lock { lock; op; transferred } ->
-          instant e
-            ~name:(Printf.sprintf "lock#%d %s" lock (Event.lock_op_name op))
-            ~cat:"lock" ~ts ~tid
-            ~extra:[ ("transferred", if transferred then "true" else "false") ]
-            ()
-      | Event.Noc_post { src; dst; off; bytes; arrival } ->
-          instant e
-            ~name:(Printf.sprintf "noc %d>%d" src dst)
-            ~cat:"noc" ~ts ~tid
-            ~extra:
-              [
-                ("dst", string_of_int dst); ("off", string_of_int off);
-                ("bytes", string_of_int bytes);
-                ("arrival", string_of_int arrival);
-              ]
-            ()
-      | Event.Cache_maint { op; addr; len; lines_touched; lines_written_back }
-        ->
-          instant e ~name:(Event.maint_op_name op) ~cat:"cache" ~ts ~tid
-            ~extra:
-              [
-                ("addr", string_of_int addr); ("len", string_of_int len);
-                ("lines", string_of_int lines_touched);
-                ("written_back", string_of_int lines_written_back);
-              ]
-            ()
-      | Event.Task { op } ->
-          instant e ~name:("task " ^ Event.task_op_name op) ~cat:"task" ~ts
-            ~tid ()
-      | Event.Fault { kind; detail } ->
-          instant e
-            ~name:("fault " ^ Event.fault_kind_name kind)
-            ~cat:"fault" ~ts ~tid
-            ~extra:[ ("detail", str detail) ]
-            ())
+      | Event.Probe p -> probe e ~ts ~tid p)
     events;
   (* leftover open scopes (exit lost to a ring drop, or trace cut short) *)
   Hashtbl.iter

@@ -25,11 +25,12 @@
 
    Detection is relative to the observed interleaving, as for every
    dynamic race detector: a race is reported with the two concrete
-   conflicting accesses and their cores.  Byte accesses are checked at
-   the granularity of their containing word (conservative: two distinct
-   bytes of one word may be flagged; the model's indivisible unit is the
-   byte, but no workload in this repository writes sibling bytes from
-   different cores unannotated). *)
+   conflicting accesses and their cores.  Every access, byte or word, is
+   checked at the granularity of its containing word, [byte / 4]
+   (conservative: two distinct bytes of one word may be flagged; the
+   model's indivisible unit is the byte, and [Replay] lowers byte-wise
+   objects per byte, but no workload in this repository writes sibling
+   bytes from different cores unannotated). *)
 
 type access = {
   core : int;
@@ -37,7 +38,7 @@ type access = {
   seq : int;
   is_write : bool;
   scoped : bool;  (* inside an entry/exit pair of the object *)
-  value : int32;
+  value : int;    (* as the trace carries it: a word's sign-extended *)
 }
 
 type race = {
@@ -48,7 +49,7 @@ type race = {
 }
 
 let pp_access ppf (a : access) =
-  Fmt.pf ppf "%s by core %d at t=%d%s (value %ld)"
+  Fmt.pf ppf "%s by core %d at t=%d%s (value %d)"
     (if a.is_write then "write" else "read")
     a.core a.time
     (if a.scoped then "" else ", UNANNOTATED")
@@ -187,29 +188,18 @@ let feed t (e : Event.t) =
     | Event.Annot { ann = Event.Exit_ro; obj = Some o } ->
         leave_scope t ~core o.Event.id
     | Event.Annot _ -> ()
-    | Event.Read { obj; word; value } ->
-        on_access t obj word
-          { core; time = e.Event.time; seq = e.Event.seq; is_write = false;
-            scoped = scope_depth t ~core obj.Event.id > 0; value }
-    | Event.Write { obj; word; value } ->
-        on_access t obj word
-          { core; time = e.Event.time; seq = e.Event.seq; is_write = true;
-            scoped = scope_depth t ~core obj.Event.id > 0; value }
-    | Event.Read8 { obj; byte; value } ->
+    | Event.Read { obj; byte; value; _ } ->
         on_access t obj (byte / 4)
           { core; time = e.Event.time; seq = e.Event.seq; is_write = false;
-            scoped = scope_depth t ~core obj.Event.id > 0;
-            value = Int32.of_int value }
-    | Event.Write8 { obj; byte; value } ->
+            scoped = scope_depth t ~core obj.Event.id > 0; value }
+    | Event.Write { obj; byte; value; _ } ->
         on_access t obj (byte / 4)
           { core; time = e.Event.time; seq = e.Event.seq; is_write = true;
-            scoped = scope_depth t ~core obj.Event.id > 0;
-            value = Int32.of_int value }
+            scoped = scope_depth t ~core obj.Event.id > 0; value }
     | Event.Init _ ->
         (* untimed pre-run initialization, ordered before every task *)
         ()
-    | Event.Lock _ | Event.Noc_post _ | Event.Cache_maint _ | Event.Task _
-    | Event.Fault _ ->
+    | Event.Probe _ ->
         (* back-end-level events; synchronization is derived from the
            architecture-independent annotation events above.  Faults in
            particular are transport-level noise the resilient protocol

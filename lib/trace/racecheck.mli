@@ -12,8 +12,9 @@
     missing-annotation class of bugs the static {!Pmc_compile.Check} pass
     and the litmus-level {!Pmc_model.Drf} checker cannot see.
 
-    Byte accesses are checked at the granularity of their containing
-    word (conservative).  Detection is relative to the observed
+    Byte accesses are still checked at the granularity of their
+    containing word (conservative), although {!Replay} lowers them per
+    byte.  Detection is relative to the observed
     interleaving, as with every dynamic detector. *)
 
 type access = {
@@ -22,7 +23,7 @@ type access = {
   seq : int;
   is_write : bool;
   scoped : bool;  (** inside an entry/exit pair of the object *)
-  value : int32;
+  value : int;    (** as the trace carries it: a word's sign-extended *)
 }
 
 type race = {

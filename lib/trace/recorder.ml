@@ -15,7 +15,9 @@
    and overflow behaves exactly as a preallocated ring's.
 
    [attach] claims both hooks (the [Pmc.Api] trace callback and the
-   simulator's [Pmc_sim.Probe] sink); [detach] restores them.  The global
+   simulator's [Pmc_sim.Probe] sink); [detach] restores them.  A probe
+   event is recorded as it is, on the ring of the core [Probe.core]
+   names.  The global
    [seq] counter stamps emission order, which on the deterministic
    single-threaded engine *is* issue order — [events] returns the merged
    timeline sorted by it. *)
@@ -23,7 +25,8 @@
 open Pmc_sim
 
 let dummy_event : Event.t =
-  { Event.seq = -1; time = 0; core = 0; kind = Event.Task { op = Event.Spawn } }
+  { Event.seq = -1; time = 0; core = 0;
+    kind = Event.Probe (Probe.Task { core = 0; op = Probe.Spawn }) }
 
 module Ring = struct
   type t = {
@@ -105,82 +108,16 @@ let api_hook t ~core (ev : Pmc.Api.event) =
     | Pmc.Api.Ev_fence -> Event.Annot { ann = Event.Fence; obj = None }
     | Pmc.Api.Ev_flush o ->
         Event.Annot { ann = Event.Flush; obj = Some (obj o) }
-    | Pmc.Api.Ev_read (o, word, value) ->
-        Event.Read { obj = obj o; word; value }
-    | Pmc.Api.Ev_write (o, word, value) ->
-        Event.Write { obj = obj o; word; value }
-    | Pmc.Api.Ev_read8 (o, byte, value) ->
-        Event.Read8 { obj = obj o; byte; value }
-    | Pmc.Api.Ev_write8 (o, byte, value) ->
-        Event.Write8 { obj = obj o; byte; value }
+    | Pmc.Api.Ev_read { obj = o; width; byte; value } ->
+        Event.Read { obj = obj o; width; byte; value }
+    | Pmc.Api.Ev_write { obj = o; width; byte; value } ->
+        Event.Write { obj = obj o; width; byte; value }
     | Pmc.Api.Ev_init (o, word, value) ->
         Event.Init { obj = obj o; word; value }
   in
   push t ~core ~time kind
 
-let probe_sink t ~time (ev : Probe.event) =
-  match ev with
-  | Probe.Noc_post { src; dst; off; bytes; arrival } ->
-      push t ~core:src ~time (Event.Noc_post { src; dst; off; bytes; arrival })
-  | Probe.Cache_maint { core; op; addr; len; lines_touched;
-                        lines_written_back } ->
-      let op =
-        match op with
-        | Probe.Wb_inval -> Event.Wb_inval
-        | Probe.Inval -> Event.Inval
-      in
-      push t ~core ~time
-        (Event.Cache_maint { op; addr; len; lines_touched; lines_written_back })
-  | Probe.Lock { core; lock; op; transferred } ->
-      let op =
-        match op with
-        | Probe.Acquire -> Event.Acquire
-        | Probe.Release -> Event.Release
-        | Probe.Acquire_ro -> Event.Acquire_ro
-        | Probe.Release_ro -> Event.Release_ro
-      in
-      push t ~core ~time (Event.Lock { lock; op; transferred })
-  | Probe.Task { core; op } ->
-      let op =
-        match op with Probe.Spawn -> Event.Spawn | Probe.Finish -> Event.Finish
-      in
-      push t ~core ~time (Event.Task { op })
-  | Probe.Fault f ->
-      (* NoC faults are attributed to the sending core (the side that
-         owns the retransmission protocol), the rest to the faulting
-         core itself. *)
-      let core, kind, detail =
-        match f with
-        | Probe.F_noc_drop { src; dst; seq; attempt } ->
-            ( src, Event.Noc_drop,
-              Printf.sprintf "%d>%d seq=%d attempt=%d" src dst seq attempt )
-        | Probe.F_noc_corrupt { src; dst; seq; attempt } ->
-            ( src, Event.Noc_corrupt,
-              Printf.sprintf "%d>%d seq=%d attempt=%d" src dst seq attempt )
-        | Probe.F_noc_delay { src; dst; seq; cycles } ->
-            ( src, Event.Noc_delay,
-              Printf.sprintf "%d>%d seq=%d +%d" src dst seq cycles )
-        | Probe.F_noc_retry { src; dst; seq; attempt; at } ->
-            ( src, Event.Noc_retry,
-              Printf.sprintf "%d>%d seq=%d attempt=%d at=%d" src dst seq
-                attempt at )
-        | Probe.F_link_dead { src; dst } ->
-            (src, Event.Link_dead, Printf.sprintf "%d>%d" src dst)
-        | Probe.F_noc_degraded { src; dst; seq } ->
-            ( src, Event.Noc_degraded,
-              Printf.sprintf "%d>%d seq=%d" src dst seq )
-        | Probe.F_sdram_retry { core; attempt } ->
-            (core, Event.Sdram_retry, Printf.sprintf "attempt=%d" attempt)
-        | Probe.F_tile_stall { core; cycles } ->
-            (core, Event.Tile_stall, Printf.sprintf "+%d" cycles)
-        | Probe.F_lock_timeout { core; lock; waited } ->
-            ( core, Event.Lock_timeout,
-              Printf.sprintf "lock#%d waited=%d" lock waited )
-        | Probe.F_power_cut { cycle } ->
-            (* the cut kills every tile at once; attribute it to core 0 *)
-            (0, Event.Power_cut, Printf.sprintf "at=%d" cycle)
-      in
-      push t ~core ~time (Event.Fault { kind; detail })
+let probe_sink t ~time ev = push t ~core:(Probe.core ev) ~time (Event.Probe ev)
 
 let attach ?(capacity = default_capacity) (api : Pmc.Api.t) : t =
   if capacity <= 0 then invalid_arg "Recorder.attach: capacity must be > 0";

@@ -6,7 +6,8 @@
     small and doubles up to its capacity, so a short run costs what it
     records.  [attach] claims both the {!Pmc.Api} trace hook and the
     simulator's {!Pmc_sim.Probe} sink; at most one recorder should be
-    attached to a machine at a time. *)
+    attached to a machine at a time.  A probe event is recorded as it is
+    ({!Event.kind}'s [Probe]), on the ring of {!Pmc_sim.Probe.core}. *)
 
 (** One core's ring: keeps the newest [capacity] events pushed, counting
     the overwritten ones. *)

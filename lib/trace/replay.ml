@@ -2,24 +2,28 @@
    so that *actual* back-end runs — not just hand-built unit-test traces —
    are mechanically validated PMC-consistent by [Pmc_model.History.check].
 
-   The mapping follows the model's word-granular view (the same one the
-   integration tests use):
+   The mapping follows the model's view of locations:
 
-     - each (object, word) pair is one model location;
-     - entry_x / exit_x become acquire / release of every word of the
-       object (the object's lock implements ≺S for all of them);
+     - each (object, word) pair is one model location, except that an
+       object the trace accesses byte-wise anywhere is lowered at byte
+       granularity, one location per (object, byte): bytes are the
+       model's indivisible unit (Sec. IV-A), and a word access to such
+       an object becomes four lane accesses, byte 0 the least
+       significant.  Word-only objects keep one location per word;
+     - entry_x / exit_x become acquire / release of every location of
+       the object (the object's lock implements ≺S for all of them);
      - entry_ro / exit_ro become the model's read-only acquire / release:
        the same ≺S edges, without the mutual-exclusion bookkeeping.  The
        edges matter — a reader synchronizing only through an RO scope
        (e.g. neighbour strips after a barrier) would otherwise have no
        ordered-before writes and every observed value would look
        unreadable;
-     - word accesses map one to one, carrying the observed value;
+     - accesses map one to one per location, carrying the observed value;
      - fences map to the model's fence;
      - initialization pokes establish each location's initial value,
        passed to the checker as [~init] (the model treats it as a write
        ordered before every operation);
-     - byte accesses, lock, NoC, cache and task events are back-end
+     - probe events (lock, NoC, cache, task, fault) are back-end
        mechanics below the model's vocabulary and are skipped.
 
    [check] replays the lowered history through the Table-I transition and
@@ -37,10 +41,20 @@ type lowering = {
 }
 
 let lower (trace : Event.t list) : lowering =
+  (* objects accessed byte-wise anywhere in the trace *)
+  let bytewise = Hashtbl.create 8 in
+  List.iter
+    (fun (e : Event.t) ->
+      match e.Event.kind with
+      | Event.Read { obj; width = 1; _ } | Event.Write { obj; width = 1; _ } ->
+          Hashtbl.replace bytewise obj.Event.id ()
+      | _ -> ())
+    trace;
   let locs = Hashtbl.create 64 in
   let next_loc = ref 0 in
-  let loc_of (o : Event.obj) word =
-    let key = (o.Event.id, word) in
+  (* [unit] is a word index, or a byte offset in a byte-wise object *)
+  let loc_of (o : Event.obj) unit =
+    let key = (o.Event.id, unit) in
     match Hashtbl.find_opt locs key with
     | Some l -> l
     | None ->
@@ -53,42 +67,49 @@ let lower (trace : Event.t list) : lowering =
   let inits = Hashtbl.create 64 in
   let out = ref [] in
   let push e = out := e :: !out in
+  (* [f loc value] once per location a [width]-byte access at [byte]
+     covers, with that location's part of [value] *)
+  let each_loc (o : Event.obj) ~width ~byte value f =
+    if Hashtbl.mem bytewise o.Event.id then
+      for lane = 0 to width - 1 do
+        f (loc_of o (byte + lane)) ((value lsr (8 * lane)) land 0xff)
+      done
+    else f (loc_of o (byte / 4)) value
+  in
+  let each_unit (o : Event.obj) f =
+    let units =
+      if Hashtbl.mem bytewise o.Event.id then 4 * o.Event.words
+      else o.Event.words
+    in
+    for u = 0 to units - 1 do
+      f (loc_of o u)
+    done
+  in
   List.iter
     (fun (e : Event.t) ->
       let proc = e.Event.core in
       match e.Event.kind with
       | Event.Annot { ann = Event.Entry_x; obj = Some o } ->
-          for w = 0 to o.Event.words - 1 do
-            push (History.E_acquire { proc; loc = loc_of o w })
-          done
+          each_unit o (fun loc -> push (History.E_acquire { proc; loc }))
       | Event.Annot { ann = Event.Exit_x; obj = Some o } ->
-          for w = 0 to o.Event.words - 1 do
-            push (History.E_release { proc; loc = loc_of o w })
-          done
+          each_unit o (fun loc -> push (History.E_release { proc; loc }))
       | Event.Annot { ann = Event.Entry_ro; obj = Some o } ->
-          for w = 0 to o.Event.words - 1 do
-            push (History.E_acquire_ro { proc; loc = loc_of o w })
-          done
+          each_unit o (fun loc -> push (History.E_acquire_ro { proc; loc }))
       | Event.Annot { ann = Event.Exit_ro; obj = Some o } ->
-          for w = 0 to o.Event.words - 1 do
-            push (History.E_release_ro { proc; loc = loc_of o w })
-          done
+          each_unit o (fun loc -> push (History.E_release_ro { proc; loc }))
       | Event.Annot { ann = Event.Fence; _ } ->
           push (History.E_fence { proc })
-      | Event.Read { obj; word; value } ->
-          push
-            (History.E_read
-               { proc; loc = loc_of obj word; value = Int32.to_int value })
-      | Event.Write { obj; word; value } ->
-          push
-            (History.E_write
-               { proc; loc = loc_of obj word; value = Int32.to_int value })
+      | Event.Read { obj; width; byte; value } ->
+          each_loc obj ~width ~byte value (fun loc value ->
+              push (History.E_read { proc; loc; value }))
+      | Event.Write { obj; width; byte; value } ->
+          each_loc obj ~width ~byte value (fun loc value ->
+              push (History.E_write { proc; loc; value }))
       | Event.Init { obj; word; value } ->
-          Hashtbl.replace inits (loc_of obj word) (Int32.to_int value)
+          each_loc obj ~width:4 ~byte:(4 * word) (Int32.to_int value)
+            (fun loc value -> Hashtbl.replace inits loc value)
       | Event.Annot _ -> ()
-      | Event.Read8 _ | Event.Write8 _ | Event.Lock _ | Event.Noc_post _
-      | Event.Cache_maint _ | Event.Task _ | Event.Fault _ ->
-          incr skipped)
+      | Event.Probe _ -> incr skipped)
     trace;
   let init loc = Option.value ~default:0 (Hashtbl.find_opt inits loc) in
   { events = List.rev !out; locs = !next_loc; init; skipped = !skipped }

@@ -8,17 +8,22 @@
 
 type lowering = {
   events : Pmc_model.History.event list;
-  locs : int;         (** distinct model locations, one per (object, word) *)
+  locs : int;
+      (** distinct model locations: one per (object, word), or per
+          (object, byte) for an object the trace accesses byte-wise *)
   init : int -> int;  (** initial value of each location, from pokes *)
   skipped : int;      (** trace events below the model's vocabulary *)
 }
 
 val lower : Event.t list -> lowering
-(** Word-granular mapping: entry_x/exit_x → acquire/release per word,
-    word accesses → reads/writes with observed values, fences → fences,
-    initialization pokes → the checker's [~init] values.  Byte accesses
-    and back-end mechanics (lock, NoC, cache, task events) are skipped
-    and counted. *)
+(** Location-granular mapping: entry_x/exit_x → acquire/release per
+    location, accesses → reads/writes with observed values, fences →
+    fences, initialization pokes → the checker's [~init] values.  An
+    object accessed byte-wise anywhere in the trace is lowered per byte
+    (Sec. IV-A's indivisible unit): its word accesses and pokes become
+    four lane events, byte 0 the least significant.  Word-only objects
+    keep one location per word.  Probe events (lock, NoC, cache, task,
+    fault) are back-end mechanics; they are skipped and counted. *)
 
 val check :
   ?require_locked_writes:bool -> cores:int -> Event.t list ->

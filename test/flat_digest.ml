@@ -80,9 +80,8 @@ let digest_run ~app_name ~scale ~backend ~cores ~plane_name ~chaos ~replay =
 
 let byte_kernel ~backend ~plane_name ~chaos =
   let k = Byte_kernel.run ?chaos ~record:(chaos = None) backend in
-  (* the event count pins what the API emits; no replay verdict, since
-     the model lowering skips byte writes (a word read of bytes written
-     in the scope would read as a violation) *)
+  (* the event count pins what the API emits; the trace tests pin the
+     kernel's replay verdict, plain and armed, on every back-end *)
   let events =
     match k.Byte_kernel.recorder with
     | None -> ""

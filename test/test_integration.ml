@@ -6,65 +6,27 @@
    model — this closes the loop between the paper's Section IV
    (formalism) and Section V (implementations).
 
-   Mapping: each single-word shared object is one model location;
-   exclusive entries/exits become acquire/release; read-only scopes add no
-   synchronization edges (a sound weakening — the checker only gets more
-   permissive); accesses map word-wise. *)
+   The trace is recorded by [Pmc_trace.Recorder] and lowered by
+   [Pmc_trace.Replay.lower], the mapping every model-checking tool uses:
+   each word of a shared object is one model location, exclusive and
+   read-only scopes become acquire/release events of every word, pokes
+   become initial values. *)
 
 open Pmc_sim
 open Pmc_model
 
 let cfg = { Config.small with cores = 4 }
 
-(* Collect a trace of API events as History events. *)
-let make_tracer () =
-  let events = ref [] in
-  let locs = Hashtbl.create 16 in
-  let next_loc = ref 0 in
-  let loc_of (o : Pmc.Shared.t) word =
-    let key = (o.Pmc.Shared.id, word) in
-    match Hashtbl.find_opt locs key with
-    | Some l -> l
-    | None ->
-        let l = !next_loc in
-        incr next_loc;
-        Hashtbl.add locs key l;
-        l
-  in
-  let hook ~core ev =
-    let push e = events := e :: !events in
-    match ev with
-    | Pmc.Api.Ev_entry (Pmc.Api.X, o) ->
-        for w = 0 to Pmc.Shared.words o - 1 do
-          push (History.E_acquire { proc = core; loc = loc_of o w })
-        done
-    | Pmc.Api.Ev_exit (Pmc.Api.X, o) ->
-        for w = 0 to Pmc.Shared.words o - 1 do
-          push (History.E_release { proc = core; loc = loc_of o w })
-        done
-    | Pmc.Api.Ev_entry (Pmc.Api.Ro, _) | Pmc.Api.Ev_exit (Pmc.Api.Ro, _) ->
-        ()
-    | Pmc.Api.Ev_fence -> push (History.E_fence { proc = core })
-    | Pmc.Api.Ev_flush _ -> ()
-    | Pmc.Api.Ev_read (o, w, v) ->
-        push
-          (History.E_read
-             { proc = core; loc = loc_of o w; value = Int32.to_int v })
-    | Pmc.Api.Ev_write (o, w, v) ->
-        push
-          (History.E_write
-             { proc = core; loc = loc_of o w; value = Int32.to_int v })
-    | Pmc.Api.Ev_read8 _ | Pmc.Api.Ev_write8 _ ->
-        (* the History mapping is word-granular *)
-        ()
-    | Pmc.Api.Ev_init _ ->
-        (* these programs read nothing before writing it *)
-        ()
-  in
-  (hook, fun () -> (List.rev !events, !next_loc))
+(* Record every event of [api]; [finish ()] lowers the trace. *)
+let record api =
+  let rec_ = Pmc_trace.Recorder.attach api in
+  fun () -> Pmc_trace.Replay.lower (Pmc_trace.Recorder.events rec_)
 
-let validate name events locs =
-  let r = History.check ~procs:cfg.Config.cores ~locs:(max 1 locs) events in
+let validate name (l : Pmc_trace.Replay.lowering) =
+  let r =
+    History.check ~init:l.init ~procs:cfg.Config.cores ~locs:(max 1 l.locs)
+      l.events
+  in
   if not (History.ok r) then
     List.iter
       (fun v -> Fmt.epr "%s: %a@." name History.pp_violation v)
@@ -77,8 +39,7 @@ let test_msg_conformance () =
     (fun kind ->
       let m = Machine.create cfg in
       let api = Pmc.Backends.create kind m in
-      let hook, finish = make_tracer () in
-      Pmc.Api.set_trace api (Some hook);
+      let finish = record api in
       let data = Pmc.Api.alloc_words api ~name:"X" ~words:2 in
       let flag = Pmc.Api.alloc_words api ~name:"flag" ~words:1 in
       Machine.spawn m ~core:0 (fun () ->
@@ -86,8 +47,7 @@ let test_msg_conformance () =
       Machine.spawn m ~core:1 (fun () ->
           ignore (Pmc.Msg.recv api ~data ~flag));
       Machine.run m;
-      let events, locs = finish () in
-      validate ("msg/" ^ Pmc.Backends.to_string kind) events locs)
+      validate ("msg/" ^ Pmc.Backends.to_string kind) (finish ()))
     Pmc.Backends.all
 
 let test_counter_conformance () =
@@ -95,8 +55,7 @@ let test_counter_conformance () =
     (fun kind ->
       let m = Machine.create cfg in
       let api = Pmc.Backends.create kind m in
-      let hook, finish = make_tracer () in
-      Pmc.Api.set_trace api (Some hook);
+      let finish = record api in
       let counter = Pmc.Api.alloc_words api ~name:"ctr" ~words:1 in
       for c = 0 to 3 do
         Machine.spawn m ~core:c (fun () ->
@@ -111,8 +70,7 @@ let test_counter_conformance () =
         (Pmc.Backends.to_string kind ^ ": counter value")
         20
         (Pmc.Api.peek_int api counter 0);
-      let events, locs = finish () in
-      validate ("counter/" ^ Pmc.Backends.to_string kind) events locs)
+      validate ("counter/" ^ Pmc.Backends.to_string kind) (finish ()))
     Pmc.Backends.all
 
 let test_fifo_conformance () =
@@ -120,8 +78,7 @@ let test_fifo_conformance () =
     (fun kind ->
       let m = Machine.create cfg in
       let api = Pmc.Backends.create kind m in
-      let hook, finish = make_tracer () in
-      Pmc.Api.set_trace api (Some hook);
+      let finish = record api in
       let fifo =
         Pmc.Fifo.create api ~name:"f" ~depth:2 ~elem_words:1 ~readers:1
       in
@@ -134,8 +91,7 @@ let test_fifo_conformance () =
             ignore (Pmc.Fifo.pop fifo ~reader:0)
           done);
       Machine.run m;
-      let events, locs = finish () in
-      validate ("fifo/" ^ Pmc.Backends.to_string kind) events locs)
+      validate ("fifo/" ^ Pmc.Backends.to_string kind) (finish ()))
     [ Pmc.Backends.Seqcst; Pmc.Backends.Swcc; Pmc.Backends.Dsm ]
 
 (* The discipline corollary of Def. 11: with every write lock-wrapped (the
@@ -143,8 +99,7 @@ let test_fifo_conformance () =
 let test_no_write_races () =
   let m = Machine.create cfg in
   let api = Pmc.Backends.create Pmc.Backends.Swcc m in
-  let hook, finish = make_tracer () in
-  Pmc.Api.set_trace api (Some hook);
+  let finish = record api in
   let a = Pmc.Api.alloc_words api ~name:"a" ~words:1 in
   let b = Pmc.Api.alloc_words api ~name:"b" ~words:1 in
   for c = 0 to 3 do
@@ -156,8 +111,11 @@ let test_no_write_races () =
         done)
   done;
   Machine.run m;
-  let events, locs = finish () in
-  let r = History_oracle.check_reference ~procs:4 ~locs events in
+  let l = finish () in
+  let r =
+    History_oracle.check_reference ~init:l.Pmc_trace.Replay.init ~procs:4
+      ~locs:l.Pmc_trace.Replay.locs l.Pmc_trace.Replay.events
+  in
   Alcotest.(check bool) "trace validates" true (History_oracle.full_ok r);
   Alcotest.(check bool) "no write-write races" true
     (Observe.race_free r.History_oracle.exec)

@@ -98,7 +98,9 @@ let prop_ring_grows_like_preallocated =
     (fun (capacity, pushes) ->
       let ev i : Pmc_trace.Event.t =
         { seq = i; time = 3 * i; core = 0;
-          kind = Pmc_trace.Event.Task { op = Pmc_trace.Event.Spawn } }
+          kind =
+            Pmc_trace.Event.Probe (Probe.Task { core = 0; op = Probe.Spawn });
+        }
       in
       let ring = Pmc_trace.Recorder.Ring.create capacity in
       let reference = Ref_ring.create capacity (ev (-1)) in
@@ -299,6 +301,57 @@ let test_replay_lowering () =
   Alcotest.(check bool) "locations assigned" true
     (l.Pmc_trace.Replay.locs >= 3) (* 2 data words + flag *)
 
+(* The byte kernel writes each lane of a word from a different core with
+   [set8] and reads the words back with [get] and [get8].  Lowered per
+   byte, every value it read is explained by the model on every
+   back-end, plain and with every fault class armed. *)
+let test_replay_byte_kernel () =
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun chaos ->
+          let k = Byte_kernel.run ?chaos ~record:true backend in
+          let name =
+            Printf.sprintf "bytes/%s/%s"
+              (Pmc.Backends.to_string backend)
+              (if chaos = None then "plain" else "chaos7")
+          in
+          Alcotest.(check string) (name ^ " ran") "ok" k.Byte_kernel.outcome;
+          let rec_ = Option.get k.Byte_kernel.recorder in
+          let report =
+            Pmc_trace.Replay.check ~cores:Byte_kernel.cores
+              (Pmc_trace.Recorder.events rec_)
+          in
+          List.iter
+            (fun v ->
+              Fmt.epr "%s: %a@." name Pmc_model.History.pp_violation v)
+            report.Pmc_model.History.violations;
+          Alcotest.(check bool) (name ^ " PMC-consistent") true
+            (Pmc_model.History.ok report))
+        [ None; Some 7 ])
+    Pmc.Backends.all
+
+(* A byte read whose value no write explains is still caught. *)
+let test_replay_doctored_byte () =
+  let k = Byte_kernel.run ~record:true Pmc.Backends.Nocc in
+  let events = Pmc_trace.Recorder.events (Option.get k.Byte_kernel.recorder) in
+  let doctored = ref false in
+  let events =
+    List.map
+      (fun (e : Pmc_trace.Event.t) ->
+        match e.Pmc_trace.Event.kind with
+        | Pmc_trace.Event.Read ({ width = 1; _ } as r) when not !doctored ->
+            doctored := true;
+            { e with
+              kind = Pmc_trace.Event.Read { r with value = r.value lxor 0x80 } }
+        | _ -> e)
+      events
+  in
+  Alcotest.(check bool) "a byte read was doctored" true !doctored;
+  let report = Pmc_trace.Replay.check ~cores:Byte_kernel.cores events in
+  Alcotest.(check int) "one violation" 1
+    (List.length report.Pmc_model.History.violations)
+
 (* ---------------- export ---------------- *)
 
 let test_export_json () =
@@ -358,5 +411,8 @@ let suite =
       Alcotest.test_case "replay many locations" `Quick
         test_replay_many_locations;
       Alcotest.test_case "replay lowering" `Quick test_replay_lowering;
+      Alcotest.test_case "replay byte kernel" `Quick test_replay_byte_kernel;
+      Alcotest.test_case "replay doctored byte read" `Quick
+        test_replay_doctored_byte;
       Alcotest.test_case "export json" `Quick test_export_json;
     ] )
