@@ -17,10 +17,9 @@
    [attach] claims both hooks (the [Pmc.Api] trace callback and the
    simulator's [Pmc_sim.Probe] sink); [detach] restores them.  A probe
    event is recorded as it is, on the ring of the core [Probe.core]
-   names.  The global
-   [seq] counter stamps emission order, which on the deterministic
-   single-threaded engine *is* issue order — [events] returns the merged
-   timeline sorted by it. *)
+   names.  The global [seq] counter stamps emission order, which on the
+   deterministic single-threaded engine *is* issue order — [events]
+   returns the merged timeline sorted by it. *)
 
 open Pmc_sim
 

@@ -63,51 +63,66 @@ let lower (trace : Event.t list) : lowering =
         Hashtbl.add locs key l;
         l
   in
+  (* a word-only trace, the common case, skips the lookup *)
+  let is_bytewise (o : Event.obj) =
+    Hashtbl.length bytewise > 0 && Hashtbl.mem bytewise o.Event.id
+  in
   let skipped = ref 0 in
   let inits = Hashtbl.create 64 in
   let out = ref [] in
   let push e = out := e :: !out in
-  (* [f loc value] once per location a [width]-byte access at [byte]
-     covers, with that location's part of [value] *)
-  let each_loc (o : Event.obj) ~width ~byte value f =
-    if Hashtbl.mem bytewise o.Event.id then
-      for lane = 0 to width - 1 do
-        f (loc_of o (byte + lane)) ((value lsr (8 * lane)) land 0xff)
-      done
-    else f (loc_of o (byte / 4)) value
+  (* a byte-wise object has one location per byte of its words *)
+  let units (o : Event.obj) =
+    if is_bytewise o then 4 * o.Event.words else o.Event.words
   in
-  let each_unit (o : Event.obj) f =
-    let units =
-      if Hashtbl.mem bytewise o.Event.id then 4 * o.Event.words
-      else o.Event.words
-    in
-    for u = 0 to units - 1 do
-      f (loc_of o u)
-    done
-  in
+  (* byte [l] of [value], least significant first *)
+  let lane value l = (value lsr (8 * l)) land 0xff in
   List.iter
     (fun (e : Event.t) ->
       let proc = e.Event.core in
       match e.Event.kind with
       | Event.Annot { ann = Event.Entry_x; obj = Some o } ->
-          each_unit o (fun loc -> push (History.E_acquire { proc; loc }))
+          for u = 0 to units o - 1 do
+            push (History.E_acquire { proc; loc = loc_of o u })
+          done
       | Event.Annot { ann = Event.Exit_x; obj = Some o } ->
-          each_unit o (fun loc -> push (History.E_release { proc; loc }))
+          for u = 0 to units o - 1 do
+            push (History.E_release { proc; loc = loc_of o u })
+          done
       | Event.Annot { ann = Event.Entry_ro; obj = Some o } ->
-          each_unit o (fun loc -> push (History.E_acquire_ro { proc; loc }))
+          for u = 0 to units o - 1 do
+            push (History.E_acquire_ro { proc; loc = loc_of o u })
+          done
       | Event.Annot { ann = Event.Exit_ro; obj = Some o } ->
-          each_unit o (fun loc -> push (History.E_release_ro { proc; loc }))
+          for u = 0 to units o - 1 do
+            push (History.E_release_ro { proc; loc = loc_of o u })
+          done
       | Event.Annot { ann = Event.Fence; _ } ->
           push (History.E_fence { proc })
       | Event.Read { obj; width; byte; value } ->
-          each_loc obj ~width ~byte value (fun loc value ->
-              push (History.E_read { proc; loc; value }))
+          if is_bytewise obj then
+            for l = 0 to width - 1 do
+              push
+                (History.E_read
+                   { proc; loc = loc_of obj (byte + l); value = lane value l })
+            done
+          else push (History.E_read { proc; loc = loc_of obj (byte / 4); value })
       | Event.Write { obj; width; byte; value } ->
-          each_loc obj ~width ~byte value (fun loc value ->
-              push (History.E_write { proc; loc; value }))
+          if is_bytewise obj then
+            for l = 0 to width - 1 do
+              push
+                (History.E_write
+                   { proc; loc = loc_of obj (byte + l); value = lane value l })
+            done
+          else
+            push (History.E_write { proc; loc = loc_of obj (byte / 4); value })
       | Event.Init { obj; word; value } ->
-          each_loc obj ~width:4 ~byte:(4 * word) (Int32.to_int value)
-            (fun loc value -> Hashtbl.replace inits loc value)
+          let value = Int32.to_int value in
+          if is_bytewise obj then
+            for l = 0 to 3 do
+              Hashtbl.replace inits (loc_of obj ((4 * word) + l)) (lane value l)
+            done
+          else Hashtbl.replace inits (loc_of obj word) value
       | Event.Annot _ -> ()
       | Event.Probe _ -> incr skipped)
     trace;
