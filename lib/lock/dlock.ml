@@ -14,7 +14,9 @@
    The lock's bookkeeping lives in host structures; its *timing* — local
    polls, handover latency — is modelled explicitly.  Mutual exclusion is
    exact in simulated time because state changes happen between consume
-   points. *)
+   points.  Waiters park in [Engine.poll_wait]; every change that can
+   admit a parked waiter — a grant issued, the owner gone, a waiter
+   withdrawn — calls [Engine.enable], and no other change does. *)
 
 open Pmc_sim
 
@@ -81,10 +83,19 @@ let try_grant t =
     && not (Queue.is_empty t.queue)
   then begin
     let next = Queue.pop t.queue in
-    let now = Engine.now (Machine.engine t.m) in
+    let e = Machine.engine t.m in
+    let now = Engine.now e in
     let arrival = now + transfer_cycles t ~from:t.last_holder ~to_:next in
-    t.pending <- Some (next, max arrival (now + 1))
+    t.pending <- Some (next, max arrival (now + 1));
+    Engine.enable e
   end
+
+(* When [core]'s grant arrives: the cycle its exclusive wait can end,
+   [max_int] while no grant is in flight to it. *)
+let grant_arrival t ~core =
+  match t.pending with
+  | Some (c, arrival) when c = core -> arrival
+  | _ -> max_int
 
 type outcome = Acquired | Timeout of { waited : int }
 
@@ -99,6 +110,8 @@ let withdraw t core =
   (match t.pending with
   | Some (c, _) when c = core -> t.pending <- None
   | _ -> ());
+  (* a shorter queue may admit readers *)
+  Engine.enable (Machine.engine t.m);
   try_grant t
 
 (* Take the granted lock (the waiter slow path's epilogue). *)
@@ -147,22 +160,19 @@ let acquire_aux t ~deadline : outcome =
   end
   else begin
     Queue.push core t.queue;
-    let granted () =
-      match t.pending with
-      | Some (c, arrival) when c = core && Engine.now e >= arrival -> true
-      | _ -> false
-    in
     match deadline with
     | None ->
         (* the grant check reads only lock bookkeeping and the clock, so
            the scheduler runs the polling loop without waking us; queued
            cores whose polls fall on the same cycle are re-checked
-           together, as one gang *)
+           together, as one gang, and not at all until a grant is issued
+           or the one in flight arrives *)
         Engine.poll_wait e ~cat:Stats.Lock_stall ~quantum:poll
-          ~pred:granted;
+          ~ready:(fun () -> grant_arrival t ~core);
         take_grant t ~core;
         Acquired
     | Some limit ->
+        let granted () = Engine.now e >= grant_arrival t ~core in
         let start = Engine.now e in
         let backoff = ref poll in
         while (not (granted ())) && Engine.now e < limit do
@@ -209,6 +219,7 @@ let release t =
         | None -> "none"));
   Engine.consume e Stats.Lock_stall cfg.Config.lock_local_poll_cycles;
   t.owner <- None;
+  Engine.enable e;
   emit t Probe.Release ~transferred:false;
   try_grant t
 
@@ -219,8 +230,10 @@ let acquire_ro t =
   let cfg = Machine.config t.m in
   let poll = cfg.Config.lock_local_poll_cycles in
   Engine.consume e Stats.Lock_stall poll;
-  Engine.poll_wait e ~cat:Stats.Lock_stall ~quantum:poll ~pred:(fun () ->
-      t.owner = None && t.pending = None && Queue.is_empty t.queue);
+  Engine.poll_wait e ~cat:Stats.Lock_stall ~quantum:poll ~ready:(fun () ->
+      if t.owner = None && t.pending = None && Queue.is_empty t.queue then
+        min_int
+      else max_int);
   t.readers <- t.readers + 1;
   emit t Probe.Acquire_ro ~transferred:false
 

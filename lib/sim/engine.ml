@@ -25,18 +25,27 @@
    Tasks parked in a pure poll ([poll_wait]) are grouped: waiters due at
    the same time with the same quantum share one [k_wait] entry, a gang,
    so a run of failed re-checks costs one pop and one splice instead of
-   a pop and a push per waiter. *)
+   a pop and a push per waiter.  A gang also caches what its last full
+   re-check learnt: the [enable] epoch it ran at and the earliest cycle
+   any failed member can be ready.  Until [enable] is called again or
+   that cycle comes, the gang is dormant and a wake does constant work —
+   it burns its members' seqs and re-parks the whole chain one quantum
+   later, exactly where the member-by-member re-check would have put it,
+   so the schedule is unchanged.  The members' stall charges and clocks
+   fall behind meanwhile and are settled lazily: before a member's
+   [ready] runs, and for every parked member when an exception leaves
+   [run]. *)
 
 type _ Effect.t += Tick : unit Effect.t
 (* Constant constructor on purpose: performing it allocates nothing; the
    cycle count travels through [tick_n] below. *)
 
 type _ Effect.t += Wait : unit Effect.t
-(* Suspension of a pure polling loop ([poll_wait]): the predicate,
+(* Suspension of a pure polling loop ([poll_wait]): the [ready] closure,
    quantum and stall category travel through the [wait_*] fields below.
-   The scheduler re-evaluates the predicate itself on each wake and only
-   resumes the fiber once it holds, so a failed poll costs a step through
-   a gang (below) instead of a fiber round trip. *)
+   The scheduler re-evaluates [ready] itself on each wake that can
+   succeed and only resumes the fiber once it holds, so a failed poll
+   costs a step through a gang (below) instead of a fiber round trip. *)
 
 exception Watchdog of int
 (* raised when a task exceeds [Config.max_cycles] — livelock guard *)
@@ -57,20 +66,22 @@ type task = { core : int; mutable time : int; seq : int; mutable state : task_st
 
 let dummy_task = { core = -1; time = 0; seq = -1; state = Finished }
 let dummy_ifn : int -> unit = fun _ -> ()
-let dummy_pred : unit -> bool = fun () -> false
+let dummy_ready : unit -> int = fun () -> max_int
 
 (* A task parked in [poll_wait].  A gang is an intrusive FIFO of these
    through [next]; every member is due at the gang entry's time and
-   polls with its quantum. *)
+   polls with its quantum.  A member's [task.time] and stall charge may
+   lag the gang's time (see [settle]). *)
 type waiter = {
   task : task;
-  pred : unit -> bool;
+  ready : unit -> int;
   cat : Stats.category;
   mutable next : waiter;  (* [no_waiter] ends the gang *)
 }
 
 let rec no_waiter =
-  { task = dummy_task; pred = dummy_pred; cat = Stats.Busy; next = no_waiter }
+  { task = dummy_task; ready = dummy_ready; cat = Stats.Busy;
+    next = no_waiter }
 
 (* Arena entry kinds. *)
 let k_free = 0
@@ -103,6 +114,9 @@ type t = {
   mutable a_arg : int array;           (* indexed arg / gang quantum *)
   mutable a_whead : waiter array;      (* gang members, first and last *)
   mutable a_wtail : waiter array;
+  mutable a_epoch : int array;         (* gang's last full scan, -1 = none *)
+  mutable a_ready : int array;         (* earliest [ready] it found *)
+  mutable a_count : int array;         (* gang members *)
   mutable a_free : int;                (* free-list head, -1 = grow *)
   (* wake-wheel: per-cycle slots as intrusive chains, occupancy bitmap *)
   wheel_head : int array;
@@ -117,9 +131,10 @@ type t = {
   mutable current : task;     (* dummy_task = none *)
   mutable next_seq : int;
   mutable tick_n : int;       (* cycles of the Tick being performed *)
-  mutable wait_pred : unit -> bool;   (* parameters of the Wait being *)
+  mutable wait_ready : unit -> int;   (* parameters of the Wait being *)
   mutable wait_cat : Stats.category;  (* performed *)
   mutable wait_quantum : int;
+  mutable epoch : int;        (* bumped by [enable] *)
   mutable global_time : int;  (* time of the entry being processed *)
   mutable tasks_live : int;
 }
@@ -142,6 +157,9 @@ let create (config : Config.t) =
     a_arg = Array.make initial_arena 0;
     a_whead = Array.make initial_arena no_waiter;
     a_wtail = Array.make initial_arena no_waiter;
+    a_epoch = Array.make initial_arena (-1);
+    a_ready = Array.make initial_arena 0;
+    a_count = Array.make initial_arena 0;
     a_free = 0;
     wheel_head = Array.make wheel_window (-1);
     wheel_tail = Array.make wheel_window (-1);
@@ -154,9 +172,10 @@ let create (config : Config.t) =
     current = dummy_task;
     next_seq = 0;
     tick_n = 0;
-    wait_pred = dummy_pred;
+    wait_ready = dummy_ready;
     wait_cat = Stats.Busy;
     wait_quantum = 0;
+    epoch = 0;
     global_time = 0;
     tasks_live = 0;
   }
@@ -179,6 +198,9 @@ let grow_arena t =
   t.a_arg <- copy 0 t.a_arg;
   t.a_whead <- copy no_waiter t.a_whead;
   t.a_wtail <- copy no_waiter t.a_wtail;
+  t.a_epoch <- copy (-1) t.a_epoch;
+  t.a_ready <- copy 0 t.a_ready;
+  t.a_count <- copy 0 t.a_count;
   let nx = Array.make n' (-1) in
   Array.blit t.a_next 0 nx 0 n;
   for i = n to n' - 2 do
@@ -393,30 +415,66 @@ let next_pending_time t =
 
 (* ---------------- gangs of parked polls ---------------- *)
 
-(* Park the waiters [first .. last] (linked through [next]) at [time],
-   behind everything already queued there.  When the tail entry of that
-   wheel slot is a gang with the same quantum, the run joins it: both
-   would be popped back to back anyway, so the (time, seq) order of the
-   re-checks is unchanged.  Otherwise the run becomes a new gang entry
-   keyed on [seq], its first member's sequence number. *)
-let park t ~time ~seq ~quantum first last =
+(* Park the [count] waiters [first .. last] (linked through [next]) at
+   [time], behind everything already queued there.  When the tail entry
+   of that wheel slot is a gang with the same quantum, the run joins it:
+   both would be popped back to back anyway, so the (time, seq) order of
+   the re-checks is unchanged.  Otherwise the run becomes a new gang
+   entry keyed on [seq], its first member's sequence number.  [epoch]
+   and [ready] are the run's cache (see [wake_gang]); a joined gang keeps
+   a cache only when both sides are valid at the current epoch. *)
+let park t ~time ~seq ~quantum ~epoch ~ready ~count first last =
   let tail = t.wheel_tail.(time land wheel_mask) in
   if tail >= 0 && t.a_time.(tail) = time && t.a_kind.(tail) = k_wait
      && t.a_arg.(tail) = quantum
   then begin
     t.a_wtail.(tail).next <- first;
-    t.a_wtail.(tail) <- last
+    t.a_wtail.(tail) <- last;
+    t.a_count.(tail) <- t.a_count.(tail) + count;
+    if epoch = t.epoch && t.a_epoch.(tail) = epoch then
+      t.a_ready.(tail) <- min t.a_ready.(tail) ready
+    else t.a_epoch.(tail) <- -1
   end
   else begin
     let i = alloc_slot t ~time ~seq ~kind:k_wait in
     t.a_arg.(i) <- quantum;
     t.a_whead.(i) <- first;
     t.a_wtail.(i) <- last;
+    t.a_epoch.(i) <- epoch;
+    t.a_ready.(i) <- ready;
+    t.a_count.(i) <- count;
     push_slot t i
   end
 
+(* Bring a parked member's clock and stall charge up to its gang's
+   [time]: every poll it skipped in a dormant wake failed, and each
+   would have charged one quantum and moved the clock by one. *)
+let settle t m time =
+  let d = time - m.task.time in
+  if d > 0 then begin
+    Stats.add (Stats.core t.stats m.task.core) m.cat d;
+    m.task.time <- time
+  end
+
+(* Settle every parked member, so the stall totals an exception leaves
+   behind are the plain polling loop's.  A gang whose re-check raised is
+   still marked [k_wait]; its members already re-checked stand one
+   quantum ahead and are left alone. *)
+let settle_parked t =
+  for i = 0 to Array.length t.a_kind - 1 do
+    if t.a_kind.(i) = k_wait then begin
+      let time = t.a_time.(i) in
+      let m = ref t.a_whead.(i) in
+      while !m != no_waiter do
+        settle t !m time;
+        m := !m.next
+      done
+    end
+  done
+
 let stats t = t.stats
 let probe t = t.probe
+let enable t = t.epoch <- t.epoch + 1
 let live_tasks t = t.tasks_live
 
 let fresh_seq t =
@@ -496,24 +554,26 @@ let idle t n = if n > 0 then advance t (current_task t) n
 
 (* Pure polling loop, behaviourally identical to
 
-     [while not (pred ()) do consume t cat quantum done]
+     [while now t < ready () do consume t cat quantum done]
 
-   for a [pred] that only reads simulation state (no memory accesses, no
-   cycle consumption, no mutation) — the lock-grant and reader-admission
-   waits.  Each failed poll burns the seq, adds the stall cycles and
-   advances the clock exactly like the consume above would; the
-   difference is purely mechanical: once the task suspends, the
-   scheduler re-evaluates [pred] at every wake from the run loop and
-   resumes the fiber only when it holds, so a failed poll costs one
-   queue pop/push instead of a fiber suspend/resume round trip.  The
-   evaluation points in the global (time, seq) order — and hence the
-   state each evaluation sees — are identical to the plain loop's. *)
-let poll_wait t ~cat ~quantum ~pred =
+   for a [ready] that only reads simulation state (no memory accesses,
+   no cycle consumption, no mutation) — the lock-grant and
+   reader-admission waits.  Each failed poll burns the seq, adds the
+   stall cycles and advances the clock exactly like the consume above
+   would; the difference is purely mechanical: once the task suspends,
+   it is parked in a gang, which the scheduler re-checks from the run
+   loop — skipping the per-member work while the gang is dormant — and
+   resumes the fiber only once [ready] holds, so a failed poll costs at
+   most one queue pop/push instead of a fiber suspend/resume round trip.
+   The evaluation points in the global (time, seq) order — and hence
+   the state each evaluation sees — are a subset of the plain loop's,
+   and the skipped ones are those that cannot succeed. *)
+let poll_wait t ~cat ~quantum ~ready =
   if quantum <= 0 then invalid_arg "Engine.poll_wait: quantum <= 0";
   let task = current_task t in
   let continue = ref true in
-  while !continue && not (pred ()) do
-    (* the fast path of [advance], inlined around the pred re-check *)
+  while !continue && task.time < ready () do
+    (* the fast path of [advance], inlined around the [ready] re-check *)
     Stats.add (Stats.core t.stats task.core) cat quantum;
     let nt = task.time + quantum in
     if nt <= t.config.max_cycles && nt < next_pending_time t then begin
@@ -522,11 +582,11 @@ let poll_wait t ~cat ~quantum ~pred =
       t.global_time <- nt
     end
     else begin
-      t.wait_pred <- pred;
+      t.wait_ready <- ready;
       t.wait_cat <- cat;
       t.wait_quantum <- quantum;
       Effect.perform Wait;
-      (* resumed only once the scheduler saw [pred ()] hold *)
+      (* resumed only once the scheduler saw [ready] hold *)
       continue := false
     end
   done
@@ -557,11 +617,11 @@ let handler t task =
         if task.time > t.config.max_cycles then raise (Watchdog task.time);
         task.state <- Suspended k;
         let w =
-          { task; pred = t.wait_pred; cat = t.wait_cat; next = no_waiter }
+          { task; ready = t.wait_ready; cat = t.wait_cat; next = no_waiter }
         in
-        t.wait_pred <- dummy_pred;
-        park t ~time:task.time ~seq:(fresh_seq t) ~quantum:t.wait_quantum w
-          w)
+        t.wait_ready <- dummy_ready;
+        park t ~time:task.time ~seq:(fresh_seq t) ~quantum:t.wait_quantum
+          ~epoch:(-1) ~ready:max_int ~count:1 w w)
   in
   {
     Effect.Deep.retc =
@@ -581,61 +641,90 @@ let handler t task =
         | _ -> None);
   }
 
-(* A gang's turn: re-check its members in order, each with its task
-   installed as current.  Every failed member is charged its stall and
-   burns one seq, exactly as its own pop and push would; the failed
-   prefix is then re-parked at [time + quantum] in one splice.  The first
-   member whose predicate holds resumes its fiber, and the members behind
-   it go back to the head of this slot, so they are still re-checked
-   before anything queued after the gang — including whatever the
-   resumed fiber schedules at this same cycle. *)
+(* A gang's turn.  A dormant gang — no [enable] since its last full
+   re-check, and [time] still before the earliest cycle that re-check
+   found any member ready — cannot release anyone: every member would
+   fail, burn one seq and move one quantum on, so the whole chain moves
+   at once and the stall charges are left to [settle].  The watchdog
+   cycle is taken by a full re-check, which charges exactly what the
+   member-by-member loop did before raising.
+
+   Otherwise the members are re-checked in order, each settled and with
+   its task installed as current.  Every failed member is charged its
+   stall and burns one seq, exactly as its own pop and push would; the
+   failed prefix is then re-parked at [time + quantum] in one splice,
+   caching the current epoch and the earliest [ready] it saw.  The first
+   member whose [ready] has come resumes its fiber, and the members
+   behind it go back to the head of this slot, uncached, so they are
+   still re-checked before anything queued after the gang — including
+   whatever the resumed fiber schedules at this same cycle. *)
 let wake_gang t i =
   let time = t.a_time.(i) and quantum = t.a_arg.(i) in
   let nt = time + quantum in
   let seq = t.next_seq in
-  let first = t.a_whead.(i) in
-  let w = ref first and last = ref no_waiter in
-  while
-    !w != no_waiter
-    && begin
-         t.current <- !w.task;
-         not (!w.pred ())
-       end
-  do
-    let m = !w in
-    Stats.add (Stats.core t.stats m.task.core) m.cat quantum;
-    if nt > t.config.max_cycles then raise (Watchdog nt);
-    m.task.time <- nt;
-    ignore (fresh_seq t);
-    last := m;
-    w := m.next
-  done;
-  let winner = !w in
-  if winner != no_waiter && winner.next != no_waiter then begin
-    t.a_whead.(i) <- winner.next;
-    wheel_untake t (time land wheel_mask) i;
-    t.peek <- time
+  let first = t.a_whead.(i) and count = t.a_count.(i) in
+  if t.a_epoch.(i) = t.epoch && time < t.a_ready.(i)
+     && nt <= t.config.max_cycles
+  then begin
+    let last = t.a_wtail.(i) and ready = t.a_ready.(i) in
+    t.next_seq <- seq + count;
+    free_slot t i;
+    park t ~time:nt ~seq ~quantum ~epoch:t.epoch ~ready ~count first last
   end
-  else free_slot t i;
-  if !last != no_waiter then begin
-    !last.next <- no_waiter;
-    park t ~time:nt ~seq ~quantum first !last
-  end;
-  if winner != no_waiter then begin
-    let task = winner.task in
-    match task.state with
-    | Suspended k ->
-        task.state <- Finished;
-        Effect.Deep.continue k ()
-    | _ -> assert false
-  end;
-  t.current <- dummy_task
+  else begin
+    let w = ref first and last = ref no_waiter in
+    let failed = ref 0 and soonest = ref max_int and r = ref 0 in
+    while
+      !w != no_waiter
+      && begin
+           let m = !w in
+           settle t m time;
+           t.current <- m.task;
+           r := m.ready ();
+           time < !r
+         end
+    do
+      let m = !w in
+      if !r < !soonest then soonest := !r;
+      Stats.add (Stats.core t.stats m.task.core) m.cat quantum;
+      if nt > t.config.max_cycles then raise (Watchdog nt);
+      m.task.time <- nt;
+      ignore (fresh_seq t);
+      incr failed;
+      last := m;
+      w := m.next
+    done;
+    let winner = !w in
+    if winner != no_waiter && winner.next != no_waiter then begin
+      t.a_whead.(i) <- winner.next;
+      t.a_epoch.(i) <- -1;
+      t.a_count.(i) <- count - !failed - 1;
+      wheel_untake t (time land wheel_mask) i;
+      t.peek <- time
+    end
+    else free_slot t i;
+    if !last != no_waiter then begin
+      !last.next <- no_waiter;
+      park t ~time:nt ~seq ~quantum ~epoch:t.epoch ~ready:!soonest
+        ~count:!failed first !last
+    end;
+    if winner != no_waiter then begin
+      let task = winner.task in
+      match task.state with
+      | Suspended k ->
+          task.state <- Finished;
+          Effect.Deep.continue k ()
+      | _ -> assert false
+    end;
+    t.current <- dummy_task
+  end
 
 (* Run until every task has finished and every event has fired.  Raises
    [Watchdog] if a task spins past the configured horizon; raises
    [Deadlock] if tasks remain but nothing is runnable (cannot happen with
-   pure time-based waiting, but guards future blocking primitives). *)
-let run t =
+   pure time-based waiting, but guards future blocking primitives).  Any
+   exception leaving [run] first settles every parked waiter's stall. *)
+let run_loop t =
   let continue = ref true in
   while !continue do
     let i = pop_slot t in
@@ -668,5 +757,12 @@ let run t =
   done;
   if t.tasks_live > 0 then
     raise (Deadlock (Printf.sprintf "%d tasks never finished" t.tasks_live))
+
+let run t =
+  try run_loop t
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    settle_parked t;
+    Printexc.raise_with_backtrace e bt
 
 let wall_time t = t.global_time

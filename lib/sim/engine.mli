@@ -86,27 +86,45 @@ val idle : t -> int -> unit
 (** Advance the clock without statistics (pure waiting). *)
 
 val poll_wait :
-  t -> cat:Stats.category -> quantum:int -> pred:(unit -> bool) -> unit
-(** [poll_wait t ~cat ~quantum ~pred] behaves exactly like
+  t -> cat:Stats.category -> quantum:int -> ready:(unit -> int) -> unit
+(** [poll_wait t ~cat ~quantum ~ready] behaves exactly like
 
-    {[ while not (pred ()) do consume t cat quantum done ]}
+    {[ while now t < ready () do consume t cat quantum done ]}
 
     — same stall accounting, same clock trajectory, same sequence-number
     burns, same watchdog — but once the task suspends, the scheduler
-    re-evaluates [pred] itself at every wake and resumes the fiber only
-    when it holds.  Suspended waiters due at the same cycle with the same
-    [quantum] share one queue entry (a {e gang}): the scheduler re-checks
-    them in order, re-queues the failed ones in one splice, and a failed
-    re-check allocates nothing and costs no fiber switch.  The order in
-    which predicates are evaluated, and hence the state each evaluation
-    sees, is the plain loop's.
+    re-checks it itself and resumes the fiber only once [ready] holds.
+    [ready ()] is the earliest cycle at which the wait can end, given the
+    simulation state now: [max_int] means "not until some state change",
+    [min_int] means "now".
 
-    [pred] must be {e pure with respect to the simulation}: it may read
+    Suspended waiters due at the same cycle with the same [quantum] share
+    one queue entry (a {e gang}); a failed re-check allocates nothing and
+    costs no fiber switch.  A gang remembers the earliest [ready] its last
+    full re-check found.  Until that cycle comes, or until {!enable} is
+    called, the gang is {e dormant}: its wakes skip [ready] and cost
+    constant work, though the gang still moves through the queue one
+    quantum at a time, so the schedule is the plain loop's.  A parked
+    member's clock and stall charge are settled lazily — before its
+    [ready] runs, when it resumes, and for every parked member when an
+    exception leaves {!run} — so every observable total is the loop's.
+
+    [ready] must be {e pure with respect to the simulation}: it may read
     engine or host bookkeeping state (including {!now}) but must not
     consume cycles, access simulated memory, or mutate anything.  It is
     called both from the polling task and from the scheduler loop (with
     the task's identity installed, so {!now} and {!core_id} are valid
-    either way). *)
+    either way).  Its answer may fall only through an {e enabling}
+    change: every mutation of the state [ready] reads that can lower
+    some parked waiter's [ready] must call {!enable}.  Mutations that
+    can only raise it — a waiter joining a queue, a grant being taken —
+    need not. *)
+
+val enable : t -> unit
+(** Record an enabling change: a state mutation that may let a parked
+    {!poll_wait} waiter end its wait earlier than its [ready] last said
+    (a lock released, a grant issued, a waiter withdrawn).  Every gang
+    re-checks each member once on its next wake. *)
 
 val run : t -> unit
 (** Run until every task has finished and every event has fired.

@@ -9,7 +9,9 @@
        pending entry) allocates nothing at all;
      - the suspension path allocates only the runtime's continuation —
        a small bounded number of minor words per event;
-     - a failed pure-poll re-check in the scheduler allocates nothing;
+     - a failed pure-poll re-check in the scheduler allocates nothing,
+       and a dormant gang of waiters is not re-checked at all until
+       [Engine.enable] or its own deadline;
      - [Engine.poll_wait] is the plain consume loop it documents, event
        for event, on random engine-only programs;
      - runs are bit-repeatable for random (app, back-end, cores, chaos)
@@ -78,10 +80,10 @@ let test_suspension_alloc_bounded () =
 let test_poll_recheck_zero_alloc () =
   let cores = 32 and quantum = 4 and release = 40_000 in
   let e = Engine.create { Config.small with cores } in
-  let pred () = Engine.now e >= release in
+  let ready () = release in
   for c = 1 to cores - 1 do
     Engine.spawn e ~core:c (fun () ->
-        Engine.poll_wait e ~cat:Stats.Lock_stall ~quantum ~pred)
+        Engine.poll_wait e ~cat:Stats.Lock_stall ~quantum ~ready)
   done;
   Engine.spawn e ~core:0 (fun () ->
       while Engine.now e < release do
@@ -101,22 +103,72 @@ let test_poll_recheck_zero_alloc () =
                      %.3f each)" rechecks dw per)
     true (per < 0.1)
 
+(* 31 waiters park on a clock deadline 10,000 quanta away, in two gangs
+   (quanta 4 and 5), while one task keeps consuming.  Without an enabling
+   change a gang is re-checked once when it forms and once when its
+   deadline comes, so [ready] runs a small multiple of 31 times, not
+   once per waiter per quantum.  [enable] mid-wait costs exactly one full
+   re-check of every live gang: 31 more calls.  The lazily settled stall
+   totals are the plain loop's either way. *)
+let dormant_ready_calls ~enable_at =
+  let cores = 32 and deadline = 40_000 in
+  let e = Engine.create { Config.small with cores } in
+  let calls = ref 0 in
+  let ready () = incr calls; deadline in
+  let quantum c = if c land 1 = 0 then 4 else 5 in
+  for c = 1 to cores - 1 do
+    Engine.spawn e ~core:c (fun () ->
+        Engine.poll_wait e ~cat:Stats.Lock_stall ~quantum:(quantum c) ~ready)
+  done;
+  Engine.spawn e ~core:0 (fun () ->
+      while Engine.now e < deadline do
+        Engine.consume e Stats.Busy 256
+      done);
+  Option.iter (fun time -> Engine.at e ~time (fun () -> Engine.enable e))
+    enable_at;
+  Engine.run e;
+  (* both quanta divide the deadline: every waiter polled up to it *)
+  for c = 1 to cores - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "core %d lock stall" c)
+      deadline
+      (Stats.get (Stats.core (Engine.stats e) c) Stats.Lock_stall)
+  done;
+  !calls
+
+let test_dormant_gangs () =
+  let quiet = dormant_ready_calls ~enable_at:None in
+  Alcotest.(check bool)
+    (Printf.sprintf "31 dormant waiters over 10,000 quanta: %d ready calls"
+       quiet)
+    true (quiet <= 4 * 31);
+  let enabled = dormant_ready_calls ~enable_at:(Some 20_001) in
+  Alcotest.(check int) "one enable re-checks each live gang once" 31
+    (enabled - quiet)
+
 (* ---------------- poll_wait contract ---------------- *)
 
 (* Random engine-only programs, each run twice: once with
    [Engine.poll_wait] and once with the loop it documents,
 
-     [while not (pred ()) do Engine.consume e cat quantum done]
+     [while Engine.now e < ready () do Engine.consume e cat quantum done]
 
-   The two runs must agree on every observation: the global log of pred
-   successes, resumes, flag bumps and fired closures (with core and
-   time), every core's per-category stall totals, [wall_time] and the
-   [Watchdog] cycle. *)
+   The two runs must agree on every observation: the global log of wait
+   successes, flag bumps and fired closures (with core and time), every
+   core's per-category stall totals, [wall_time] and the cycle of a
+   [Watchdog] or of a closure raising out of [Engine.run].
+   [ready] is the wait's contract, not a predicate: the flag mutators
+   call [Engine.enable], as every change that can end a parked wait
+   must, and a success is logged when the waiter resumes, not from
+   [ready] (the scheduler does not call it at every poll the loop
+   makes). *)
 
 type op =
   | Work of Stats.category * int
   | Bump of int                 (* flags.(f) += 1, from the task *)
   | Post of int * int           (* a closure bumps flag f after a delay *)
+  | Raise of int                (* a closure raises out of run after a
+                                   delay *)
   | Wait of {
       flag : int;
       target : int;
@@ -132,7 +184,9 @@ type program = {
 
 let n_flags = 2
 
-type outcome = Done | Watchdog of int
+type outcome = Done | Watchdog of int | Raised of int
+
+exception Cut of int
 
 let run_program ~poll prog =
   let cores = List.length prog.tasks in
@@ -151,35 +205,34 @@ let run_program ~poll prog =
               | Work (cat, n) -> Engine.consume e cat n
               | Bump f ->
                   flags.(f) <- flags.(f) + 1;
+                  Engine.enable e;
                   note "bump" core k (Engine.now e)
               | Post (f, delay) ->
                   Engine.at e ~time:(Engine.now e + delay) (fun () ->
                       flags.(f) <- flags.(f) + 1;
+                      Engine.enable e;
                       note "fire" core k (Engine.wall_time e))
+              | Raise delay ->
+                  Engine.at e ~time:(Engine.now e + delay) (fun () ->
+                      raise (Cut (Engine.wall_time e)))
               | Wait { flag; target; quantum; cat; until } ->
-                  let pred () =
-                    let ok =
-                      flags.(flag) >= target
-                      || match until with
-                         | Some d -> Engine.now e >= d
-                         | None -> false
-                    in
-                    if ok then
-                      note "success" (Engine.core_id e) k (Engine.now e);
-                    ok
+                  let ready () =
+                    if flags.(flag) >= target then min_int
+                    else Option.value until ~default:max_int
                   in
-                  if poll then Engine.poll_wait e ~cat ~quantum ~pred
+                  if poll then Engine.poll_wait e ~cat ~quantum ~ready
                   else
-                    while not (pred ()) do
+                    while Engine.now e < ready () do
                       Engine.consume e cat quantum
                     done;
-                  note "resume" core k (Engine.now e))
+                  note "success" (Engine.core_id e) k (Engine.now e))
             ops))
     prog.tasks;
   let outcome =
     match Engine.run e with
     | () -> Done
     | exception Engine.Watchdog c -> Watchdog c
+    | exception Cut c -> Raised c
   in
   let stalls =
     List.init cores (fun c ->
@@ -206,6 +259,7 @@ let gen_program =
         (2, map (fun f -> Bump f) (int_bound (n_flags - 1)));
         (2, map2 (fun f d -> Post (f, d)) (int_bound (n_flags - 1))
               (oneofl [ 0; 1; 4; 7 ]));
+        (1, map (fun d -> Raise d) (oneofl [ 0; 5; 300; 2500 ]));
         ( 5,
           let* flag = int_bound (n_flags - 1) in
           let* target = int_range 1 3 in
@@ -227,6 +281,7 @@ let print_program prog =
     | Work (c, n) -> Printf.sprintf "work %s %d" (Stats.category_name c) n
     | Bump f -> Printf.sprintf "bump %d" f
     | Post (f, d) -> Printf.sprintf "post %d +%d" f d
+    | Raise d -> Printf.sprintf "raise +%d" d
     | Wait w ->
         Printf.sprintf "wait f%d>=%d q%d %s%s" w.flag w.target w.quantum
           (Stats.category_name w.cat)
@@ -244,7 +299,7 @@ let print_program prog =
 
 let prop_poll_wait_is_loop =
   QCheck.Test.make ~count:300
-    ~name:"poll_wait = while not pred do consume cat quantum done"
+    ~name:"poll_wait = while now < ready () do consume cat quantum done"
     (QCheck.make ~print:print_program gen_program)
     agree
 
@@ -295,9 +350,20 @@ let test_poll_wait_shapes () =
     }
   in
   check "starved" starved;
+  (* waiters dormant on a far deadline when a closure raises out of the
+     run: their stall is settled to the raise, as the loop charged it *)
+  check "raise while dormant"
+    {
+      max_cycles = 20_000;
+      tasks =
+        [ (0, [ wait ~until:9_000 ~quantum:4 0 ]);
+          (1, [ wait ~until:9_000 ~quantum:4 0 ]);
+          (0, [ wait ~cat:Stats.Busy ~until:5_000 ~quantum:7 0 ]);
+          (0, [ Work (Stats.Busy, 30); Bump 1; Raise 1_203 ]) ];
+    };
   match run_program ~poll:true starved with
   | Watchdog c, _, _, _ -> Alcotest.(check int) "watchdog cycle" 3_004 c
-  | Done, _, _, _ -> Alcotest.fail "a starved waiter must trip the watchdog"
+  | _ -> Alcotest.fail "a starved waiter must trip the watchdog"
 
 (* ---------------- randomized equivalence ---------------- *)
 
@@ -695,6 +761,8 @@ let suite =
         test_suspension_alloc_bounded;
       Alcotest.test_case "poll re-check zero alloc" `Quick
         test_poll_recheck_zero_alloc;
+      Alcotest.test_case "dormant gangs skip re-checks" `Quick
+        test_dormant_gangs;
       Alcotest.test_case "poll_wait shapes" `Quick test_poll_wait_shapes;
       QCheck_alcotest.to_alcotest prop_poll_wait_is_loop;
       QCheck_alcotest.to_alcotest prop_repeatable;
